@@ -21,6 +21,7 @@ from .errors import (
     BudgetExceeded,
     EmptySubcake,
     EntitledCutsError,
+    InternalCheckFailed,
     NoSplitFound,
     NotFoundWithin,
     PieceNotConnected,
@@ -82,6 +83,7 @@ __all__ = [
     "FeasibilityResult",
     "FlatMap",
     "Instance",
+    "InternalCheckFailed",
     "Interval",
     "LinearConstraint",
     "NoSplitFound",

@@ -7,8 +7,9 @@ Subcommands:
   min-cuts  exhaustive minimal-cut search up to a budget
   bench     CSV comparison of the general protocols over seeded instances
 
-Exit codes: 0 success, 1 invalid input, 2 internal verification failure,
-3 enumeration budget exceeded, 4 verification reported a failure.
+Exit codes: 0 success, 1 invalid input, 2 internal verification failure
+(or a failed internal post-condition), 3 enumeration budget exceeded,
+4 verification reported a failure.
 The environment variable ENTITLED_CUTS_BUDGET (positive integer) overrides
 the enumeration cap used by the splitter and the oracle.
 """
@@ -22,7 +23,7 @@ import time
 from pathlib import Path
 
 from . import bounds, protocols
-from .errors import BudgetExceeded, EntitledCutsError, NotFoundWithin
+from .errors import BudgetExceeded, EntitledCutsError, InternalCheckFailed, NotFoundWithin
 from .generate import random_instance
 from .model import Instance, format_rational
 from .serialize import (
@@ -140,6 +141,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_min_cuts(args) -> int:
+    if args.k_max < 0:
+        raise FormatError(f"--k-max must be nonnegative, got {args.k_max}")
     instance = _load_instance(args.instance)
     budget = _env_budget()
     final_cert = None
@@ -253,6 +256,9 @@ def main(argv=None) -> int:
     except NotFoundWithin as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OK
+    except InternalCheckFailed as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_VERIFY
     except (FormatError, ValueError, EntitledCutsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

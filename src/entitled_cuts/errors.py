@@ -28,6 +28,14 @@ class UnboundedLexMin(EntitledCutsError, RuntimeError):
     """
 
 
+class InternalCheckFailed(EntitledCutsError, RuntimeError):
+    """An internal post-condition did not hold: a bug, never bad input.
+
+    Raised in place of ``assert`` so that the check also runs under
+    ``python -O``.
+    """
+
+
 class NoSplitFound(EntitledCutsError, RuntimeError):
     """The consensus-split enumeration exhausted without a feasible system.
 

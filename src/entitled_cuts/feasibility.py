@@ -5,11 +5,30 @@ when it is, produces the lexicographically minimal solution (minimize x1,
 then x2 subject to that minimum, and so on).  All arithmetic is exact
 Fraction arithmetic; there is no tolerance anywhere.
 
-Equality constraints are eliminated by substitution first.  The systems
-built by the splitter bind most variables through equalities, so this
-usually collapses them to zero or one free variable, which are decided
-directly; anything larger goes to an exact two-phase simplex with Bland's
-rule (which cannot cycle).
+Each system is reduced once.  Equality constraints are eliminated by
+substitution, which leaves inequalities over the remaining free variables.
+An inequality that touches a single free variable becomes a lower or upper
+bound on it, and the tightest bound on each side wins.  Only inequalities
+over two or more free variables stay as rows (in the systems the splitter
+and the oracle build, the value rows and the ordering rows); each gets a
+slack variable bounded below by zero.
+
+What is left goes to a bounded-variable exact simplex.  Every column is
+either basic or non-basic at one of its bounds; a column with no bound at
+all sits at zero until it enters the basis.  A step may move the entering
+column from one bound to the other without a basis change.  Pivots touch
+only the non-zero entries of the pivot row, and Bland's rule (the lowest
+eligible column enters, the lowest column leaves among tied rows) keeps the
+method from cycling.  Phase 1 starts every column at a bound and gives
+each row whose slack starts negative an artificial column; the system is
+feasible exactly when the artificials can all reach zero.
+
+The lexicographic minimum is taken on the same tableau by successive
+objectives, each warm-started from the previous optimal basis: minimize
+x1, which is a column or, for an eliminated variable, the affine expression
+it was replaced by; then fix at its current value every non-basic column
+with a non-zero reduced cost, which leaves exactly the set of minimizers;
+then go on to x2.  After the last step the point is unique.
 """
 
 from __future__ import annotations
@@ -18,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import UnboundedLexMin
+from .errors import InternalCheckFailed, UnboundedLexMin
 from .model import ZERO, ONE, as_rational
 
 LE, EQ, GE = "<=", "=", ">="
@@ -79,10 +98,8 @@ def _eliminate_equalities(num_vars: int, rows: Sequence) -> Optional[tuple]:
     for coeffs, rel, rhs in rows:
         if rel == EQ:
             eqs.append((coeffs, rhs))
-        elif rel == LE:
-            raw_ineqs.append((coeffs, rhs))
         else:
-            raw_ineqs.append(([-c for c in coeffs], -rhs))
+            raw_ineqs.append((coeffs, rel, rhs))
 
     solved: dict[int, tuple[Fraction, dict[int, Fraction]]] = {}
 
@@ -92,7 +109,7 @@ def _eliminate_equalities(num_vars: int, rows: Sequence) -> Optional[tuple]:
         const = ZERO
         expr: dict[int, Fraction] = {}
         for j, c in enumerate(coeffs):
-            if c == ZERO:
+            if not c:
                 continue
             if j in solved:
                 s_const, s_expr = solved[j]
@@ -101,7 +118,7 @@ def _eliminate_equalities(num_vars: int, rows: Sequence) -> Optional[tuple]:
                     expr[k] = expr.get(k, ZERO) + c * sc
             else:
                 expr[j] = expr.get(j, ZERO) + c
-        return {k: c for k, c in expr.items() if c != ZERO}, const
+        return {k: c for k, c in expr.items() if c}, const
 
     for coeffs, rhs in eqs:
         expr, const = substitute(coeffs)
@@ -125,167 +142,214 @@ def _eliminate_equalities(num_vars: int, rows: Sequence) -> Optional[tuple]:
 
     free = [j for j in range(num_vars) if j not in solved]
     ineqs = []
-    for coeffs, rhs in raw_ineqs:
+    for coeffs, rel, rhs in raw_ineqs:
         expr, const = substitute(coeffs)
-        ineqs.append((expr, rhs - const))
+        if rel == LE:
+            ineqs.append((expr, rhs - const))
+        else:
+            ineqs.append(({k: -c for k, c in expr.items()}, const - rhs))
     return free, ineqs, solved
 
 
-def _interval_of(var: int, ineqs: Sequence) -> Optional[tuple]:
-    """Feasible (lo, hi) of a one-variable system; None in a slot means
-    unbounded on that side; returns None altogether on contradiction."""
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    for expr, rhs in ineqs:
-        c = expr.get(var, ZERO)
-        if c == ZERO:
-            if rhs < ZERO:
-                return None
-            continue
-        bound = rhs / c
-        if c > ZERO:
-            if hi is None or bound < hi:
-                hi = bound
-        else:
-            if lo is None or bound > lo:
-                lo = bound
-    if lo is not None and hi is not None and lo > hi:
-        return None
-    return lo, hi
+class _Tableau:
+    """Bounded-variable simplex state over columns 0..len(free)-1 (the free
+    variables, in order), then per row its slack and, if the row starts
+    violated, an artificial column.
 
-
-def _simplex_min(free: Sequence[int], ineqs: Sequence, objective: dict) -> tuple:
-    """Minimize objective . x over {x : expr . x <= rhs for each row}.
-
-    Returns ("optimal", value, point) | ("infeasible",) | ("unbounded",).
-    Dense two-phase tableau over Fractions.  Free variables are split
-    x = u - w with u, w >= 0; Bland's rule is used throughout.
+    ``rows[r]`` holds the non-zero coefficients of the non-basic, non-fixed
+    columns in  x[basis[r]] + sum(rows[r][j] * x[j]) = const; the constant
+    itself is never needed because ``x`` holds every column's value.
+    ``lo``/``hi`` are the bounds, None meaning unbounded on that side.
     """
-    d = len(free)
-    pos = {v: i for i, v in enumerate(free)}
-    m = len(ineqs)
-    n_struct = 2 * d + m  # u's, w's, slacks
 
-    rows = []
-    for r, (expr, rhs) in enumerate(ineqs):
-        row = [ZERO] * n_struct
-        for v, c in expr.items():
-            row[pos[v]] = c
-            row[d + pos[v]] = -c
-        row[2 * d + r] = ONE
-        if rhs < ZERO:
-            row = [-c for c in row]
-            rhs = -rhs
-        row.append(rhs)
-        rows.append(row)
+    def __init__(self, lo: list, hi: list, rows: list):
+        x = [ZERO if l is None and h is None else (h if l is None else l) for l, h in zip(lo, hi)]
+        self.x, self.lo, self.hi = x, lo, hi
+        self.rows: list[dict] = []
+        self.basis: list[int] = []
+        self.artificials: list[int] = []
+        for expr, rhs in rows:
+            level = rhs - sum((c * x[j] for j, c in expr.items()), ZERO)
+            row = {j: c for j, c in expr.items() if not self._fixed(j)}
+            slack = len(x)
+            x.append(max(level, ZERO))
+            lo.append(ZERO)
+            hi.append(None)
+            if level < ZERO:
+                # the slack starts at zero and an artificial takes the shortfall
+                row = {j: -c for j, c in row.items()}
+                row[slack] = -ONE
+                self.artificials.append(len(x))
+                x.append(-level)
+                lo.append(ZERO)
+                hi.append(None)
+            self.basis.append(len(x) - 1)
+            self.rows.append(row)
 
-    basis: list[int] = []
-    art_cols: list[int] = []
-    total_cols = n_struct
-    for r in range(m):
-        if rows[r][2 * d + r] == ONE:
-            basis.append(2 * d + r)
-        else:
-            for row in rows:
-                row.insert(-1, ONE if row is rows[r] else ZERO)
-            basis.append(total_cols)
-            art_cols.append(total_cols)
-            total_cols += 1
+    def _fixed(self, j: int) -> bool:
+        return self.lo[j] is not None and self.lo[j] == self.hi[j]
 
-    def reduced_row(costs):
-        # z_j = cB . B^-1 A_j - c_j ; z[-1] = current objective value
-        z = [-c for c in costs] + [ZERO]
-        for r, b in enumerate(basis):
-            cb = costs[b]
-            if cb != ZERO:
-                row = rows[r]
-                for j in range(total_cols + 1):
-                    if row[j] != ZERO:
-                        z[j] += cb * row[j]
-        return z
+    def phase1(self) -> bool:
+        """Drive the artificials to zero; False if the system is infeasible.
+        Afterwards the artificials are fixed at zero."""
+        if not self.artificials:
+            return True
+        if not self.optimize(self.reduced_costs({a: ONE for a in self.artificials})):
+            raise InternalCheckFailed("phase 1 of the simplex reported an unbounded sum of artificials")
+        if any(self.x[a] != ZERO for a in self.artificials):
+            return False
+        for a in self.artificials:
+            self.hi[a] = ZERO
+        self._drop_fixed(self.artificials)
+        return True
 
-    def run(costs, forbidden):
-        z = reduced_row(costs)
+    def reduced_costs(self, objective: dict) -> dict:
+        """Reduced costs of  sum(objective[j] * x[j])  at the current basis."""
+        row_of = {b: r for r, b in enumerate(self.basis)}
+        costs: dict[int, Fraction] = {}
+        for j, c in objective.items():
+            r = row_of.get(j)
+            if r is not None:
+                for k, a in self.rows[r].items():
+                    costs[k] = costs.get(k, ZERO) - c * a
+            elif not self._fixed(j):
+                costs[j] = costs.get(j, ZERO) + c
+        return {j: c for j, c in costs.items() if c != ZERO}
+
+    def optimize(self, costs: dict) -> bool:
+        """Minimize from the current basis; ``costs`` holds the non-zero
+        reduced costs and is kept current.  False means unbounded below."""
+        x, lo, hi, rows, basis = self.x, self.lo, self.hi, self.rows, self.basis
         while True:
             enter = -1
-            for j in range(total_cols):
-                if z[j] > ZERO and j not in forbidden:
-                    enter = j
+            for j in sorted(costs):
+                if costs[j] < ZERO:
+                    if hi[j] is None or x[j] < hi[j]:
+                        enter, up = j, True
+                        break
+                elif lo[j] is None or x[j] > lo[j]:
+                    enter, up = j, False
                     break
             if enter < 0:
-                return "optimal", z
-            leave, best = -1, None
-            for r in range(m):
-                a = rows[r][enter]
-                if a > ZERO:
-                    ratio = rows[r][-1] / a
-                    if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                        best, leave = ratio, r
-            if leave < 0:
-                return "unbounded", z
-            piv = rows[leave][enter]
-            if piv != ONE:
-                rows[leave] = [c / piv for c in rows[leave]]
-            pivot_row = rows[leave]
-            for r in range(m):
-                if r != leave and rows[r][enter] != ZERO:
-                    f = rows[r][enter]
-                    rows[r] = [c - f * p for c, p in zip(rows[r], pivot_row)]
-            if z[enter] != ZERO:
-                f = z[enter]
-                z = [c - f * p for c, p in zip(z, pivot_row)]
-            basis[leave] = enter
+                return True
+            # bound flip first; a row replaces it only on a strictly shorter step
+            step = None
+            if up and hi[enter] is not None:
+                step = hi[enter] - x[enter]
+            elif not up and lo[enter] is not None:
+                step = x[enter] - lo[enter]
+            leave = -1
+            touched = []
+            for r, row in enumerate(rows):
+                a = row.get(enter)
+                if a is None:
+                    continue
+                touched.append((r, a))
+                b = basis[r]
+                # x[b] moves by -a per unit increase of x[enter]
+                if (a < ZERO) == up:
+                    if hi[b] is None:
+                        continue
+                    room = (hi[b] - x[b]) / abs(a)
+                else:
+                    if lo[b] is None:
+                        continue
+                    room = (x[b] - lo[b]) / abs(a)
+                if step is None or room < step or (
+                    room == step and leave >= 0 and b < basis[leave]
+                ):
+                    step, leave = room, r
+            if step is None:
+                return False
+            if step != ZERO:
+                delta = step if up else -step
+                x[enter] += delta
+                for r, a in touched:
+                    x[basis[r]] -= a * delta
+            if leave >= 0:
+                self._pivot(leave, enter, touched, costs)
 
-    if art_cols:
-        phase1 = [ZERO] * total_cols
-        for j in art_cols:
-            phase1[j] = ONE
-        status, z = run(phase1, forbidden=frozenset())
-        assert status == "optimal", "phase 1 is bounded below by zero"
-        if z[-1] != ZERO:
-            return ("infeasible",)
-        art_set = frozenset(art_cols)
-        for r in range(m):
-            if basis[r] in art_set:
-                for j in range(n_struct):
-                    if rows[r][j] != ZERO:
-                        piv = rows[r][j]
-                        rows[r] = [c / piv for c in rows[r]]
-                        for rr in range(m):
-                            if rr != r and rows[rr][j] != ZERO:
-                                f = rows[rr][j]
-                                rows[rr] = [c - f * p for c, p in zip(rows[rr], rows[r])]
-                        basis[r] = j
-                        break
-    else:
-        art_set = frozenset()
+    def _pivot(self, leave: int, enter: int, touched: list, costs: dict) -> None:
+        rows, basis = self.rows, self.basis
+        out = basis[leave]
+        row = rows[leave]
+        inv = ONE / row.pop(enter)
+        new = {j: c * inv for j, c in row.items()}
+        if not self._fixed(out):
+            new[out] = inv
+        rows[leave] = new
+        basis[leave] = enter
+        for r, f in touched:
+            if r != leave:
+                _axpy(rows[r], enter, f, new)
+        f = costs.get(enter)
+        if f is not None:
+            _axpy(costs, enter, f, new)
 
-    costs = [ZERO] * total_cols
-    for v, c in objective.items():
-        costs[pos[v]] = c
-        costs[d + pos[v]] = -c
-    status, z = run(costs, forbidden=art_set)
-    if status == "unbounded":
-        return ("unbounded",)
-    values = [ZERO] * total_cols
-    for r, b in enumerate(basis):
-        values[b] = rows[r][-1]
-    point = {v: values[pos[v]] - values[d + pos[v]] for v in free}
-    return "optimal", z[-1], point
+    def _drop_fixed(self, columns: Iterable[int]) -> None:
+        """Forget non-basic columns that can no longer move."""
+        for row in self.rows:
+            for j in columns:
+                row.pop(j, None)
+
+    def fix_optimal_face(self, costs: dict) -> None:
+        """After optimize(costs): restrict to the minimizers by fixing every
+        non-basic column whose reduced cost is non-zero at its value."""
+        for j in costs:
+            self.lo[j] = self.hi[j] = self.x[j]
+        self._drop_fixed(costs)
 
 
-def _reduced_feasible(free: Sequence[int], ineqs: Sequence) -> bool:
+def _axpy(target: dict, pivot_col: int, f: Fraction, new: dict) -> None:
+    """target -= f * new, with target's own pivot_col entry (f) removed."""
+    del target[pivot_col]
+    for j, c in new.items():
+        v = target.get(j)
+        if v is None:
+            target[j] = -f * c
+        else:
+            v -= f * c
+            if v:
+                target[j] = v
+            else:
+                del target[j]
+
+
+def _decide(num_vars: int, rows: list) -> Optional[tuple]:
+    """Reduce the system once and run phase 1.
+
+    Returns None if the system is infeasible, else (col, solved, tableau):
+    col maps each free variable to its column, and the tableau is at a
+    feasible basis.
+    """
+    reduced = _eliminate_equalities(num_vars, rows)
+    if reduced is None:
+        return None
+    free, ineqs, solved = reduced
+    col = {v: p for p, v in enumerate(free)}
+    lo: list = [None] * len(free)
+    hi: list = [None] * len(free)
+    multi = []
     for expr, rhs in ineqs:
-        if not expr and rhs < ZERO:
-            return False
-    if not free:
-        return True
-    if len(free) == 1:
-        return _interval_of(free[0], ineqs) is not None
-    live = [(expr, rhs) for expr, rhs in ineqs if expr]
-    if not live:
-        return True
-    return _simplex_min(free, live, {})[0] != "infeasible"
+        if len(expr) >= 2:
+            multi.append(({col[v]: c for v, c in expr.items()}, rhs))
+        elif expr:
+            (v, c), = expr.items()
+            p = col[v]
+            bound = rhs / c
+            if c > ZERO:
+                if hi[p] is None or bound < hi[p]:
+                    hi[p] = bound
+            elif lo[p] is None or bound > lo[p]:
+                lo[p] = bound
+        elif rhs < ZERO:
+            return None
+    if any(l is not None and h is not None and l > h for l, h in zip(lo, hi)):
+        return None
+    tableau = _Tableau(lo, hi, multi)
+    if not tableau.phase1():
+        return None
+    return col, solved, tableau
 
 
 def check_feasible(num_vars: int, constraints: Iterable) -> bool:
@@ -294,40 +358,7 @@ def check_feasible(num_vars: int, constraints: Iterable) -> bool:
     Agrees exactly with solve_feasibility but skips witness construction;
     the enumeration loops in the splitter and the cut oracle live on this.
     """
-    reduced = _eliminate_equalities(num_vars, _normalize(num_vars, constraints))
-    if reduced is None:
-        return False
-    free, ineqs, _ = reduced
-    return _reduced_feasible(free, ineqs)
-
-
-def _minimize_variable(num_vars: int, rows: list, var: int) -> Fraction:
-    """Exact minimum of x_var over a system already known to be feasible."""
-    reduced = _eliminate_equalities(num_vars, rows)
-    assert reduced is not None, "caller guarantees feasibility"
-    free, ineqs, solved = reduced
-    if var in solved:
-        offset, objective = solved[var]
-        objective = {v: c for v, c in objective.items() if c != ZERO}
-    else:
-        offset, objective = ZERO, {var: ONE}
-    if not objective:
-        return offset
-    if len(free) == 1:
-        (v, c), = objective.items()
-        interval = _interval_of(v, ineqs)
-        assert interval is not None
-        lo, hi = interval
-        at = lo if c > ZERO else hi
-        if at is None:
-            raise UnboundedLexMin(f"minimizing variable {var + 1} is unbounded below")
-        return offset + c * at
-    live = [(expr, rhs) for expr, rhs in ineqs if expr]
-    result = _simplex_min(free, live, objective)
-    if result[0] == "unbounded":
-        raise UnboundedLexMin(f"minimizing variable {var + 1} is unbounded below")
-    assert result[0] == "optimal"
-    return offset + result[1]
+    return _decide(num_vars, _normalize(num_vars, constraints)) is not None
 
 
 def solve_feasibility(num_vars: int, constraints: Iterable) -> FeasibilityResult:
@@ -340,18 +371,29 @@ def solve_feasibility(num_vars: int, constraints: Iterable) -> FeasibilityResult
     if num_vars < 1:
         raise ValueError("need at least one variable")
     rows = _normalize(num_vars, constraints)
-    reduced = _eliminate_equalities(num_vars, rows)
-    if reduced is None or not _reduced_feasible(reduced[0], reduced[1]):
+    decided = _decide(num_vars, rows)
+    if decided is None:
         return FeasibilityResult(False, None)
-    witness: list[Fraction] = []
+    col, solved, tableau = decided
     for var in range(num_vars):
-        value = _minimize_variable(num_vars, rows, var)
-        witness.append(value)
-        pin = [ZERO] * num_vars
-        pin[var] = ONE
-        rows.append((pin, EQ, value))
-    for coeffs, rel, rhs in _normalize(num_vars, constraints):
+        if var in solved:
+            objective = {col[v]: c for v, c in solved[var][1].items()}
+        else:
+            objective = {col[var]: ONE}
+        costs = tableau.reduced_costs(objective)
+        if not tableau.optimize(costs):
+            raise UnboundedLexMin(f"minimizing variable {var + 1} is unbounded below")
+        tableau.fix_optimal_face(costs)
+    x = tableau.x
+    witness = []
+    for var in range(num_vars):
+        if var in solved:
+            const, expr = solved[var]
+            witness.append(const + sum((c * x[col[v]] for v, c in expr.items()), ZERO))
+        else:
+            witness.append(x[col[var]])
+    for coeffs, rel, rhs in rows:
         lhs = sum((c * w for c, w in zip(coeffs, witness)), ZERO)
-        ok = lhs == rhs if rel == EQ else (lhs <= rhs if rel == LE else lhs >= rhs)
-        assert ok, "witness failed exact re-evaluation"
+        if not (lhs == rhs if rel == EQ else (lhs <= rhs if rel == LE else lhs >= rhs)):
+            raise InternalCheckFailed("witness failed exact re-evaluation")
     return FeasibilityResult(True, tuple(witness))

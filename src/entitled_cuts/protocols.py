@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .errors import PieceNotConnected, PreconditionViolated
+from .errors import InternalCheckFailed, PieceNotConnected, PreconditionViolated
 from .model import (
     FULL_CAKE,
     ONE,
@@ -266,7 +266,8 @@ def special3_equal_pair(instance: Instance, budget: int = DEFAULT_SPLIT_BUDGET) 
     windows = [(measure_of(odd_val, _window_region(edges, s, b)), s) for s in range(d)]
     _, start = min(windows)
     window = _window_region(edges, start, b)
-    assert measure_of(odd_val, window) * d <= b * odd_val.total  # pigeonhole
+    if measure_of(odd_val, window) * d > b * odd_val.total:
+        raise InternalCheckFailed("cheapest window exceeds the pigeonhole bound")
 
     second_val = instance.valuations[second]
     if measure_of(second_val, window) * d <= b * second_val.total:

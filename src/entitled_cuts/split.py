@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Sequence
 
-from .errors import BudgetExceeded, EmptySubcake, NoSplitFound
+from .errors import BudgetExceeded, EmptySubcake, InternalCheckFailed, NoSplitFound
 from .feasibility import EQ, GE, LE, check_feasible, solve_feasibility
 from .model import (
     ONE,
@@ -236,12 +236,14 @@ def exact_split(req: SplitRequest, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitR
                 if check_feasible(k, constraints):
                     witness = solve_feasibility(k, constraints).witness
                     flat_part = Region(_part_intervals(witness, origin_inside, length))
-                    assert pie_arc_count(flat_part, length) <= m
+                    if pie_arc_count(flat_part, length) > m:
+                        raise InternalCheckFailed(f"split part uses more than {m} arcs")
                     part = fmap.lift_region(flat_part)
                     complement = req.subcake.difference(part)
                     for v, target, total in zip(req.valuations, targets, totals):
-                        assert measure_of(v, part) == target
-                        assert measure_of(v, complement) == total - target
+                        if (measure_of(v, part) != target
+                                or measure_of(v, complement) != total - target):
+                            raise InternalCheckFailed("split part is not exact for every agent")
                     return SplitResult(part, complement)
     raise NoSplitFound(
         "consensus-split enumeration exhausted; this indicates a bug because "

@@ -1,3 +1,5 @@
+from fractions import Fraction as F
+
 import pytest
 
 from entitled_cuts.bounds import gen_lower_bound_instance
@@ -12,7 +14,7 @@ from entitled_cuts.serialize import (
     parse_instance_document,
 )
 
-from conftest import make_instance
+from conftest import make_instance, pw
 
 
 def write_instance(path, instance):
@@ -134,6 +136,18 @@ class TestSolve:
         )
         assert main(["solve", inst_path, "--algorithm", "near-equal"]) == 1
 
+    def test_failed_internal_check_exit_2(self, tmp_path, monkeypatch, capsys, uniform):
+        import entitled_cuts.split as split_mod
+
+        real = split_mod.measure_of
+        monkeypatch.setattr(split_mod, "measure_of", lambda v, r: real(v, r) + F(1, 10**12))
+        inst = make_instance([uniform, pw("0 1/2 1", "2 0")], ["1/3", "2/3"])
+        inst_path = write_instance(tmp_path / "i.json", inst)
+        out = tmp_path / "a.json"
+        assert main(["solve", inst_path, "--algorithm", "recursive", "-o", str(out)]) == 2
+        assert "internal check failed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_internal_verification_exit_2(self, tmp_path, monkeypatch, uniform):
         import entitled_cuts.cli as cli_mod
         from entitled_cuts.verifier import VerificationReport
@@ -221,6 +235,14 @@ class TestMinCuts:
         out = capsys.readouterr().out
         assert "not found within k-max 3" in out
         assert loads(cert.read_text())["status"] == "infeasible"
+
+    def test_negative_k_max_exit_1(self, tmp_path, capsys):
+        inst_path = write_instance(tmp_path / "i.json", gen_lower_bound_instance(2))
+        assert main(["min-cuts", inst_path, "--k-max", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "k-max" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["i.json"]
 
     def test_env_budget_cap_exit_3(self, tmp_path, monkeypatch):
         inst_path = write_instance(tmp_path / "i.json", gen_lower_bound_instance(3))

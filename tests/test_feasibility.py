@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entitled_cuts.errors import UnboundedLexMin
+from entitled_cuts import feasibility
+from entitled_cuts.errors import InternalCheckFailed, UnboundedLexMin
 from entitled_cuts.feasibility import (
     EQ,
     GE,
@@ -160,13 +161,34 @@ def test_infeasible_when_box_excludes_required_sum(data):
 
 
 def _fm_normalize(n, rows):
-    ineqs = []
+    """Split a system into equality rows and <= rows, each (coeffs, rhs)."""
+    eqs, ineqs = [], []
     for coeffs, rel, rhs in rows:
-        if rel in (LE, EQ):
+        if rel == EQ:
+            eqs.append((list(coeffs), rhs))
+        elif rel == LE:
             ineqs.append((list(coeffs), rhs))
-        if rel in (GE, EQ):
+        else:
             ineqs.append(([-c for c in coeffs], -rhs))
-    return ineqs
+    return eqs, ineqs
+
+
+def _fm_tidy(ineqs):
+    """Drop rows that another row makes redundant: rows are scaled so their
+    first non-zero coefficient is +-1, and of rows with equal coefficients
+    only the smallest right-hand side is kept.  Rows with no variables are
+    kept only when they are violated."""
+    best = {}
+    for coeffs, rhs in ineqs:
+        lead = next((abs(c) for c in coeffs if c != 0), None)
+        if lead is None:
+            if rhs < 0:
+                best[tuple(coeffs)] = rhs
+            continue
+        key = tuple(c / lead for c in coeffs)
+        if key not in best or rhs / lead < best[key]:
+            best[key] = rhs / lead
+    return [(list(key), rhs) for key, rhs in best.items()]
 
 
 def _fm_project_out(ineqs, var):
@@ -184,27 +206,77 @@ def _fm_project_out(ineqs, var):
             scale_p, scale_n = -nc[var], pc[var]
             coeffs = [scale_p * a + scale_n * b for a, b in zip(pc, nc)]
             rest.append((coeffs, scale_p * pr + scale_n * nr))
-    return rest
+    return _fm_tidy(rest)
+
+
+def _fm_eliminate(eqs, ineqs, var):
+    """Project var out: by substitution when an equality has it (which is
+    what Fourier-Motzkin gives for the pair of opposite rows, without the
+    redundant products), else by pairwise combination."""
+    for i, (coeffs, rhs) in enumerate(eqs):
+        c = coeffs[var]
+        if c != 0:
+            def sub(row):
+                f = row[0][var] / c
+                return [a - f * b for a, b in zip(row[0], coeffs)], row[1] - f * rhs
+            return [sub(e) for j, e in enumerate(eqs) if j != i], _fm_tidy(map(sub, ineqs))
+    return eqs, _fm_project_out(ineqs, var)
+
+
+def _fm_project_onto(n, rows, keep):
+    """Eliminate every variable not in keep, cheapest first: equalities,
+    then the variable with the fewest pairwise products."""
+    eqs, ineqs = _fm_normalize(n, rows)
+    left = [v for v in range(n) if v not in keep]
+    while left:
+        def cost(v):
+            if any(coeffs[v] != 0 for coeffs, _ in eqs):
+                return -1
+            pos = sum(1 for coeffs, _ in ineqs if coeffs[v] > 0)
+            return pos * (sum(1 for coeffs, _ in ineqs if coeffs[v] < 0) - 1)
+        var = min(left, key=cost)
+        left.remove(var)
+        eqs, ineqs = _fm_eliminate(eqs, ineqs, var)
+    return eqs, ineqs
 
 
 def _fm_feasible(n, rows):
-    ineqs = _fm_normalize(n, rows)
-    for var in range(n - 1, -1, -1):
-        ineqs = _fm_project_out(ineqs, var)
-    return all(rhs >= 0 for _, rhs in ineqs)
+    eqs, ineqs = _fm_project_onto(n, rows, ())
+    return all(rhs == 0 for _, rhs in eqs) and all(rhs >= 0 for _, rhs in ineqs)
 
 
-def _fm_min_of_first_var(n, rows):
-    """Exact minimum of x1 over the system, or None if unbounded below."""
-    ineqs = _fm_normalize(n, rows)
-    for var in range(n - 1, 0, -1):
-        ineqs = _fm_project_out(ineqs, var)
+def _fm_min_of_var(n, rows, target):
+    """Exact minimum of x_target over a feasible system, or None if it is
+    unbounded below."""
+    eqs, ineqs = _fm_project_onto(n, rows, (target,))
+    for coeffs, rhs in eqs:
+        if coeffs[target] != 0:
+            return rhs / coeffs[target]
     lo = None
     for coeffs, rhs in ineqs:
-        if coeffs[0] < 0:
-            bound = rhs / coeffs[0]
+        if coeffs[target] < 0:
+            bound = rhs / coeffs[target]
             lo = bound if lo is None else max(lo, bound)
     return lo
+
+
+def _fm_lex_min(n, rows):
+    """The lexicographically minimal point of a feasible system: minimize
+    x1, pin it, minimize x2, and so on.  Returns (witness, None), or
+    (None, i) when minimizing the 0-based variable i is unbounded below."""
+    rows = list(rows)
+    witness = []
+    for var in range(n):
+        value = _fm_min_of_var(n, rows, var)
+        if value is None:
+            return None, var
+        witness.append(value)
+        rows.append((_unit(n, var), EQ, value))
+    return tuple(witness), None
+
+
+def _unit(n, var, scale=1):
+    return tuple(F(scale) if j == var else F(0) for j in range(n))
 
 
 def _random_system(data, n, max_rows):
@@ -240,4 +312,137 @@ def test_first_witness_coordinate_matches_fourier_motzkin_minimum(data):
     result = solve_feasibility(n, rows)
     assert result.feasible == _fm_feasible(n, rows)
     if result.feasible:
-        assert result.witness[0] == _fm_min_of_first_var(n, rows)
+        assert result.witness[0] == _fm_min_of_var(n, rows, 0)
+
+
+# ---- the full lexicographic witness against Fourier-Motzkin
+
+cell = st.fractions(min_value=0, max_value=1, max_denominator=6)
+density = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_full_witness_matches_fourier_motzkin_on_cut_systems(data):
+    """Systems shaped like the oracle's and the splitter's: a box per
+    variable (sometimes a single point), extra one-variable rows with
+    non-unit coefficients, ordering rows x_j - x_{j+1} <= 0, equality rows
+    that leave 0, 1 or more free variables, and value rows.  Boxes, ordering
+    rows and equalities hold at a sorted anchor point; the other rows hold
+    there too in half of the systems and take a random direction in the
+    rest, which makes those infeasible mostly through the rows the simplex
+    keeps."""
+    n = data.draw(st.integers(min_value=4, max_value=6))
+    anchored = data.draw(st.booleans())
+    point = sorted(data.draw(cell) for _ in range(n))
+
+    def holding(coeffs, rhs):
+        """A relation that holds at the anchor point, or any relation."""
+        if not anchored:
+            return data.draw(st.sampled_from([LE, GE])), rhs
+        lhs = sum(c * x for c, x in zip(coeffs, point))
+        return (LE if rhs >= lhs else GE), rhs
+
+    rows = []
+    for v in range(n):
+        lo, hi = sorted((data.draw(cell), data.draw(cell)))
+        lo, hi = min(lo, point[v]), max(hi, point[v])
+        if data.draw(st.integers(min_value=0, max_value=4)) == 0:
+            lo = hi = point[v]
+        rows.append((_unit(n, v), GE, lo))
+        rows.append((_unit(n, v), LE, hi))
+        for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+            scale = data.draw(st.sampled_from([F(2), F(3), F(-2), F(1, 2), F(-3, 4)]))
+            coeffs = _unit(n, v, scale)
+            rows.append((coeffs, *holding(coeffs, scale * data.draw(cell))))
+    for j in range(n - 1):
+        if data.draw(st.booleans()):
+            rows.append((tuple(F(1) if i == j else F(-1) if i == j + 1 else F(0)
+                               for i in range(n)), LE, F(0)))
+    free_left = data.draw(st.sampled_from([0, 1, 2, 3]))
+    for _ in range(n - free_left):
+        coeffs = tuple(data.draw(density) for _ in range(n))
+        rows.append((coeffs, EQ, sum(c * x for c, x in zip(coeffs, point))))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        coeffs = tuple(data.draw(density) for _ in range(n))
+        rows.append((coeffs, *holding(coeffs, data.draw(density))))
+
+    feasible = _fm_feasible(n, rows)
+    if anchored:
+        assert feasible
+    assert check_feasible(n, rows) == feasible
+    result = solve_feasibility(n, rows)
+    assert result.feasible == feasible
+    if feasible:
+        assert result.witness == _fm_lex_min(n, rows)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_half_bounded_and_free_variables_match_fourier_motzkin(data):
+    """Variables bounded on one side or not at all: the witness is the full
+    Fourier-Motzkin lexicographic minimum, and UnboundedLexMin names the
+    first variable whose minimum is unbounded below."""
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    rows = []
+    for v in range(n):
+        side = data.draw(st.sampled_from(["both", "lower", "upper", "none"]))
+        if side in ("both", "lower"):
+            rows.append((_unit(n, v), GE, data.draw(density)))
+        if side in ("both", "upper"):
+            rows.append((_unit(n, v), LE, data.draw(density)))
+    rows += _random_system(data, n, 3)
+
+    feasible = _fm_feasible(n, rows)
+    assert check_feasible(n, rows) == feasible
+    if not feasible:
+        assert not solve_feasibility(n, rows).feasible
+        return
+    witness, unbounded_at = _fm_lex_min(n, rows)
+    if witness is None:
+        with pytest.raises(UnboundedLexMin, match=f"variable {unbounded_at + 1} is"):
+            solve_feasibility(n, rows)
+    else:
+        assert solve_feasibility(n, rows).witness == witness
+
+
+@pytest.mark.parametrize("rows, expected", [
+    # x1 >= 0 and x2 free but tied to x1 by a row: (0, -5)
+    ([((F(1), F(0)), GE, F(0)), ((F(1), F(-1)), LE, F(5))], (F(0), F(-5))),
+    # x2 has an upper bound only and no row bounds it below
+    ([((F(1), F(0)), GE, F(0)), ((F(0), F(1)), LE, F(3))], 2),
+    # x1 has an upper bound only; the row lets x2 grow as x1 falls
+    ([((F(1), F(0)), LE, F(0)), ((F(1), F(1)), GE, F(1))], 1),
+    # x2 is eliminated by the equality; x1 alone is boxed through it
+    ([((F(1), F(1)), EQ, F(1)), ((F(0), F(2)), LE, F(1))], (F(1, 2), F(1, 2))),
+])
+def test_one_sided_and_free_examples(rows, expected):
+    if isinstance(expected, int):
+        with pytest.raises(UnboundedLexMin, match=f"variable {expected} is"):
+            solve_feasibility(2, rows)
+    else:
+        assert solve_feasibility(2, rows).witness == expected
+    assert _fm_lex_min(2, rows) == (
+        (None, expected - 1) if isinstance(expected, int) else (expected, None)
+    )
+
+
+def test_generator_input_matches_list_and_is_rechecked(monkeypatch):
+    rows = [
+        ((F(1), F(1), F(1)), EQ, F(1)),
+        *[(_unit(3, v), GE, F(0)) for v in range(3)],
+        ((F(1), F(0), F(0)), GE, F(1, 2)),
+    ]
+    expected = solve_feasibility(3, rows)
+    assert expected.witness == (F(1, 2), F(0), F(1, 2))
+    assert solve_feasibility(3, (row for row in rows)) == expected
+    # With the last row hidden from the solver, its witness (0, 0, 1)
+    # violates that row, so the re-check must see every row to catch it.
+    real = feasibility._eliminate_equalities
+    monkeypatch.setattr(
+        feasibility, "_eliminate_equalities", lambda n, rs: real(n, rs[:-1])
+    )
+    with pytest.raises(InternalCheckFailed):
+        solve_feasibility(3, rows)
+    with pytest.raises(InternalCheckFailed):
+        solve_feasibility(3, (row for row in rows))

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from entitled_cuts.errors import PieceNotConnected, PreconditionViolated
+from entitled_cuts.errors import InternalCheckFailed, PieceNotConnected, PreconditionViolated
 from entitled_cuts.generate import random_instance, random_valuation
 from entitled_cuts.model import (
     Instance,
@@ -276,6 +276,15 @@ class TestSpecial3EqualPair:
     def test_requires_equal_pair(self, uniform):
         with pytest.raises(PreconditionViolated):
             special3_equal_pair(make_instance([uniform] * 3, ["1/2", "1/3", "1/6"]))
+
+    def test_pigeonhole_check_raises(self, monkeypatch, uniform):
+        # every window worth a whole cake more than it is breaks the bound
+        import entitled_cuts.protocols as protocols_mod
+
+        real = protocols_mod.measure_of
+        monkeypatch.setattr(protocols_mod, "measure_of", lambda v, r: real(v, r) + 1)
+        with pytest.raises(InternalCheckFailed):
+            special3_equal_pair(make_instance([uniform] * 3, ["1/3", "1/3", "1/3"]))
 
     def test_window_goes_to_second_when_first_values_it_high(self, uniform):
         # agent 2 (second of the pair) hoards the window that agent 3 shuns

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import entitled_cuts
 from entitled_cuts.errors import BudgetExceeded, EmptySubcake
 from entitled_cuts.generate import random_valuation
 from entitled_cuts.model import FULL_CAKE, Interval, Region, measure_of
@@ -124,3 +130,36 @@ class TestExactSplit:
         for v in vals:
             assert measure_of(v, res.part) * 4 == v.total
         assert pie_arc_count(res.part) <= 3
+
+
+class TestPostConditions:
+    def test_checks_survive_optimize_flag(self, tmp_path):
+        # under -O every assert is compiled away; the exactness check must
+        # still raise in a child interpreter run that way
+        script = textwrap.dedent("""
+            import sys
+            from fractions import Fraction
+            import entitled_cuts.split as split
+            from entitled_cuts.errors import InternalCheckFailed
+            from entitled_cuts.model import FULL_CAKE, Valuation
+
+            print("optimize", sys.flags.optimize)
+            real = split.measure_of
+            split.measure_of = lambda v, r: real(v, r) + Fraction(1, 10**12)
+            skewed = Valuation((Fraction(0), Fraction(1, 2), Fraction(1)),
+                               (Fraction(2), Fraction(0)))
+            try:
+                split.exact_split(split.SplitRequest(
+                    (Valuation.uniform(), skewed), FULL_CAKE, Fraction(1, 2)))
+            except InternalCheckFailed:
+                print("raised InternalCheckFailed")
+        """)
+        package_root = Path(entitled_cuts.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["optimize", "1", "raised", "InternalCheckFailed"]
