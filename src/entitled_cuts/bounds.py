@@ -6,6 +6,15 @@ increasing assignments of the k cut points to cells of the common
 breakpoint refinement, then piece-to-agent maps, and asks the exact
 feasibility solver per combination.  Decisions are exact and deterministic;
 an answer for a sampled instance says nothing about other instances.
+
+Before the solver, an interval prefilter bounds what each agent can get
+from its pieces given the cells the cuts lie in.  It runs on each agent's
+prefix table scaled to integers, and walks the lexicographically sorted
+maps owner by owner: as soon as the owners chosen so far leave some agent
+unable to reach its threshold even with every remaining piece, the whole
+block of maps sharing that prefix is counted as examined and skipped.
+The maps that reach the solver, their order, and ``systems_examined`` are
+those of a plain scan that runs the prefilter on every map.
 """
 
 from __future__ import annotations
@@ -14,7 +23,8 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import comb
+from math import comb, lcm
+from operator import sub
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, NotFoundWithin
@@ -110,8 +120,9 @@ def feasible_with_k_cuts(
     feasibility monotone in k by construction.  The first feasible
     combination in canonical order (cut-cell assignments ascending, then
     piece maps ascending) yields the witness allocation via the
-    lex-minimal cut positions.  Raises BudgetExceeded rather than ever
-    returning an undecided status.
+    lex-minimal cut positions.  Raises BudgetExceeded, before examining
+    any system, when the full enumeration would exceed ``budget`` systems,
+    rather than ever returning an undecided status.
     """
     if k < 0:
         raise ValueError("cut budget must be nonnegative")
@@ -145,6 +156,8 @@ def feasible_with_k_cuts(
         [v.density_at(edges[c]) for c in range(n_cells)] for v in instance.valuations
     ]
     thresholds = [t * v.total for t, v in zip(instance.entitlements, instance.valuations)]
+    int_prefix, int_thresholds = _integer_tables(prefix, thresholds)
+    lcp, skip = _prefix_blocks(maps)
 
     examined = 0
     for cells in combinations_with_replacement(range(n_cells), k):
@@ -152,32 +165,100 @@ def feasible_with_k_cuts(
         # boundary points 0 and 1 sit at both ends
         lo_idx = (0,) + tuple(cells) + (n_cells,)
         hi_idx = (0,) + tuple(c + 1 for c in cells) + (n_cells,)
-        for assign in maps:
-            examined += 1
-            if examined > budget:
-                raise BudgetExceeded(f"oracle enumeration cap of {budget} systems hit")
-            ok = True
-            for i in range(n):
-                p = prefix[i]
-                upper = ZERO
-                for j, owner in enumerate(assign):
-                    if owner == i:
-                        gain = p[hi_idx[j + 1]] - p[lo_idx[j]]
-                        if gain > ZERO:
-                            upper += gain
-                if upper < thresholds[i]:
-                    ok = False
-                    break
-            if not ok:
-                continue
+        for m in _prefiltered_maps(maps, lcp, skip, lo_idx, hi_idx, int_prefix, int_thresholds):
+            assign = maps[m]
             constraints = _oracle_system(
                 n, k, cells, assign, edges, prefix, cell_density, thresholds
             )
             if check_feasible(k, constraints):
                 witness = solve_feasibility(k, constraints).witness
                 allocation = _allocation_from_cuts(n, witness, assign)
-                return CutBudgetCertificate(digest, k, True, allocation, examined)
+                return CutBudgetCertificate(digest, k, True, allocation, examined + m + 1)
+        examined += len(maps)
     return CutBudgetCertificate(digest, k, False, None, examined)
+
+
+def _integer_tables(prefix, thresholds):
+    """Scale each agent's prefix row and threshold to integers.
+
+    Agent i's row and threshold are multiplied by the lcm of their
+    denominators, a positive factor, so every comparison of the prefilter
+    between sums of prefix differences and the threshold keeps its
+    outcome.
+    """
+    int_prefix, int_thresholds = [], []
+    for row, t in zip(prefix, thresholds):
+        scale = lcm(t.denominator, *(p.denominator for p in row))
+        int_prefix.append([p.numerator * (scale // p.denominator) for p in row])
+        int_thresholds.append(t.numerator * (scale // t.denominator))
+    return int_prefix, int_thresholds
+
+
+def _prefix_blocks(maps):
+    """Shared-prefix structure of the lexicographically sorted maps.
+
+    lcp[m] is the length of the common prefix of maps[m-1] and maps[m]
+    (0 for m = 0).  skip[d][m] is the index just past the contiguous block
+    of maps that agree with maps[m] on their first d+1 owners.
+    """
+    count = len(maps)
+    pieces = len(maps[0]) if maps else 0
+    lcp = [0] * count
+    for m in range(1, count):
+        a, b = maps[m - 1], maps[m]
+        d = 0
+        while a[d] == b[d]:
+            d += 1
+        lcp[m] = d
+    skip = [[count] * count for _ in range(pieces)]
+    for d in range(pieces):
+        row = skip[d]
+        for m in range(count - 2, -1, -1):
+            row[m] = row[m + 1] if lcp[m + 1] > d else m + 1
+    return lcp, skip
+
+
+def _prefiltered_maps(maps, lcp, skip, lo_idx, hi_idx, int_prefix, int_thresholds):
+    """Indices, ascending, of the maps that pass the interval prefilter.
+
+    Piece j spans at most edge indices [lo_idx[j], hi_idx[j+1]], so its
+    gain F_i(hi) - F_i(lo) bounds what agent i can get from it.  Gains
+    need no clipping at 0: hi_idx[j+1] > lo_idx[j] and prefix rows never
+    fall.  A map passes when every agent's gains over its own pieces
+    reach the agent's threshold.  The walk keeps each agent's slack: gains
+    of the pieces it owns so far plus all gains still to come, minus its
+    threshold.  Slack only falls, so once some agent's slack is negative
+    after the first d+1 owners, every map sharing that prefix fails and
+    the whole block is skipped.
+    """
+    n = len(int_thresholds)
+    pieces = len(lo_idx) - 1
+    gains = [
+        [int_prefix[i][hi_idx[j + 1]] - int_prefix[i][lo_idx[j]] for i in range(n)]
+        for j in range(pieces)
+    ]
+    slack = [sum(column) - t for column, t in zip(zip(*gains), int_thresholds)]
+    if min(slack) < 0:
+        return
+    # losses[j][owner]: what each agent's slack drops by when piece j goes
+    # to owner; the owner keeps the gain, every other agent loses it
+    losses = [
+        [tuple(0 if i == owner else g[i] for i in range(n)) for owner in range(n)]
+        for g in gains
+    ]
+    slacks = [tuple(slack)] + [()] * pieces
+    m, count = 0, len(maps)
+    while m < count:
+        assign = maps[m]
+        for d in range(lcp[m], pieces):
+            s = tuple(map(sub, slacks[d], losses[d][assign[d]]))
+            if min(s) < 0:
+                m = skip[d][m]
+                break
+            slacks[d + 1] = s
+        else:
+            yield m
+            m += 1
 
 
 def _oracle_system(n, k, cells, assign, edges, prefix, cell_density, thresholds):

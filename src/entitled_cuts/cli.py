@@ -78,8 +78,11 @@ def _load_instance(path: str) -> Instance:
 def _write(text: str, path) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}")
 
 
 def cmd_gen(args) -> int:

@@ -188,7 +188,8 @@ def _halve_region_with_choice(owner: Valuation, chooser: Valuation, piece: Regio
             mid = mark_right(owner, iv.lo, half - acc)
             break
         acc += value
-    assert mid is not None
+    if mid is None:
+        raise InternalCheckFailed("running value of the piece never reaches half its measure")
     left = piece.intersect(Region([Interval(ZERO, mid)]))
     right = piece.difference(left)
     if measure_of(chooser, left) >= measure_of(chooser, right):

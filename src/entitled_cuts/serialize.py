@@ -167,6 +167,8 @@ def loads(text: str) -> dict:
         return json.loads(text, parse_float=_reject_float, parse_int=int)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
 
 
 def _reject_float(text):

@@ -1,19 +1,26 @@
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
 from entitled_cuts.bounds import (
+    CutBudgetCertificate,
+    _agent_maps,
+    _allocation_from_cuts,
+    _oracle_system,
     feasible_with_k_cuts,
     gen_lower_bound_instance,
     instance_digest,
     min_cuts,
 )
 from entitled_cuts.errors import BudgetExceeded, NotFoundWithin
+from entitled_cuts.feasibility import check_feasible, solve_feasibility
 from entitled_cuts.generate import random_instance
 from entitled_cuts.model import ZERO, measure_of
 from entitled_cuts.verifier import verify_allocation
 
-from conftest import make_instance
+from conftest import make_instance, pw
 
 
 class TestLowerBoundFamily:
@@ -120,3 +127,112 @@ class TestMinCuts:
             inst = random_instance(2, 600 + seed, max_cells=2, denom_bound=6)
             achieved = len(recursive_divide(inst).cuts)
             assert min_cuts(inst, achieved) <= achieved
+
+
+def _reference_certificate(instance, k, prune_adjacent=True):
+    """The oracle as a plain scan: every map of every cut-cell tuple, in
+    canonical order, through the interval prefilter in Fraction arithmetic.
+    No budget; the library's pruned integer walk must agree with it
+    certificate for certificate."""
+    n = instance.n
+    digest = instance_digest(instance)
+    maps = _agent_maps(n, k + 1, prune_adjacent)
+    edges = sorted({b for v in instance.valuations for b in v.breakpoints})
+    n_cells = len(edges) - 1
+    prefix = [[v.cumulative(e) for e in edges] for v in instance.valuations]
+    cell_density = [
+        [v.density_at(edges[c]) for c in range(n_cells)] for v in instance.valuations
+    ]
+    thresholds = [t * v.total for t, v in zip(instance.entitlements, instance.valuations)]
+    examined = 0
+    for cells in combinations_with_replacement(range(n_cells), k):
+        lo_idx = (0,) + tuple(cells) + (n_cells,)
+        hi_idx = (0,) + tuple(c + 1 for c in cells) + (n_cells,)
+        for assign in maps:
+            examined += 1
+            ok = True
+            for i in range(n):
+                p = prefix[i]
+                upper = ZERO
+                for j, owner in enumerate(assign):
+                    if owner == i:
+                        gain = p[hi_idx[j + 1]] - p[lo_idx[j]]
+                        if gain > ZERO:
+                            upper += gain
+                if upper < thresholds[i]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if k == 0:  # no cut variables: the bound is the exact value
+                return CutBudgetCertificate(
+                    digest, k, True, _allocation_from_cuts(n, (), assign), examined
+                )
+            constraints = _oracle_system(
+                n, k, cells, assign, edges, prefix, cell_density, thresholds
+            )
+            if check_feasible(k, constraints):
+                witness = solve_feasibility(k, constraints).witness
+                allocation = _allocation_from_cuts(n, witness, assign)
+                return CutBudgetCertificate(digest, k, True, allocation, examined)
+    return CutBudgetCertificate(digest, k, False, None, examined)
+
+
+def _projected(instance, k, prune_adjacent=True):
+    n_cells = len({b for v in instance.valuations for b in v.breakpoints}) - 1
+    return comb(n_cells + k - 1, k) * len(_agent_maps(instance.n, k + 1, prune_adjacent))
+
+
+class TestPrunedPrefilterMatchesFractionScan:
+    @pytest.mark.parametrize("prune_adjacent", [True, False])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_lower_bound_family(self, n, prune_adjacent):
+        inst = gen_lower_bound_instance(n)
+        for k in range(2 * n - 1):
+            cert = feasible_with_k_cuts(inst, k, prune_adjacent=prune_adjacent)
+            assert cert == _reference_certificate(inst, k, prune_adjacent), (n, k)
+            assert cert.feasible == (k == 2 * n - 2)
+
+    @pytest.mark.parametrize("prune_adjacent", [True, False])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_pools(self, n, prune_adjacent):
+        outcomes = set()
+        for seed in range(12):
+            inst = random_instance(n, 4100 + seed)
+            for k in range(4):
+                cert = feasible_with_k_cuts(inst, k, prune_adjacent=prune_adjacent)
+                assert cert == _reference_certificate(inst, k, prune_adjacent), (seed, k)
+                outcomes.add(cert.feasible)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("prune_adjacent", [True, False])
+    def test_threshold_ties(self, prune_adjacent):
+        # an agent whose bound from the cut cells equals its threshold exactly
+        # still passes: on one piece (uniform agent left of a cut in [0, 1/2])
+        # and on the sum of all pieces (a lone agent that values nothing in
+        # the cut's cell)
+        cases = [
+            make_instance([pw("0 1", "1"), pw("0 1/2 1", "0 2")], ["1/2", "1/2"]),
+            make_instance([pw("0 1/2 1", "0 2")], [1]),
+        ]
+        for inst in cases:
+            for k in range(3):
+                cert = feasible_with_k_cuts(inst, k, prune_adjacent=prune_adjacent)
+                assert cert == _reference_certificate(inst, k, prune_adjacent), k
+
+    def test_four_agent_proof_counts(self):
+        inst = gen_lower_bound_instance(4)
+        certs = [feasible_with_k_cuts(inst, k) for k in range(3, 7)]
+        assert [c.systems_examined for c in certs] == [2016, 30240, 277200, 617775]
+        assert [c.feasible for c in certs] == [False, False, False, True]
+        report = verify_allocation(inst, certs[-1].allocation)
+        assert report.passed and report.cut_count <= 6
+
+    def test_budget_is_checked_against_the_projected_count(self):
+        inst = gen_lower_bound_instance(3)
+        projected = _projected(inst, 3)
+        with pytest.raises(BudgetExceeded, match=f"would examine {projected} systems"):
+            feasible_with_k_cuts(inst, 3, budget=projected - 1)
+        cert = feasible_with_k_cuts(inst, 3, budget=projected)
+        assert not cert.feasible
+        assert cert.systems_examined == projected

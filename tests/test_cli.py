@@ -1,6 +1,13 @@
+import contextlib
+import copy
+import io
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entitled_cuts.bounds import gen_lower_bound_instance
 from entitled_cuts.cli import main
@@ -113,6 +120,14 @@ class TestSolve:
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1
+
+    def test_unwritable_output_exit_1(self, tmp_path, capsys):
+        inst_path = write_instance(tmp_path / "i.json", gen_lower_bound_instance(2))
+        missing_dir = str(tmp_path / "no-such-dir" / "out.json")
+        assert main(["solve", inst_path, "-o", missing_dir]) == 1
+        assert main(["min-cuts", inst_path, "--k-max", "2", "-o", missing_dir]) == 1
+        assert main(["gen", "--lower-bound", "2", "-o", missing_dir]) == 1
+        assert "cannot write" in capsys.readouterr().err
 
     def test_budget_exceeded_exit_3(self, tmp_path, monkeypatch):
         inst_path = write_instance(tmp_path / "i.json", random_instance(3, 5))
@@ -274,3 +289,121 @@ class TestBench:
 
     def test_malformed_range(self, capsys):
         assert main(["bench", "--n-range", "2-3", "--seeds", "1"]) == 1
+
+
+# --- malformed documents ---------------------------------------------------
+
+_rationals = st.one_of(
+    st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "-1/2", "3/2", "1/0", "0/0",
+                     "", " 1 ", "1.5", "1e3", "x", "1/2/3", "--1", "1_0", "9" * 5000]),
+    st.fractions(min_value=-2, max_value=2, max_denominator=12).map(str),
+)
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | _rationals,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["agents", "pieces", "breakpoints", "densities"]),
+                      inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _slots(node):
+    """Every (container, key) pair below node, node's own slots first."""
+    keys = list(node) if isinstance(node, dict) else range(len(node))
+    out = []
+    for key in keys:
+        out.append((node, key))
+        if isinstance(node[key], (dict, list)):
+            out.extend(_slots(node[key]))
+    return out
+
+
+@st.composite
+def _mutated(draw, docs):
+    """A valid document with up to two slots replaced or deleted."""
+    doc = copy.deepcopy(draw(docs))
+    for _ in range(draw(st.integers(0, 2))):
+        slots = _slots(doc)
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            container[key] = draw(_junk)
+        else:
+            del container[key]
+    return doc
+
+
+_valid_instances = [
+    random_instance(n, seed, max_cells=2, denom_bound=4) for n in (1, 2, 3) for seed in range(4)
+] + [gen_lower_bound_instance(2)]
+_instance_docs = _mutated(st.sampled_from(_valid_instances).map(instance_to_document))
+_point = st.sampled_from(["0", "1/4", "1/3", "1/2", "2/3", "3/4", "1"])
+_allocation_docs = _mutated(st.fixed_dictionaries({
+    "pieces": st.lists(
+        st.lists(st.lists(_point, min_size=2, max_size=2).map(sorted), max_size=2),
+        max_size=3,
+    ).map(lambda regions: [[i, ivs] for i, ivs in enumerate(regions)]),
+    "cuts": st.just([]),
+    "algorithm": st.just("fuzz"),
+}))
+
+
+def _texts(docs):
+    """Files holding a near-valid document, any JSON value, or any text."""
+    return st.one_of(docs.map(dumps), _junk.map(dumps), st.text(max_size=20))
+
+
+class TestMalformedDocuments:
+    """Whatever the documents hold, the CLI ends in a documented exit code."""
+
+    def _run(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3, 4), (argv, code, err.getvalue())
+        return code
+
+    def test_deeply_nested_document_exit_1(self, tmp_path, capsys):
+        # deep enough to exhaust the JSON decoder's recursion
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["solve", str(deep)]) == 1
+        assert "nested too deeply" in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(instance=_texts(_instance_docs), algorithm=st.sampled_from(["auto", "recursive"]))
+    def test_solve(self, instance, algorithm):
+        with tempfile.TemporaryDirectory() as tmp:
+            inst = Path(tmp, "i.json")
+            inst.write_text(instance)
+            self._run(["solve", str(inst), "--algorithm", algorithm,
+                       "-o", str(Path(tmp, "a.json"))])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(instance=_texts(_instance_docs), allocation=_texts(_allocation_docs))
+    def test_verify(self, instance, allocation):
+        with tempfile.TemporaryDirectory() as tmp:
+            inst, alloc = Path(tmp, "i.json"), Path(tmp, "a.json")
+            inst.write_text(instance)
+            alloc.write_text(allocation)
+            self._run(["verify", str(inst), str(alloc)])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(allocation=_texts(_allocation_docs))
+    def test_verify_against_a_valid_instance(self, allocation):
+        with tempfile.TemporaryDirectory() as tmp:
+            inst = Path(write_instance(Path(tmp, "i.json"), random_instance(2, 5)))
+            alloc = Path(tmp, "a.json")
+            alloc.write_text(allocation)
+            self._run(["verify", str(inst), str(alloc)])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(instance=_texts(_instance_docs), k_max=st.integers(-1, 2))
+    def test_min_cuts(self, instance, k_max):
+        with tempfile.TemporaryDirectory() as tmp:
+            inst = Path(tmp, "i.json")
+            inst.write_text(instance)
+            self._run(["min-cuts", str(inst), "--k-max", str(k_max),
+                       "-o", str(Path(tmp, "c.json"))])

@@ -27,7 +27,7 @@ from entitled_cuts.protocols import (
 )
 from entitled_cuts.verifier import verify_allocation
 
-from conftest import make_instance, pw
+from conftest import make_instance, pw, run_optimized
 
 
 def region(*pairs):
@@ -262,6 +262,27 @@ class TestSpecial3Half:
         report = special3_half(inst)
         assert len(report.cuts) <= 4
         assert_proportional(inst, report.allocation)
+
+    def test_halving_check_survives_optimize_flag(self, tmp_path):
+        # an owner measure that triples every piece pushes half the piece past
+        # its running value; under -O this must still raise, not fall through
+        # to Region arithmetic on a missing cut point
+        script = """
+            import sys
+            import entitled_cuts.protocols as protocols
+            from entitled_cuts.errors import InternalCheckFailed
+            from entitled_cuts.model import FULL_CAKE, Valuation
+
+            print("optimize", sys.flags.optimize)
+            real = protocols.measure_of
+            protocols.measure_of = lambda v, r: 3 * real(v, r)
+            try:
+                protocols._halve_region_with_choice(
+                    Valuation.uniform(), Valuation.uniform(), FULL_CAKE)
+            except InternalCheckFailed:
+                print("raised InternalCheckFailed")
+        """
+        assert run_optimized(script, tmp_path) == ["optimize", "1", "raised", "InternalCheckFailed"]
 
 
 class TestSpecial3EqualPair:

@@ -1,14 +1,8 @@
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
-import entitled_cuts
 from entitled_cuts.errors import BudgetExceeded, EmptySubcake
 from entitled_cuts.generate import random_valuation
 from entitled_cuts.model import FULL_CAKE, Interval, Region, measure_of
@@ -20,7 +14,7 @@ from entitled_cuts.split import (
     pie_arc_count,
 )
 
-from conftest import pw
+from conftest import pw, run_optimized
 
 
 def region(*pairs):
@@ -136,7 +130,7 @@ class TestPostConditions:
     def test_checks_survive_optimize_flag(self, tmp_path):
         # under -O every assert is compiled away; the exactness check must
         # still raise in a child interpreter run that way
-        script = textwrap.dedent("""
+        script = """
             import sys
             from fractions import Fraction
             import entitled_cuts.split as split
@@ -153,13 +147,5 @@ class TestPostConditions:
                     (Valuation.uniform(), skewed), FULL_CAKE, Fraction(1, 2)))
             except InternalCheckFailed:
                 print("raised InternalCheckFailed")
-        """)
-        package_root = Path(entitled_cuts.__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["optimize", "1", "raised", "InternalCheckFailed"]
+        """
+        assert run_optimized(script, tmp_path) == ["optimize", "1", "raised", "InternalCheckFailed"]
