@@ -24,14 +24,12 @@ from .errors import (
     InternalCheckFailed,
     NoSplitFound,
     NotFoundWithin,
-    PieceNotConnected,
     PreconditionViolated,
     TargetExceedsRemainder,
     UnboundedLexMin,
 )
 from .feasibility import (
     FeasibilityResult,
-    LinearConstraint,
     check_feasible,
     solve_feasibility,
 )
@@ -85,10 +83,8 @@ __all__ = [
     "Instance",
     "InternalCheckFailed",
     "Interval",
-    "LinearConstraint",
     "NoSplitFound",
     "NotFoundWithin",
-    "PieceNotConnected",
     "PreconditionViolated",
     "Rational",
     "Region",

@@ -22,13 +22,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from math import comb, lcm
+from itertools import product
 from operator import sub
 from typing import Optional, Sequence
 
+from .cells import CellTable, tuple_count
 from .errors import BudgetExceeded, NotFoundWithin
-from .feasibility import GE, LE, check_feasible, solve_feasibility
+from .feasibility import GE, check_feasible, solve_feasibility
 from .model import (
     ONE,
     ZERO,
@@ -88,21 +88,21 @@ class CutBudgetCertificate:
     systems_examined: int
 
 
-def _agent_maps(n: int, pieces: int, prune_adjacent: bool) -> list[tuple[int, ...]]:
+def _agent_maps(n: int, pieces: int) -> list[tuple[int, ...]]:
     """Piece-to-agent maps in lexicographic order.
 
     Maps leaving some agent empty-handed are dropped (every entitlement is
-    positive, so such a map cannot be proportional).  With pruning on and
-    n >= 2, maps giving adjacent pieces to the same agent are dropped too:
-    an allocation with at most k real cuts always has an alternating-owner
-    representation (park unused cut points at 1 and alternate the empty
-    pieces), so the decision is unchanged.
+    positive, so such a map cannot be proportional).  For n >= 2, maps
+    giving adjacent pieces to the same agent are dropped too: an allocation
+    with at most k real cuts always has an alternating-owner representation
+    (park unused cut points at 1 and alternate the empty pieces), so the
+    decision is unchanged.
     """
     out = []
     for assign in product(range(n), repeat=pieces):
         if len(set(assign)) != n:
             continue
-        if prune_adjacent and n >= 2 and any(a == b for a, b in zip(assign, assign[1:])):
+        if n >= 2 and any(a == b for a, b in zip(assign, assign[1:])):
             continue
         out.append(assign)
     return out
@@ -112,7 +112,6 @@ def feasible_with_k_cuts(
     instance: Instance,
     k: int,
     budget: int = DEFAULT_ORACLE_BUDGET,
-    prune_adjacent: bool = True,
 ) -> CutBudgetCertificate:
     """Decide whether a proportional allocation with at most k cuts exists.
 
@@ -128,7 +127,7 @@ def feasible_with_k_cuts(
         raise ValueError("cut budget must be nonnegative")
     n = instance.n
     digest = instance_digest(instance)
-    maps = _agent_maps(n, k + 1, prune_adjacent)
+    maps = _agent_maps(n, k + 1)
 
     if k == 0:
         examined = 0
@@ -145,53 +144,27 @@ def feasible_with_k_cuts(
                 )
         return CutBudgetCertificate(digest, k, False, None, examined)
 
-    edges = sorted({b for v in instance.valuations for b in v.breakpoints})
-    n_cells = len(edges) - 1
-    projected = comb(n_cells + k - 1, k) * len(maps)
+    table = CellTable(instance.valuations, instance.entitlements)
+    projected = tuple_count(table.cells, k) * len(maps)
     if projected > budget:
         raise BudgetExceeded(f"oracle would examine {projected} systems (cap {budget})")
 
-    prefix = [[v.cumulative(e) for e in edges] for v in instance.valuations]
-    cell_density = [
-        [v.density_at(edges[c]) for c in range(n_cells)] for v in instance.valuations
-    ]
-    thresholds = [t * v.total for t, v in zip(instance.entitlements, instance.valuations)]
-    int_prefix, int_thresholds = _integer_tables(prefix, thresholds)
     lcp, skip = _prefix_blocks(maps)
-
     examined = 0
-    for cells in combinations_with_replacement(range(n_cells), k):
+    for cells in table.tuples(k):
         # cut j ranges over edge indices [lo_idx[j], hi_idx[j]]; the pinned
         # boundary points 0 and 1 sit at both ends
-        lo_idx = (0,) + tuple(cells) + (n_cells,)
-        hi_idx = (0,) + tuple(c + 1 for c in cells) + (n_cells,)
-        for m in _prefiltered_maps(maps, lcp, skip, lo_idx, hi_idx, int_prefix, int_thresholds):
+        lo_idx = (0,) + cells + (table.cells,)
+        hi_idx = (0,) + tuple(c + 1 for c in cells) + (table.cells,)
+        for m in _prefiltered_maps(maps, lcp, skip, lo_idx, hi_idx, table):
             assign = maps[m]
-            constraints = _oracle_system(
-                n, k, cells, assign, edges, prefix, cell_density, thresholds
-            )
+            constraints = _oracle_system(table, cells, assign)
             if check_feasible(k, constraints):
                 witness = solve_feasibility(k, constraints).witness
                 allocation = _allocation_from_cuts(n, witness, assign)
                 return CutBudgetCertificate(digest, k, True, allocation, examined + m + 1)
         examined += len(maps)
     return CutBudgetCertificate(digest, k, False, None, examined)
-
-
-def _integer_tables(prefix, thresholds):
-    """Scale each agent's prefix row and threshold to integers.
-
-    Agent i's row and threshold are multiplied by the lcm of their
-    denominators, a positive factor, so every comparison of the prefilter
-    between sums of prefix differences and the threshold keeps its
-    outcome.
-    """
-    int_prefix, int_thresholds = [], []
-    for row, t in zip(prefix, thresholds):
-        scale = lcm(t.denominator, *(p.denominator for p in row))
-        int_prefix.append([p.numerator * (scale // p.denominator) for p in row])
-        int_thresholds.append(t.numerator * (scale // t.denominator))
-    return int_prefix, int_thresholds
 
 
 def _prefix_blocks(maps):
@@ -218,7 +191,7 @@ def _prefix_blocks(maps):
     return lcp, skip
 
 
-def _prefiltered_maps(maps, lcp, skip, lo_idx, hi_idx, int_prefix, int_thresholds):
+def _prefiltered_maps(maps, lcp, skip, lo_idx, hi_idx, table):
     """Indices, ascending, of the maps that pass the interval prefilter.
 
     Piece j spans at most edge indices [lo_idx[j], hi_idx[j+1]], so its
@@ -231,6 +204,7 @@ def _prefiltered_maps(maps, lcp, skip, lo_idx, hi_idx, int_prefix, int_threshold
     after the first d+1 owners, every map sharing that prefix fails and
     the whole block is skipped.
     """
+    int_prefix, int_thresholds = table.int_prefix, table.int_thresholds
     n = len(int_thresholds)
     pieces = len(lo_idx) - 1
     gains = [
@@ -261,41 +235,22 @@ def _prefiltered_maps(maps, lcp, skip, lo_idx, hi_idx, int_prefix, int_threshold
             m += 1
 
 
-def _oracle_system(n, k, cells, assign, edges, prefix, cell_density, thresholds):
-    """Linear constraints over the k cut variables for one combination."""
+def _oracle_system(table, cells, assign):
+    """Linear constraints over the k cut variables for one combination.
+
+    Piece j runs from cut j-1 to cut j, with the cake's ends 0 and 1 closing
+    the first and the last piece, so cut j enters the value of piece j's
+    owner with sign + and that of piece j+1's owner with sign -.  The end 1
+    adds the last owner's total; the end 0 adds nothing.
+    """
+    k = len(cells)
     constraints = []
-    for i in range(n):
-        coeffs = [ZERO] * k
-        const = ZERO
-        for j, owner in enumerate(assign):
-            if owner != i:
-                continue
-            # piece j's value is F_i(y_{j+1}) - F_i(y_j); y_0 = 0, y_{k+1} = 1
-            for endpoint, sign in ((j + 1, ONE), (j, -ONE)):
-                if endpoint == 0:
-                    continue
-                if endpoint == k + 1:
-                    const += sign * prefix[i][-1]
-                    continue
-                c = cells[endpoint - 1]
-                d = cell_density[i][c]
-                coeffs[endpoint - 1] += sign * d
-                const += sign * (prefix[i][c] - d * edges[c])
-        constraints.append((coeffs, GE, thresholds[i] - const))
-    for j, c in enumerate(cells):
-        row_lo = [ZERO] * k
-        row_lo[j] = ONE
-        constraints.append((row_lo, GE, edges[c]))
-        row_hi = [ZERO] * k
-        row_hi[j] = ONE
-        constraints.append((row_hi, LE, edges[c + 1]))
-    for j in range(k - 1):
-        if cells[j] == cells[j + 1]:
-            row = [ZERO] * k
-            row[j] = ONE
-            row[j + 1] = -ONE
-            constraints.append((row, LE, ZERO))
-    return constraints
+    for i, threshold in enumerate(table.thresholds):
+        signs = [(assign[j] == i) - (assign[j + 1] == i) for j in range(k)]
+        total = table.prefix[i][-1] if assign[k] == i else ZERO
+        coeffs, const = table.value_row(i, cells, signs, total)
+        constraints.append((coeffs, GE, threshold - const))
+    return constraints + table.placement_rows(cells)
 
 
 def _allocation_from_cuts(n: int, cuts: Sequence[Fraction], assign: Sequence[int]) -> Allocation:
@@ -312,7 +267,6 @@ def min_cuts(
     instance: Instance,
     k_max: int,
     budget: int = DEFAULT_ORACLE_BUDGET,
-    prune_adjacent: bool = True,
 ) -> int:
     """Smallest k <= k_max admitting a proportional allocation with k cuts.
 
@@ -321,6 +275,6 @@ def min_cuts(
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     for k in range(k_max + 1):
-        if feasible_with_k_cuts(instance, k, budget, prune_adjacent).feasible:
+        if feasible_with_k_cuts(instance, k, budget).feasible:
             return k
     raise NotFoundWithin(k_max)

@@ -13,10 +13,6 @@ class EmptySubcake(EntitledCutsError, ValueError):
     """An operation that needs a nonempty sub-cake received an empty region."""
 
 
-class PieceNotConnected(EntitledCutsError, ValueError):
-    """Cut-and-choose was handed a piece made of more than one interval."""
-
-
 class PreconditionViolated(EntitledCutsError, ValueError):
     """A special-case protocol was invoked on an instance it does not cover."""
 

@@ -45,42 +45,24 @@ _RELATIONS = (LE, EQ, GE)
 
 
 @dataclass(frozen=True)
-class LinearConstraint:
-    """coefficients . x  <relation>  bound"""
-
-    coefficients: tuple[Fraction, ...]
-    relation: str
-    bound: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(as_rational(c) for c in self.coefficients))
-        object.__setattr__(self, "bound", as_rational(self.bound))
-        rel = "=" if self.relation == "==" else self.relation
-        object.__setattr__(self, "relation", rel)
-        if rel not in _RELATIONS:
-            raise ValueError(f"relation must be one of {_RELATIONS}, got {self.relation!r}")
-
-
-@dataclass(frozen=True)
 class FeasibilityResult:
     feasible: bool
     witness: Optional[tuple[Fraction, ...]] = None
 
 
-# A row is (coeffs, relation, rhs).  Constraints may be LinearConstraint
-# objects or bare triples; the hot enumeration loops build triples directly.
-
-
 def _normalize(num_vars: int, constraints: Iterable) -> list:
+    """Rows (coeffs, relation, rhs) with every number coerced to an exact
+    rational and the relation one of <=, = and >=."""
     rows = []
-    for c in constraints:
-        if isinstance(c, LinearConstraint):
-            coeffs, rel, rhs = list(c.coefficients), c.relation, c.bound
-        else:
-            coeffs, rel, rhs = list(c[0]), c[1], c[2]
+    for coeffs, rel, rhs in constraints:
+        # the enumeration loops pass Fractions only, so the type test spares
+        # them a call per number
+        coeffs = [c if type(c) is Fraction else as_rational(c) for c in coeffs]
         if len(coeffs) != num_vars:
             raise ValueError(f"constraint has {len(coeffs)} coefficients, expected {num_vars}")
-        rows.append((coeffs, rel, rhs))
+        if rel not in _RELATIONS:
+            raise ValueError(f"relation must be one of {_RELATIONS}, got {rel!r}")
+        rows.append((coeffs, rel, rhs if type(rhs) is Fraction else as_rational(rhs)))
     return rows
 
 

@@ -7,6 +7,7 @@ All types are immutable values, so they are safe to share across threads.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,6 +22,8 @@ ONE = Fraction(1)
 
 TOPOLOGIES = ("interval", "pie")
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
 
 def as_rational(value) -> Fraction:
     """Coerce an int or Fraction; floats are rejected to keep the core exact."""
@@ -32,14 +35,19 @@ def as_rational(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or an integer string. Float syntax is rejected."""
+    """Parse 'p/q' or an integer string: an optional minus sign, decimal
+    digits, then optionally '/' and decimal digits.  Nothing else is read,
+    not even surrounding spaces."""
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {type(text).__name__}")
-    num, sep, den = text.strip().partition("/")
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"invalid rational {text!r}: expected p/q or an integer")
+    num, den = match.groups()
     try:
-        if sep:
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        if den is None:
+            return Fraction(int(num))
+        return Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational {text!r}: {exc}") from None
 

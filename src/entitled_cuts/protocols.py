@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .errors import InternalCheckFailed, PieceNotConnected, PreconditionViolated
+from .errors import InternalCheckFailed, PreconditionViolated
 from .model import (
     FULL_CAKE,
     ONE,
@@ -130,51 +130,37 @@ def _even_split(agents, lo, hi, valuations, assigned):
     _even_split(right_ids, split_at, hi, valuations, assigned)
 
 
-def clone_divide(instance: Instance) -> AlgorithmReport:
-    """Replicate each agent by its entitlement numerator over the common
-    denominator D, divide equally among the D clones, then merge each
-    agent's clone pieces.  Uses at most D-1 cuts."""
-    denominator = lcm(*(t.denominator for t in instance.entitlements))
-    owners: list[int] = []
-    for i, t in enumerate(instance.entitlements):
-        owners.extend([i] * int(t * denominator))
+def _clone_and_merge(instance: Instance, copies: Sequence[int], algorithm: str,
+                     bound: int) -> AlgorithmReport:
+    """Replicate agent i into copies[i] clones, give every clone a connected
+    proportional piece of the cake, then merge each agent's clone pieces."""
+    owners = [i for i, count in enumerate(copies) for _ in range(count)]
     clone_vals = [instance.valuations[i] for i in owners]
     clone_alloc = connected_proportional(clone_vals, Interval(ZERO, ONE))
     merged: dict[int, Region] = {}
     for owner, piece in zip(owners, clone_alloc.pieces):
         merged[owner] = merged.get(owner, Region()).union(piece)
-    return _report(instance, merged, "clone", denominator - 1)
+    return _report(instance, merged, algorithm, bound)
+
+
+def clone_divide(instance: Instance) -> AlgorithmReport:
+    """Replicate each agent by its entitlement numerator over the common
+    denominator D, divide equally among the D clones, then merge each
+    agent's clone pieces.  Uses at most D-1 cuts."""
+    denominator = lcm(*(t.denominator for t in instance.entitlements))
+    copies = [int(t * denominator) for t in instance.entitlements]
+    return _clone_and_merge(instance, copies, "clone", denominator - 1)
 
 
 def cut_and_choose(owner: Valuation, chooser: Valuation, piece: Region):
-    """Two-agent split of a connected piece with one cut.
-
-    The owner marks the point halving the piece by their own measure; the
-    chooser takes whichever side they value weakly more (ties give the
-    chooser the left side).  Returns (owner part, chooser part).
-    """
-    if len(piece.intervals) != 1:
-        raise PieceNotConnected("cut-and-choose needs a single-interval piece")
-    iv = piece.intervals[0]
-    own_value = owner.value_between(iv.lo, iv.hi)
-    if own_value <= ZERO:
-        raise ValueError("owner must value the piece positively")
-    mid = mark_right(owner, iv.lo, own_value / 2)
-    left = Region([Interval(iv.lo, mid)])
-    right = Region([Interval(mid, iv.hi)])
-    if measure_of(chooser, left) >= measure_of(chooser, right):
-        return right, left
-    return left, right
-
-
-def _halve_region_with_choice(owner: Valuation, chooser: Valuation, piece: Region):
-    """Cut-and-choose over a possibly disconnected piece with a single cut.
+    """Two-agent split of a piece, connected or not, with a single cut.
 
     The owner finds the point where the piece's running value (by the
     owner's measure) reaches exactly half; the chooser takes the weakly
     better of piece-left-of-point / piece-right-of-point (ties -> left).
     Costs one new cut point regardless of how many intervals the piece has,
     which is what keeps the three-agent protocol within its cut budget.
+    Returns (owner part, chooser part).
     """
     total = measure_of(owner, piece)
     if total <= ZERO:
@@ -218,7 +204,7 @@ def special3_half(instance: Instance, budget: int = DEFAULT_SPLIT_BUDGET) -> Alg
     )
     pieces: dict[int, Region] = {half_idx: Region()}
     for i in others:
-        kept, taken = _halve_region_with_choice(instance.valuations[i], chooser, stage[i])
+        kept, taken = cut_and_choose(instance.valuations[i], chooser, stage[i])
         pieces[i] = kept
         pieces[half_idx] = pieces[half_idx].union(taken)
     return _report(instance, pieces, "special3-half", 4)
@@ -311,15 +297,8 @@ def near_equal_divide(instance: Instance) -> AlgorithmReport:
     if pattern is None:
         raise PreconditionViolated("need at least n-1 entitlements equal to 1/D")
     heavy, denominator = pattern
-    owners: list[int] = []
-    for i in range(instance.n):
-        owners.extend([i] * (denominator - instance.n + 1 if i == heavy else 1))
-    clone_vals = [instance.valuations[i] for i in owners]
-    clone_alloc = connected_proportional(clone_vals, Interval(ZERO, ONE))
-    merged: dict[int, Region] = {}
-    for owner, piece in zip(owners, clone_alloc.pieces):
-        merged[owner] = merged.get(owner, Region()).union(piece)
-    return _report(instance, merged, "near-equal", 2 * (instance.n - 1))
+    copies = [denominator - instance.n + 1 if i == heavy else 1 for i in range(instance.n)]
+    return _clone_and_merge(instance, copies, "near-equal", 2 * (instance.n - 1))
 
 
 DEFAULT_CLONE_CAP = 64

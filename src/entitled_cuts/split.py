@@ -10,7 +10,9 @@ breakpoint refinement and asks the exact feasibility solver for the n value
 equations plus ordering and cell-box constraints.  The first feasible
 system in the canonical order (m ascending, then origin-outside before
 origin-inside, then lexicographic cell assignments, then the lex-minimal
-witness) wins, so results are fully deterministic.
+witness) wins, so results are fully deterministic.  The refinement tables,
+the integer rows of the interval prefilter and the rows of each system come
+from ``cells``, which the cut oracle shares.
 """
 
 from __future__ import annotations
@@ -18,15 +20,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb
 from typing import Sequence
 
+from .cells import CellTable, tuple_count
 from .errors import BudgetExceeded, EmptySubcake, InternalCheckFailed, NoSplitFound
-from .feasibility import EQ, GE, LE, check_feasible, solve_feasibility
+from .feasibility import EQ, check_feasible, solve_feasibility
 from .model import (
     ONE,
-    TOPOLOGIES,
     ZERO,
     Interval,
     Region,
@@ -43,13 +43,10 @@ class SplitRequest:
     valuations: tuple[Valuation, ...]
     subcake: Region
     ratio: Fraction
-    topology: str = "pie"
 
     def __post_init__(self):
         object.__setattr__(self, "valuations", tuple(self.valuations))
         object.__setattr__(self, "ratio", as_rational(self.ratio))
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(f"topology must be one of {TOPOLOGIES}")
         if not self.valuations:
             raise ValueError("need at least one valuation")
         if self.subcake.is_empty:
@@ -146,7 +143,7 @@ def _arc_signs(count: int, origin_inside: bool):
     # Part value is sum of s_j * F(x_j) plus (total if origin_inside).
     # Outside: part = [x1,x2] u [x3,x4] u ...          -> signs -,+,-,+,...
     # Inside:  part = [0,x1] u [x2,x3] u ... u [x2m,L] -> signs +,-,+,-,...
-    first = ONE if origin_inside else -ONE
+    first = 1 if origin_inside else -1
     return [first if j % 2 == 0 else -first for j in range(count)]
 
 
@@ -174,7 +171,7 @@ def pie_arc_count(part: Region, length: Fraction = ONE) -> int:
 def enumeration_size(cells: int, n_agents: int) -> int:
     """Linear systems the full enumeration would visit (the budget guard)."""
     m_max = max(1, n_agents - 1)
-    return sum(2 * comb(cells + 2 * m - 1, 2 * m) for m in range(1, m_max + 1))
+    return sum(2 * tuple_count(cells, 2 * m) for m in range(1, m_max + 1))
 
 
 def exact_split(req: SplitRequest, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitResult:
@@ -189,21 +186,14 @@ def exact_split(req: SplitRequest, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitR
     """
     n = len(req.valuations)
     length, flat_vals, fmap = flatten(req.subcake, req.valuations)
-
-    edges = sorted({b for v in flat_vals for b in v.breakpoints})
-    n_cells = len(edges) - 1
-    if enumeration_size(n_cells, n) > budget:
+    table = CellTable(flat_vals, [req.ratio] * n)
+    if enumeration_size(table.cells, n) > budget:
         raise BudgetExceeded(
             f"split enumeration would visit more than {budget} systems"
         )
-
-    # per-agent prefix values at refinement edges and per-cell densities
-    prefix = [[v.cumulative(e) for e in edges] for v in flat_vals]
-    cell_density = [
-        [v.density_at(edges[c]) for c in range(n_cells)] for v in flat_vals
-    ]
-    totals = [p[-1] for p in prefix]
-    targets = [req.ratio * t for t in totals]
+    totals = [row[-1] for row in table.prefix]
+    targets = table.thresholds
+    int_totals = [row[-1] for row in table.int_prefix]
 
     m_max = max(1, n - 1)
     for m in range(1, m_max + 1):
@@ -211,28 +201,15 @@ def exact_split(req: SplitRequest, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitR
         for origin_inside in (False, True):
             signs = _arc_signs(k, origin_inside)
             base = totals if origin_inside else [ZERO] * n
-            for cells in combinations_with_replacement(range(n_cells), k):
-                # interval-arithmetic prefilter: value range per agent over
-                # the cell boxes (ordering ignored, so it is a relaxation)
-                ok = True
-                for i in range(n):
-                    p = prefix[i]
-                    lo = hi = base[i]
-                    for j, c in enumerate(cells):
-                        if signs[j] > ZERO:
-                            lo += p[c]
-                            hi += p[c + 1]
-                        else:
-                            lo -= p[c + 1]
-                            hi -= p[c]
-                    if not (lo <= targets[i] <= hi):
-                        ok = False
-                        break
-                if not ok:
+            int_base = int_totals if origin_inside else [0] * n
+            for cells in table.tuples(k):
+                if not _within_reach(table, cells, signs, int_base):
                     continue
-                constraints = _build_system(
-                    cells, signs, base, edges, prefix, cell_density, targets
-                )
+                constraints = []
+                for i, target in enumerate(targets):
+                    coeffs, const = table.value_row(i, cells, signs, base[i])
+                    constraints.append((coeffs, EQ, target - const))
+                constraints += table.placement_rows(cells)
                 if check_feasible(k, constraints):
                     witness = solve_feasibility(k, constraints).witness
                     flat_part = Region(_part_intervals(witness, origin_inside, length))
@@ -251,29 +228,19 @@ def exact_split(req: SplitRequest, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitR
     )
 
 
-def _build_system(cells, signs, base, edges, prefix, cell_density, targets):
-    k = len(cells)
-    constraints = []
-    for i, target in enumerate(targets):
-        coeffs = [ZERO] * k
-        const = base[i]
-        for j, c in enumerate(cells):
-            d = cell_density[i][c]
-            s = signs[j]
-            coeffs[j] = s * d
-            const += s * (prefix[i][c] - d * edges[c])
-        constraints.append((coeffs, EQ, target - const))
-    for j, c in enumerate(cells):
-        box_lo = [ZERO] * k
-        box_lo[j] = ONE
-        constraints.append((box_lo, GE, edges[c]))
-        box_hi = [ZERO] * k
-        box_hi[j] = ONE
-        constraints.append((box_hi, LE, edges[c + 1]))
-    for j in range(k - 1):
-        if cells[j] == cells[j + 1]:
-            row = [ZERO] * k
-            row[j] = ONE
-            row[j + 1] = -ONE
-            constraints.append((row, LE, ZERO))
-    return constraints
+def _within_reach(table: CellTable, cells, signs, int_base) -> bool:
+    """Interval prefilter on the integer-scaled prefix rows.
+
+    With the cuts anywhere in their cells (ordering ignored, so this is a
+    relaxation), each agent's part value ranges over [lo, lo + width]: a
+    cut with sign + adds at least F(left edge), one with sign - at least
+    -F(right edge), and each cut widens the range by its cell's value.
+    """
+    for row, target, lo in zip(table.int_prefix, table.int_thresholds, int_base):
+        width = 0
+        for s, c in zip(signs, cells):
+            lo += row[c] if s > 0 else -row[c + 1]
+            width += row[c + 1] - row[c]
+        if not (lo <= target <= lo + width):
+            return False
+    return True

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -8,16 +8,15 @@ from entitled_cuts.bounds import (
     CutBudgetCertificate,
     _agent_maps,
     _allocation_from_cuts,
-    _oracle_system,
     feasible_with_k_cuts,
     gen_lower_bound_instance,
     instance_digest,
     min_cuts,
 )
 from entitled_cuts.errors import BudgetExceeded, NotFoundWithin
-from entitled_cuts.feasibility import check_feasible, solve_feasibility
+from entitled_cuts.feasibility import GE, LE, check_feasible, solve_feasibility
 from entitled_cuts.generate import random_instance
-from entitled_cuts.model import ZERO, measure_of
+from entitled_cuts.model import ONE, ZERO, measure_of
 from entitled_cuts.verifier import verify_allocation
 
 from conftest import make_instance, pw
@@ -93,14 +92,16 @@ class TestOracle:
             assert feasible_with_k_cuts(inst, found + 1).feasible
 
     def test_adjacency_pruning_preserves_decisions(self):
-        # differential guard for the optional symmetry pruning
+        # differential guard for the symmetry pruning: the oracle, which
+        # never visits maps giving adjacent pieces to one agent, decides as
+        # the plain scan over every map does
         cases = [random_instance(2, s, max_cells=2, denom_bound=6) for s in range(3)]
         cases += [random_instance(3, s, max_cells=2, denom_bound=6) for s in range(2)]
         cases.append(gen_lower_bound_instance(2))
         for inst in cases:
             for k in range(0, 3):
-                pruned = feasible_with_k_cuts(inst, k, prune_adjacent=True)
-                full = feasible_with_k_cuts(inst, k, prune_adjacent=False)
+                pruned = feasible_with_k_cuts(inst, k)
+                full = _reference_certificate(inst, k, _unpruned_maps(inst.n, k + 1))
                 assert pruned.feasible == full.feasible, (instance_digest(inst), k)
 
     def test_deterministic_certificates(self):
@@ -129,14 +130,19 @@ class TestMinCuts:
             assert min_cuts(inst, achieved) <= achieved
 
 
-def _reference_certificate(instance, k, prune_adjacent=True):
-    """The oracle as a plain scan: every map of every cut-cell tuple, in
-    canonical order, through the interval prefilter in Fraction arithmetic.
-    No budget; the library's pruned integer walk must agree with it
-    certificate for certificate."""
+def _unpruned_maps(n, pieces):
+    """Every piece-to-agent map that leaves no agent empty-handed, in
+    lexicographic order, adjacent pieces of one owner included."""
+    return [a for a in product(range(n), repeat=pieces) if len(set(a)) == n]
+
+
+def _reference_certificate(instance, k, maps):
+    """The oracle as a plain scan: every map in ``maps`` for every cut-cell
+    tuple, in canonical order, through the interval prefilter in Fraction
+    arithmetic.  No budget; over the oracle's own maps, the library's
+    pruned integer walk must agree with it certificate for certificate."""
     n = instance.n
     digest = instance_digest(instance)
-    maps = _agent_maps(n, k + 1, prune_adjacent)
     edges = sorted({b for v in instance.valuations for b in v.breakpoints})
     n_cells = len(edges) - 1
     prefix = [[v.cumulative(e) for e in edges] for v in instance.valuations]
@@ -168,7 +174,7 @@ def _reference_certificate(instance, k, prune_adjacent=True):
                 return CutBudgetCertificate(
                     digest, k, True, _allocation_from_cuts(n, (), assign), examined
                 )
-            constraints = _oracle_system(
+            constraints = _reference_system(
                 n, k, cells, assign, edges, prefix, cell_density, thresholds
             )
             if check_feasible(k, constraints):
@@ -178,35 +184,87 @@ def _reference_certificate(instance, k, prune_adjacent=True):
     return CutBudgetCertificate(digest, k, False, None, examined)
 
 
-def _projected(instance, k, prune_adjacent=True):
+def _reference_system(n, k, cells, assign, edges, prefix, cell_density, thresholds):
+    """Linear constraints over the k cut variables for one combination,
+    built endpoint by endpoint and independently of the library's rows."""
+    constraints = []
+    for i in range(n):
+        coeffs = [ZERO] * k
+        const = ZERO
+        for j, owner in enumerate(assign):
+            if owner != i:
+                continue
+            # piece j's value is F_i(y_{j+1}) - F_i(y_j); y_0 = 0, y_{k+1} = 1
+            for endpoint, sign in ((j + 1, ONE), (j, -ONE)):
+                if endpoint == 0:
+                    continue
+                if endpoint == k + 1:
+                    const += sign * prefix[i][-1]
+                    continue
+                c = cells[endpoint - 1]
+                d = cell_density[i][c]
+                coeffs[endpoint - 1] += sign * d
+                const += sign * (prefix[i][c] - d * edges[c])
+        constraints.append((coeffs, GE, thresholds[i] - const))
+    for j, c in enumerate(cells):
+        row_lo = [ZERO] * k
+        row_lo[j] = ONE
+        constraints.append((row_lo, GE, edges[c]))
+        row_hi = [ZERO] * k
+        row_hi[j] = ONE
+        constraints.append((row_hi, LE, edges[c + 1]))
+    for j in range(k - 1):
+        if cells[j] == cells[j + 1]:
+            row = [ZERO] * k
+            row[j] = ONE
+            row[j + 1] = -ONE
+            constraints.append((row, LE, ZERO))
+    return constraints
+
+
+def _projected(instance, k):
     n_cells = len({b for v in instance.valuations for b in v.breakpoints}) - 1
-    return comb(n_cells + k - 1, k) * len(_agent_maps(instance.n, k + 1, prune_adjacent))
+    return comb(n_cells + k - 1, k) * len(_agent_maps(instance.n, k + 1))
+
+
+def _assert_matches_reference(inst, k, reference_pruned):
+    """With ``reference_pruned``, the certificate equals the plain scan's
+    over the oracle's own (pruned) maps.  Without it, the scan runs over
+    every map, adjacent pieces of one owner included: the decision must be
+    the same, which checks the pruning, and a witness must verify."""
+    cert = feasible_with_k_cuts(inst, k)
+    if reference_pruned:
+        assert cert == _reference_certificate(inst, k, _agent_maps(inst.n, k + 1))
+    else:
+        full = _reference_certificate(inst, k, _unpruned_maps(inst.n, k + 1))
+        assert cert.feasible == full.feasible
+        if cert.feasible:
+            assert verify_allocation(inst, cert.allocation).passed
+    return cert
 
 
 class TestPrunedPrefilterMatchesFractionScan:
-    @pytest.mark.parametrize("prune_adjacent", [True, False])
+    @pytest.mark.parametrize("reference_pruned", [True, False])
     @pytest.mark.parametrize("n", [2, 3])
-    def test_lower_bound_family(self, n, prune_adjacent):
+    def test_lower_bound_family(self, n, reference_pruned):
         inst = gen_lower_bound_instance(n)
         for k in range(2 * n - 1):
-            cert = feasible_with_k_cuts(inst, k, prune_adjacent=prune_adjacent)
-            assert cert == _reference_certificate(inst, k, prune_adjacent), (n, k)
-            assert cert.feasible == (k == 2 * n - 2)
+            cert = _assert_matches_reference(inst, k, reference_pruned)
+            assert cert.feasible == (k == 2 * n - 2), (n, k)
 
-    @pytest.mark.parametrize("prune_adjacent", [True, False])
+    @pytest.mark.parametrize("reference_pruned", [True, False])
     @pytest.mark.parametrize("n", [2, 3])
-    def test_random_pools(self, n, prune_adjacent):
+    def test_random_pools(self, n, reference_pruned):
         outcomes = set()
         for seed in range(12):
             inst = random_instance(n, 4100 + seed)
             for k in range(4):
-                cert = feasible_with_k_cuts(inst, k, prune_adjacent=prune_adjacent)
-                assert cert == _reference_certificate(inst, k, prune_adjacent), (seed, k)
+                cert = _assert_matches_reference(inst, k, reference_pruned)
                 outcomes.add(cert.feasible)
         assert outcomes == {True, False}
 
-    @pytest.mark.parametrize("prune_adjacent", [True, False])
-    def test_threshold_ties(self, prune_adjacent):
+    @pytest.mark.parametrize("reference_pruned", [True, False])
+    def test_threshold_ties(self, reference_pruned):
         # an agent whose bound from the cut cells equals its threshold exactly
         # still passes: on one piece (uniform agent left of a cut in [0, 1/2])
         # and on the sum of all pieces (a lone agent that values nothing in
@@ -217,8 +275,7 @@ class TestPrunedPrefilterMatchesFractionScan:
         ]
         for inst in cases:
             for k in range(3):
-                cert = feasible_with_k_cuts(inst, k, prune_adjacent=prune_adjacent)
-                assert cert == _reference_certificate(inst, k, prune_adjacent), k
+                _assert_matches_reference(inst, k, reference_pruned)
 
     def test_four_agent_proof_counts(self):
         inst = gen_lower_bound_instance(4)

@@ -68,6 +68,17 @@ class TestSerialization:
         assert algorithm == "recursive"
         assert allocation.pieces[0].length == 1
 
+    @pytest.mark.parametrize("pieces", [
+        [[False, [["0", "1"]]]],  # bool is an int subclass in Python, not on the wire
+        [[True, [["0", "1"]]]],
+        [[0, [["0", "1/2"]]], [0, [["1/2", "1"]]]],
+        [[1, [["0", "1"]]]],
+        [[0, [["0", " 1"]]]],
+    ])
+    def test_malformed_allocation_rejected(self, pieces):
+        with pytest.raises(FormatError):
+            parse_allocation_document({"pieces": pieces})
+
 
 class TestGen:
     def test_lower_bound_matches_library(self, tmp_path, capsys):

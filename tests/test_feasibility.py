@@ -9,7 +9,6 @@ from entitled_cuts.feasibility import (
     EQ,
     GE,
     LE,
-    LinearConstraint,
     check_feasible,
     solve_feasibility,
 )
@@ -17,26 +16,26 @@ from entitled_cuts.feasibility import (
 
 def test_forced_point():
     result = solve_feasibility(1, [
-        LinearConstraint((F(1),), GE, F(0)),
-        LinearConstraint((F(1),), LE, F(1)),
-        LinearConstraint((F(1),), EQ, F(1, 2)),
+        ((F(1),), GE, F(0)),
+        ((F(1),), LE, F(1)),
+        ((F(1),), EQ, F(1, 2)),
     ])
     assert result.feasible and result.witness == (F(1, 2),)
 
 
 def test_empty_box():
     result = solve_feasibility(1, [
-        LinearConstraint((F(1),), GE, F(1)),
-        LinearConstraint((F(1),), LE, F(0)),
+        ((F(1),), GE, F(1)),
+        ((F(1),), LE, F(0)),
     ])
     assert not result.feasible and result.witness is None
 
 
 def test_lex_min_pins_first_variable():
     result = solve_feasibility(2, [
-        LinearConstraint((F(1), F(1)), EQ, F(1)),
-        LinearConstraint((F(1), F(0)), GE, F(0)),
-        LinearConstraint((F(0), F(1)), GE, F(0)),
+        ((F(1), F(1)), EQ, F(1)),
+        ((F(1), F(0)), GE, F(0)),
+        ((F(0), F(1)), GE, F(0)),
     ])
     assert result.witness == (F(0), F(1))
 
@@ -53,6 +52,27 @@ def test_lex_min_cascades_through_simplex():
 
 def test_plain_triples_accepted():
     assert check_feasible(1, [((F(2),), GE, F(1)), ((F(1),), LE, F(5))])
+    assert solve_feasibility(1, [((2,), GE, 1)]).witness == (F(1, 2),)
+
+
+@pytest.mark.parametrize("relation", ["<", ">", "==", "=<", ""])
+def test_unknown_relation_rejected(relation):
+    # "<" once fell through to ">=" and made this system feasible
+    rows = [((F(1),), relation, F(0)), ((F(1),), GE, F(1))]
+    with pytest.raises(ValueError, match="relation"):
+        check_feasible(1, rows)
+    with pytest.raises(ValueError, match="relation"):
+        solve_feasibility(1, rows)
+
+
+def test_float_numbers_rejected():
+    # a float row once came back with the witness (2.9999999999999996,)
+    with pytest.raises(TypeError):
+        solve_feasibility(1, [((0.1,), GE, 0.3)])
+    with pytest.raises(TypeError):
+        check_feasible(1, [((F(1),), GE, 0.5)])
+    with pytest.raises(TypeError):
+        solve_feasibility(1, [((0.5,), GE, F(1)), ((F(1),), LE, F(4))])
 
 
 def test_unbounded_minimization_surfaces():

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from entitled_cuts.errors import InternalCheckFailed, PieceNotConnected, PreconditionViolated
+from entitled_cuts.errors import InternalCheckFailed, PreconditionViolated
 from entitled_cuts.generate import random_instance, random_valuation
 from entitled_cuts.model import (
     Instance,
@@ -199,9 +199,13 @@ class TestCutAndChoose:
         assert chooser_part == region((F(1, 4), 1))
         assert measure_of(uniform, chooser_part) == F(3, 4)
 
-    def test_disconnected_piece_rejected(self, uniform):
-        with pytest.raises(PieceNotConnected):
-            cut_and_choose(uniform, uniform, region((0, F(1, 4)), (F(1, 2), 1)))
+    def test_disconnected_piece_halved_with_one_cut(self, uniform):
+        # the piece is worth 3/4; half of it, 3/8, is reached at 5/8
+        piece = region((0, F(1, 4)), (F(1, 2), 1))
+        owner_part, chooser_part = cut_and_choose(uniform, uniform, piece)
+        assert chooser_part == region((0, F(1, 4)), (F(1, 2), F(5, 8)))
+        assert owner_part == region((F(5, 8), 1))
+        assert owner_part.union(chooser_part) == piece
 
 
 class TestSpecial3Half:
@@ -277,7 +281,7 @@ class TestSpecial3Half:
             real = protocols.measure_of
             protocols.measure_of = lambda v, r: 3 * real(v, r)
             try:
-                protocols._halve_region_with_choice(
+                protocols.cut_and_choose(
                     Valuation.uniform(), Valuation.uniform(), FULL_CAKE)
             except InternalCheckFailed:
                 print("raised InternalCheckFailed")

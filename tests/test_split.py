@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 
+from entitled_cuts import split
 from entitled_cuts.errors import BudgetExceeded, EmptySubcake
+from entitled_cuts.feasibility import EQ, GE, LE, check_feasible, solve_feasibility
 from entitled_cuts.generate import random_valuation
-from entitled_cuts.model import FULL_CAKE, Interval, Region, measure_of
+from entitled_cuts.model import FULL_CAKE, ONE, ZERO, Interval, Region, measure_of
 from entitled_cuts.split import (
     SplitRequest,
+    _arc_signs,
+    _part_intervals,
     enumeration_size,
     exact_split,
     flatten,
@@ -124,6 +129,121 @@ class TestExactSplit:
         for v in vals:
             assert measure_of(v, res.part) * 4 == v.total
         assert pie_arc_count(res.part) <= 3
+
+
+def _reference_split(req):
+    """The splitter as a plain scan in Fraction arithmetic: per-agent prefix
+    and density tables, the interval prefilter on Fraction prefix values,
+    and each system built cut by cut.  It shares with the library only the
+    flattening, the sign patterns and the arc assembly.  Returns the part
+    and complement of the first feasible system in canonical order, and how
+    many systems passed the prefilter up to and including it."""
+    n = len(req.valuations)
+    length, flat_vals, fmap = flatten(req.subcake, req.valuations)
+    edges = sorted({b for v in flat_vals for b in v.breakpoints})
+    n_cells = len(edges) - 1
+    prefix = [[v.cumulative(e) for e in edges] for v in flat_vals]
+    cell_density = [[v.density_at(edges[c]) for c in range(n_cells)] for v in flat_vals]
+    totals = [p[-1] for p in prefix]
+    targets = [req.ratio * t for t in totals]
+    checked = 0
+    for m in range(1, max(1, n - 1) + 1):
+        k = 2 * m
+        for origin_inside in (False, True):
+            signs = _arc_signs(k, origin_inside)
+            base = totals if origin_inside else [ZERO] * n
+            for cells in combinations_with_replacement(range(n_cells), k):
+                ok = True
+                for i in range(n):
+                    p = prefix[i]
+                    lo = hi = base[i]
+                    for j, c in enumerate(cells):
+                        if signs[j] > ZERO:
+                            lo += p[c]
+                            hi += p[c + 1]
+                        else:
+                            lo -= p[c + 1]
+                            hi -= p[c]
+                    if not (lo <= targets[i] <= hi):
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                constraints = _reference_system(
+                    cells, signs, base, edges, prefix, cell_density, targets
+                )
+                checked += 1
+                if check_feasible(k, constraints):
+                    witness = solve_feasibility(k, constraints).witness
+                    flat_part = Region(_part_intervals(witness, origin_inside, length))
+                    part = fmap.lift_region(flat_part)
+                    return part, req.subcake.difference(part), checked
+    raise AssertionError("reference scan found no split")
+
+
+def _reference_system(cells, signs, base, edges, prefix, cell_density, targets):
+    k = len(cells)
+    constraints = []
+    for i, target in enumerate(targets):
+        coeffs = [ZERO] * k
+        const = base[i]
+        for j, c in enumerate(cells):
+            d = cell_density[i][c]
+            s = signs[j]
+            coeffs[j] = s * d
+            const += s * (prefix[i][c] - d * edges[c])
+        constraints.append((coeffs, EQ, target - const))
+    for j, c in enumerate(cells):
+        box_lo = [ZERO] * k
+        box_lo[j] = ONE
+        constraints.append((box_lo, GE, edges[c]))
+        box_hi = [ZERO] * k
+        box_hi[j] = ONE
+        constraints.append((box_hi, LE, edges[c + 1]))
+    for j in range(k - 1):
+        if cells[j] == cells[j + 1]:
+            row = [ZERO] * k
+            row[j] = ONE
+            row[j + 1] = -ONE
+            constraints.append((row, LE, ZERO))
+    return constraints
+
+
+def _random_subcake(rng, components):
+    """Up to ``components`` disjoint intervals with endpoints of
+    denominator at most 8."""
+    points = sorted({F(rng.randint(0, 8), 8) for _ in range(2 * components)})
+    if len(points) % 2:
+        points.pop()
+    return Region([Interval(a, b) for a, b in zip(points[::2], points[1::2])])
+
+
+class TestMatchesReferenceScan:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_seeded_requests(self, n, monkeypatch):
+        checks = []
+        monkeypatch.setattr(
+            split, "check_feasible", lambda k, rows: checks.append(k) or check_feasible(k, rows)
+        )
+        rng = random.Random(5100 + n)
+        cases = 0
+        shapes, arcs = set(), set()
+        while cases < 20:
+            vals = tuple(random_valuation(rng, 3 if n <= 3 else 2, 8) for _ in range(n))
+            subcake = FULL_CAKE if cases % 2 == 0 else _random_subcake(rng, 3)
+            ratio = F(rng.randint(1, 7), 8)
+            try:
+                req = SplitRequest(vals, subcake, ratio)
+            except ValueError:  # an empty sub-cake, or one some agent values at 0
+                continue
+            checks.clear()
+            res = exact_split(req)
+            assert (res.part, res.complement, len(checks)) == _reference_split(req), (n, cases)
+            shapes.add(len(subcake.intervals))
+            arcs.add(pie_arc_count(res.part))
+            cases += 1
+        assert max(shapes) >= 2  # multi-component sub-cakes were exercised
+        assert n == 2 or max(arcs) >= 2  # so was more than the first arc count
 
 
 class TestPostConditions:
