@@ -119,8 +119,7 @@ def parse_allocation_document(doc) -> tuple[Allocation, str]:
         raise FormatError("'pieces' must be a list")
     by_agent: dict[int, Region] = {}
     for entry in pieces_doc:
-        if not (isinstance(entry, list) and len(entry) == 2
-                and type(entry[0]) is int):
+        if not (isinstance(entry, list) and len(entry) == 2 and type(entry[0]) is int):
             raise FormatError("each piece entry must be [agent-index, intervals]")
         idx, ivs = entry
         if not isinstance(ivs, list):
