@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from operator import sub
 from typing import Optional, Sequence
 
@@ -96,15 +95,28 @@ def _agent_maps(n: int, pieces: int) -> list[tuple[int, ...]]:
     giving adjacent pieces to the same agent are dropped too: an allocation
     with at most k real cuts always has an alternating-owner representation
     (park unused cut points at 1 and alternate the empty pieces), so the
-    decision is unchanged.
+    decision is unchanged.  The maps are generated depth-first, owners in
+    ascending order, and a prefix is abandoned as soon as the pieces left
+    cannot reach every agent it has not used.
     """
+    if n == 1:
+        return [(0,) * pieces]
     out = []
-    for assign in product(range(n), repeat=pieces):
-        if len(set(assign)) != n:
-            continue
-        if n >= 2 and any(a == b for a, b in zip(assign, assign[1:])):
-            continue
-        out.append(assign)
+    owners = [0] * pieces
+
+    def extend(j: int, used: frozenset) -> None:
+        if n - len(used) > pieces - j:
+            return
+        if j == pieces:
+            out.append(tuple(owners))
+            return
+        previous = owners[j - 1] if j else -1
+        for a in range(n):
+            if a != previous:
+                owners[j] = a
+                extend(j + 1, used | {a})
+
+    extend(0, frozenset())
     return out
 
 
@@ -160,8 +172,8 @@ def feasible_with_k_cuts(
             assign = maps[m]
             constraints = _oracle_system(table, cells, assign)
             if check_feasible(k, constraints):
-                witness = solve_feasibility(k, constraints).witness
-                allocation = _allocation_from_cuts(n, witness, assign)
+                t = solve_feasibility(k, constraints).witness
+                allocation = _allocation_from_cuts(n, table.to_cuts(cells, t), assign)
                 return CutBudgetCertificate(digest, k, True, allocation, examined + m + 1)
         examined += len(maps)
     return CutBudgetCertificate(digest, k, False, None, examined)
@@ -236,7 +248,8 @@ def _prefiltered_maps(maps, lcp, skip, lo_idx, hi_idx, table):
 
 
 def _oracle_system(table, cells, assign):
-    """Linear constraints over the k cut variables for one combination.
+    """Integer constraints over the k cuts' cell coordinates for one
+    combination.
 
     Piece j runs from cut j-1 to cut j, with the cake's ends 0 and 1 closing
     the first and the last piece, so cut j enters the value of piece j's
@@ -245,9 +258,9 @@ def _oracle_system(table, cells, assign):
     """
     k = len(cells)
     constraints = []
-    for i, threshold in enumerate(table.thresholds):
+    for i, threshold in enumerate(table.int_thresholds):
         signs = [(assign[j] == i) - (assign[j + 1] == i) for j in range(k)]
-        total = table.prefix[i][-1] if assign[k] == i else ZERO
+        total = table.int_prefix[i][-1] if assign[k] == i else 0
         coeffs, const = table.value_row(i, cells, signs, total)
         constraints.append((coeffs, GE, threshold - const))
     return constraints + table.placement_rows(cells)

@@ -5,17 +5,22 @@ points, weakly increasing along the cake, each placed in a cell of the
 refinement of all agents' breakpoints.  Both screen each placement with
 interval arithmetic and hand the placements that pass to the exact solver.
 This module owns what the two share: the refinement, each agent's prefix
-values at its edges and density in its cells, the same prefix rows and the
-agents' thresholds scaled to integers for the screen, and the rows of the
-linear system over the cut positions.
+values at its edges and its threshold, both scaled to integers, and the
+integer rows of the linear system over the cuts.
 
-A cut at x in cell c (edges[c] <= x <= edges[c+1]) enters agent i's prefix
-value through the affine term
+The rows are written in cell coordinates.  A cut in cell c is
 
-    F_i(x) = d * x + (F_i(edges[c]) - d * edges[c]),   d = density of i in c,
+    x = edges[c] + w_c * t,   w_c = edges[c+1] - edges[c],   0 <= t <= 1,
 
-so once each cut's cell is fixed, any signed sum of prefix values at the
-cuts is linear in the cut positions.
+and an agent's density is constant in the cell, so with P the agent's
+integer prefix row its scaled prefix value at the cut is
+
+    P[c] + (P[c+1] - P[c]) * t.
+
+Once each cut's cell is fixed, any signed sum of prefix values at the cuts
+is an integer row over the t's.  The map from t to x is increasing in each
+coordinate, so it keeps the feasible set's lexicographic order, and
+``to_cuts`` turns the solver's lex-minimal t into the lex-minimal cuts.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from math import comb, lcm
 from typing import Sequence
 
 from .feasibility import GE, LE
-from .model import ONE, ZERO, Valuation
+from .model import Valuation
 
 
 def tuple_count(cells: int, k: int) -> int:
@@ -39,26 +44,25 @@ class CellTable:
     ``shares[i]`` times the agent's total.
 
     ``edges`` are the refinement's sorted edges and ``cells`` its cell
-    count.  ``prefix[i][e]`` is agent i's value of [0, edges[e]],
-    ``terms[i][c]`` the (slope, offset) of agent i's prefix value for a cut
-    in cell c.  ``int_prefix[i]`` and ``int_thresholds[i]`` are agent i's
-    prefix row and threshold times the lcm of their denominators: a positive
-    factor, so comparing sums of prefix differences with the threshold gives
-    the same outcome on either scale.
+    count.  ``totals[i]`` and ``thresholds[i]`` are agent i's total and
+    threshold.  ``int_prefix[i][e]`` and ``int_thresholds[i]`` are agent
+    i's value of [0, edges[e]] and its threshold times the lcm of their
+    denominators: a positive factor, so comparing sums of prefix
+    differences with the threshold gives the same outcome on either scale.
     """
 
     def __init__(self, valuations: Sequence[Valuation], shares: Sequence[Fraction]):
         edges = sorted({b for v in valuations for b in v.breakpoints})
         self.edges = edges
         self.cells = len(edges) - 1
-        self.prefix = [[v.cumulative(e) for e in edges] for v in valuations]
-        self.thresholds = [s * row[-1] for s, row in zip(shares, self.prefix)]
-        self.terms = []
+        self.totals, self.thresholds = [], []
         self.int_prefix, self.int_thresholds = [], []
-        for v, row, t in zip(valuations, self.prefix, self.thresholds):
-            densities = [v.density_at(e) for e in edges[:-1]]
-            self.terms.append([(d, p - d * e) for d, p, e in zip(densities, row, edges)])
+        for v, share in zip(valuations, shares):
+            row = [v.cumulative(e) for e in edges]
+            t = share * row[-1]
             scale = lcm(t.denominator, *(p.denominator for p in row))
+            self.totals.append(row[-1])
+            self.thresholds.append(t)
             self.int_prefix.append([p.numerator * (scale // p.denominator) for p in row])
             self.int_thresholds.append(t.numerator * (scale // t.denominator))
 
@@ -66,34 +70,39 @@ class CellTable:
         """Weakly increasing cut-cell tuples of length k, lexicographically."""
         return combinations_with_replacement(range(self.cells), k)
 
-    def value_row(self, i: int, cells: Sequence[int], signs: Sequence, const: Fraction):
-        """Agent i's value  const + sum_j signs[j] * F_i(x_j)  with cut j in
-        cell cells[j], as (coefficients over the cuts, constant)."""
-        terms = self.terms[i]
+    def value_row(self, i: int, cells: Sequence[int], signs: Sequence[int], const: int):
+        """Agent i's scaled value  const + sum_j signs[j] * P(cut j)  with
+        cut j in cell cells[j], as (integer coefficients over the t's,
+        integer constant)."""
+        row = self.int_prefix[i]
         coeffs = []
         for s, c in zip(signs, cells):
             if s:
-                d, offset = terms[c]
-                coeffs.append(s * d)
-                const += s * offset
+                coeffs.append(s * (row[c + 1] - row[c]))
+                const += s * row[c]
             else:
-                coeffs.append(ZERO)
+                coeffs.append(0)
         return coeffs, const
 
     def placement_rows(self, cells: Sequence[int]) -> list:
-        """Each cut inside its cell's box, and cuts sharing a cell in order."""
+        """Each cut inside its cell (0 <= t_j <= 1), and cuts sharing a cell
+        in order."""
         k = len(cells)
-        edges = self.edges
         rows = []
-        for j, c in enumerate(cells):
-            unit = [ZERO] * k
-            unit[j] = ONE
-            rows.append((unit, GE, edges[c]))
-            rows.append((unit, LE, edges[c + 1]))
+        for j in range(k):
+            unit = [0] * k
+            unit[j] = 1
+            rows.append((unit, GE, 0))
+            rows.append((unit, LE, 1))
         for j in range(k - 1):
             if cells[j] == cells[j + 1]:
-                row = [ZERO] * k
-                row[j] = ONE
-                row[j + 1] = -ONE
-                rows.append((row, LE, ZERO))
+                row = [0] * k
+                row[j] = 1
+                row[j + 1] = -1
+                rows.append((row, LE, 0))
         return rows
+
+    def to_cuts(self, cells: Sequence[int], t: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """The cut positions of cell coordinates ``t``."""
+        edges = self.edges
+        return tuple(edges[c] + (edges[c + 1] - edges[c]) * tc for c, tc in zip(cells, t))

@@ -2,16 +2,23 @@
 
 The solver answers "is this system of linear constraints satisfiable?" and,
 when it is, produces the lexicographically minimal solution (minimize x1,
-then x2 subject to that minimum, and so on).  All arithmetic is exact
-Fraction arithmetic; there is no tolerance anywhere.
+then x2 subject to that minimum, and so on).  All arithmetic is exact;
+there is no tolerance anywhere.
 
-Each system is reduced once.  Equality constraints are eliminated by
-substitution, which leaves inequalities over the remaining free variables.
-An inequality that touches a single free variable becomes a lower or upper
-bound on it, and the tightest bound on each side wins.  Only inequalities
-over two or more free variables stay as rows (in the systems the splitter
-and the oracle build, the value rows and the ordering rows); each gets a
-slack variable bounded below by zero.
+Each row is scaled once to plain integers, by the positive lcm of the
+denominators of its numbers, which keeps its solution set.  Each system is
+then reduced once, over the integers.  Equality constraints are eliminated
+fraction-free: substituting solved variables into a row multiplies it by
+the lcm of their denominators, and a solved variable is kept as
+den * x_v = const - sum(a * x) with den > 0, every row and solution
+divided by the gcd of its numbers (after Bareiss 1968).  So equalities that
+contradict each other are refuted without building a single rational.
+This leaves integer inequalities over the remaining free variables.  An
+inequality that touches a single free variable becomes a lower or upper
+bound on it, the first Fraction of the reduction, and the tightest bound
+on each side wins.  Only inequalities over two or more free variables stay
+as rows (in the systems the splitter and the oracle build, the value rows
+and the ordering rows); each gets a slack variable bounded below by zero.
 
 What is left goes to a bounded-variable exact simplex.  Every column is
 either basic or non-basic at one of its bounds; a column with no bound at
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalCheckFailed, UnboundedLexMin
@@ -51,29 +59,51 @@ class FeasibilityResult:
 
 
 def _normalize(num_vars: int, constraints: Iterable) -> list:
-    """Rows (coeffs, relation, rhs) with every number coerced to an exact
-    rational and the relation one of <=, = and >=."""
+    """Rows (coeffs, relation, rhs) over plain ints, with the relation one
+    of <=, = and >=.
+
+    A row holding anything but ints is coerced to exact rationals (floats
+    raise TypeError) and multiplied by the positive lcm of their
+    denominators, which keeps its solution set.
+    """
     rows = []
     for coeffs, rel, rhs in constraints:
-        # the enumeration loops pass Fractions only, so the type test spares
-        # them a call per number
-        coeffs = [c if type(c) is Fraction else as_rational(c) for c in coeffs]
         if len(coeffs) != num_vars:
             raise ValueError(f"constraint has {len(coeffs)} coefficients, expected {num_vars}")
         if rel not in _RELATIONS:
             raise ValueError(f"relation must be one of {_RELATIONS}, got {rel!r}")
-        rows.append((coeffs, rel, rhs if type(rhs) is Fraction else as_rational(rhs)))
+        # the enumeration loops pass ints only, so the type test spares them
+        # the scaling
+        if {*map(type, coeffs), type(rhs)} != {int}:
+            row = [q if type(q) is int or type(q) is Fraction else as_rational(q)
+                   for q in (*coeffs, rhs)]
+            scale = lcm(*(q.denominator for q in row))
+            *coeffs, rhs = [q.numerator * (scale // q.denominator) for q in row]
+        rows.append((coeffs, rel, rhs))
     return rows
 
 
+def _reduced(expr: dict, *rest: int) -> tuple:
+    """Divide an integer row (its coefficients and the numbers in ``rest``)
+    by the gcd of all of them; returns (expr, *rest)."""
+    g = gcd(*rest, *expr.values())
+    if g > 1:
+        expr = {k: c // g for k, c in expr.items()}
+        rest = tuple(q // g for q in rest)
+    return (expr, *rest)
+
+
 def _eliminate_equalities(num_vars: int, rows: Sequence) -> Optional[tuple]:
-    """Substitute equalities away.
+    """Substitute equalities away, over the integers.
 
     Returns (free_vars, ineqs, solved) where ``solved`` maps an eliminated
-    variable to an affine expression (const, {free_var: coeff}) over the
-    free variables, and ``ineqs`` are sparse rows  expr . x <= rhs  touching
-    free variables only.  Returns None if the equalities alone are
-    inconsistent.
+    variable v to (den, const, expr) with den > 0 and
+
+        den * x_v = const - sum(expr[k] * x_k)
+
+    over the free variables k, and ``ineqs`` are sparse integer rows
+    expr . x <= rhs touching free variables only.  Returns None if the
+    equalities alone are inconsistent.
     """
     eqs = []
     raw_ineqs = []
@@ -83,53 +113,61 @@ def _eliminate_equalities(num_vars: int, rows: Sequence) -> Optional[tuple]:
         else:
             raw_ineqs.append((coeffs, rel, rhs))
 
-    solved: dict[int, tuple[Fraction, dict[int, Fraction]]] = {}
+    solved: dict[int, tuple[int, int, dict[int, int]]] = {}
 
-    def substitute(coeffs):
-        """Rewrite a dense row over the not-yet-eliminated variables,
-        returning (expr, constant contributed by solved variables)."""
-        const = ZERO
-        expr: dict[int, Fraction] = {}
-        for j, c in enumerate(coeffs):
-            if not c:
-                continue
-            if j in solved:
-                s_const, s_expr = solved[j]
-                const += c * s_const
-                for k, sc in s_expr.items():
-                    expr[k] = expr.get(k, ZERO) + c * sc
+    def substitute(coeffs, rhs):
+        """Rewrite  coeffs . x (rel) rhs  over the not-yet-eliminated
+        variables: the row times the lcm of the denominators of the solved
+        variables it touches (a positive factor), as (expr, rhs)."""
+        hits = [(j, c) for j, c in enumerate(coeffs) if c]
+        scale = lcm(*(solved[j][0] for j, _ in hits if j in solved))
+        rhs *= scale
+        expr: dict[int, int] = {}
+        for j, c in hits:
+            s = solved.get(j)
+            if s is None:
+                expr[j] = expr.get(j, 0) + c * scale
             else:
-                expr[j] = expr.get(j, ZERO) + c
-        return {k: c for k, c in expr.items() if c}, const
+                den, const, s_expr = s
+                f = c * (scale // den)
+                rhs -= f * const
+                for k, a in s_expr.items():
+                    expr[k] = expr.get(k, 0) - f * a
+        return _reduced({k: c for k, c in expr.items() if c}, rhs)
 
     for coeffs, rhs in eqs:
-        expr, const = substitute(coeffs)
-        rhs = rhs - const
+        expr, rhs = substitute(coeffs, rhs)
         if not expr:
-            if rhs != ZERO:
+            if rhs:
                 return None
             continue
         pivot = min(expr)
-        pc = expr.pop(pivot)
-        p_const = rhs / pc
-        p_expr = {k: -c / pc for k, c in expr.items()}
-        for var, (s_const, s_expr) in list(solved.items()):
-            if pivot in s_expr:
-                w = s_expr.pop(pivot)
-                s_const += w * p_const
-                for k, c in p_expr.items():
-                    s_expr[k] = s_expr.get(k, ZERO) + w * c
-                solved[var] = (s_const, {k: c for k, c in s_expr.items() if c != ZERO})
-        solved[pivot] = (p_const, dict(p_expr))
+        den = expr.pop(pivot)
+        if den < 0:
+            den, rhs = -den, -rhs
+            expr = {k: -c for k, c in expr.items()}
+        # den * x_pivot = rhs - expr . x; put it into every earlier solution
+        for var, (s_den, s_const, s_expr) in list(solved.items()):
+            w = s_expr.get(pivot)
+            if w is None:
+                continue
+            new = {k: den * a for k, a in s_expr.items() if k != pivot}
+            for k, a in expr.items():
+                new[k] = new.get(k, 0) - w * a
+            new, s_den, s_const = _reduced(
+                {k: a for k, a in new.items() if a}, den * s_den, den * s_const - w * rhs
+            )
+            solved[var] = (s_den, s_const, new)
+        solved[pivot] = (den, rhs, expr)
 
     free = [j for j in range(num_vars) if j not in solved]
     ineqs = []
     for coeffs, rel, rhs in raw_ineqs:
-        expr, const = substitute(coeffs)
+        expr, rhs = substitute(coeffs, rhs)
         if rel == LE:
-            ineqs.append((expr, rhs - const))
+            ineqs.append((expr, rhs))
         else:
-            ineqs.append(({k: -c for k, c in expr.items()}, const - rhs))
+            ineqs.append(({k: -c for k, c in expr.items()}, -rhs))
     return free, ineqs, solved
 
 
@@ -318,13 +356,13 @@ def _decide(num_vars: int, rows: list) -> Optional[tuple]:
         elif expr:
             (v, c), = expr.items()
             p = col[v]
-            bound = rhs / c
-            if c > ZERO:
+            bound = Fraction(rhs, c)
+            if c > 0:
                 if hi[p] is None or bound < hi[p]:
                     hi[p] = bound
             elif lo[p] is None or bound > lo[p]:
                 lo[p] = bound
-        elif rhs < ZERO:
+        elif rhs < 0:
             return None
     if any(l is not None and h is not None and l > h for l, h in zip(lo, hi)):
         return None
@@ -359,7 +397,8 @@ def solve_feasibility(num_vars: int, constraints: Iterable) -> FeasibilityResult
     col, solved, tableau = decided
     for var in range(num_vars):
         if var in solved:
-            objective = {col[v]: c for v, c in solved[var][1].items()}
+            # minimizing x_var is minimizing -expr . x, up to the factor 1/den
+            objective = {col[v]: -c for v, c in solved[var][2].items()}
         else:
             objective = {col[var]: ONE}
         costs = tableau.reduced_costs(objective)
@@ -370,8 +409,10 @@ def solve_feasibility(num_vars: int, constraints: Iterable) -> FeasibilityResult
     witness = []
     for var in range(num_vars):
         if var in solved:
-            const, expr = solved[var]
-            witness.append(const + sum((c * x[col[v]] for v, c in expr.items()), ZERO))
+            den, const, expr = solved[var]
+            # rest starts as a Fraction, so no int is divided by an int here
+            rest = sum((c * x[col[v]] for v, c in expr.items()), ZERO)
+            witness.append((const - rest) / den)
         else:
             witness.append(x[col[var]])
     for coeffs, rel, rhs in rows:

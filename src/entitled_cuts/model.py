@@ -20,8 +20,6 @@ Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-TOPOLOGIES = ("interval", "pie")
-
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -272,8 +270,10 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "valuations", tuple(self.valuations))
         object.__setattr__(self, "entitlements", tuple(as_rational(t) for t in self.entitlements))
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
+        # the cake is the interval [0, 1]: no protocol, cut count or oracle
+        # treats it as a circle, so a "pie" would be counted as an interval
+        if self.topology != "interval":
+            raise ValueError(f"topology must be 'interval', got {self.topology!r}")
         if len(self.valuations) < 1:
             raise ValueError("need at least one agent")
         if len(self.valuations) != len(self.entitlements):
@@ -306,11 +306,8 @@ class Allocation:
 
 
 def boundary_points(allocation: Allocation) -> tuple[Fraction, ...]:
-    """Distinct interior endpoints of the pieces' maximal intervals.
-
-    0 and 1 never count, so a pie cake glued at 0 == 1 gets that boundary
-    for free.
-    """
+    """Distinct interior endpoints of the pieces' maximal intervals; the
+    cake's ends 0 and 1 never count."""
     points = set()
     for region in allocation.pieces:
         for iv in region.intervals:

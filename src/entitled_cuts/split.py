@@ -11,8 +11,9 @@ equations plus ordering and cell-box constraints.  The first feasible
 system in the canonical order (m ascending, then origin-outside before
 origin-inside, then lexicographic cell assignments, then the lex-minimal
 witness) wins, so results are fully deterministic.  The refinement tables,
-the integer rows of the interval prefilter and the rows of each system come
-from ``cells``, which the cut oracle shares.
+the integer rows of the interval prefilter and the integer rows of each
+system, in cell coordinates, come from ``cells``, which the cut oracle
+shares.
 """
 
 from __future__ import annotations
@@ -191,8 +192,7 @@ def exact_split(req: SplitRequest, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitR
         raise BudgetExceeded(
             f"split enumeration would visit more than {budget} systems"
         )
-    totals = [row[-1] for row in table.prefix]
-    targets = table.thresholds
+    totals, targets = table.totals, table.thresholds
     int_totals = [row[-1] for row in table.int_prefix]
 
     m_max = max(1, n - 1)
@@ -200,18 +200,18 @@ def exact_split(req: SplitRequest, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitR
         k = 2 * m
         for origin_inside in (False, True):
             signs = _arc_signs(k, origin_inside)
-            base = totals if origin_inside else [ZERO] * n
-            int_base = int_totals if origin_inside else [0] * n
+            base = int_totals if origin_inside else [0] * n
             for cells in table.tuples(k):
-                if not _within_reach(table, cells, signs, int_base):
+                if not _within_reach(table, cells, signs, base):
                     continue
                 constraints = []
-                for i, target in enumerate(targets):
+                for i, target in enumerate(table.int_thresholds):
                     coeffs, const = table.value_row(i, cells, signs, base[i])
                     constraints.append((coeffs, EQ, target - const))
                 constraints += table.placement_rows(cells)
                 if check_feasible(k, constraints):
-                    witness = solve_feasibility(k, constraints).witness
+                    t = solve_feasibility(k, constraints).witness
+                    witness = table.to_cuts(cells, t)
                     flat_part = Region(_part_intervals(witness, origin_inside, length))
                     if pie_arc_count(flat_part, length) > m:
                         raise InternalCheckFailed(f"split part uses more than {m} arcs")
@@ -228,7 +228,7 @@ def exact_split(req: SplitRequest, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitR
     )
 
 
-def _within_reach(table: CellTable, cells, signs, int_base) -> bool:
+def _within_reach(table: CellTable, cells, signs, base) -> bool:
     """Interval prefilter on the integer-scaled prefix rows.
 
     With the cuts anywhere in their cells (ordering ignored, so this is a
@@ -236,7 +236,7 @@ def _within_reach(table: CellTable, cells, signs, int_base) -> bool:
     cut with sign + adds at least F(left edge), one with sign - at least
     -F(right edge), and each cut widens the range by its cell's value.
     """
-    for row, target, lo in zip(table.int_prefix, table.int_thresholds, int_base):
+    for row, target, lo in zip(table.int_prefix, table.int_thresholds, base):
         width = 0
         for s, c in zip(signs, cells):
             lo += row[c] if s > 0 else -row[c + 1]

@@ -20,9 +20,9 @@ def pw(breakpoints: str, densities: str) -> Valuation:
     )
 
 
-def make_instance(valuations, entitlements, topology="interval") -> Instance:
+def make_instance(valuations, entitlements) -> Instance:
     return Instance(
-        topology,
+        "interval",
         tuple(valuations),
         tuple(Fraction(t) for t in entitlements),
     )

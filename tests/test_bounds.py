@@ -104,6 +104,28 @@ class TestOracle:
                 full = _reference_certificate(inst, k, _unpruned_maps(inst.n, k + 1))
                 assert pruned.feasible == full.feasible, (instance_digest(inst), k)
 
+    @pytest.mark.parametrize("inst, k", [
+        (gen_lower_bound_instance(2), 2),
+        (gen_lower_bound_instance(3), 4),
+        (random_instance(3, 4107), 3),
+    ])
+    def test_witness_cuts_are_fractions(self, inst, k):
+        # cuts come back from cell coordinates; an int / int there is a float
+        cert = feasible_with_k_cuts(inst, k)
+        assert cert.feasible
+        for piece in cert.allocation.pieces:
+            for iv in piece.intervals:
+                assert type(iv.lo) is F and type(iv.hi) is F, iv
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_agent_maps_match_product_and_filter(self, n):
+        for pieces in range(1, 8):
+            expected = [
+                a for a in _unpruned_maps(n, pieces)
+                if n == 1 or all(x != y for x, y in zip(a, a[1:]))
+            ]
+            assert _agent_maps(n, pieces) == expected, (n, pieces)
+
     def test_deterministic_certificates(self):
         inst = gen_lower_bound_instance(2)
         assert feasible_with_k_cuts(inst, 2) == feasible_with_k_cuts(inst, 2)

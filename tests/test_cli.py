@@ -132,6 +132,17 @@ class TestSolve:
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("command", [["solve"], ["min-cuts", "--k-max", "2"]])
+    def test_pie_topology_exit_1(self, tmp_path, capsys, uniform, command):
+        doc = instance_to_document(make_instance([uniform, uniform], ["1/2", "1/2"]))
+        doc["topology"] = "pie"
+        path = tmp_path / "pie.json"
+        path.write_text(dumps(doc))
+        out = tmp_path / "out.json"
+        assert main([command[0], str(path), *command[1:], "-o", str(out)]) == 1
+        assert "topology must be 'interval'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_exit_1(self, tmp_path, capsys):
         inst_path = write_instance(tmp_path / "i.json", gen_lower_bound_instance(2))
         missing_dir = str(tmp_path / "no-such-dir" / "out.json")

@@ -466,3 +466,136 @@ def test_generator_input_matches_list_and_is_rechecked(monkeypatch):
         solve_feasibility(3, rows)
     with pytest.raises(InternalCheckFailed):
         solve_feasibility(3, (row for row in rows))
+
+
+# ---- exact types: an int divided by an int with / is a float, and a float
+# witness can still pass the exact re-check (2 * 0.5 >= 1)
+
+
+@pytest.mark.parametrize("num_vars, rows", [
+    # one-variable bound
+    (1, [((2,), GE, 1)]),
+    # a variable solved by an equality with no free variable left
+    (1, [((3,), EQ, 1)]),
+    # x1 solved as 1 - x2, x2 bounded through it
+    (2, [((1, 1), EQ, 1), ((2, 0), GE, 1), ((1, 0), LE, 1)]),
+    # the simplex, with a column that has no bound at all
+    (2, [((1, 0), GE, 0), ((1, -1), LE, 5), ((1, 1), GE, 1)]),
+    # int and Fraction numbers in one system
+    (2, [((1, F(1, 2)), GE, 1), ((0, 3), LE, 2), ((3, 0), LE, 7), ((1, 0), GE, 0)]),
+])
+def test_witness_coordinates_are_fractions(num_vars, rows):
+    witness = solve_feasibility(num_vars, rows).witness
+    assert witness is not None
+    assert all(type(c) is F for c in witness), witness
+    assert witness == _fm_lex_min(num_vars, _exact(rows))[0]
+
+
+# ---- the fraction-free elimination against Fourier-Motzkin
+
+# pairwise coprime denominators, up to 10**6
+_BIG = (1_000_000, 999_999, 999_983, 999_979, 524_287, 65_537)
+
+
+def _exact(rows):
+    """The same system with every number a Fraction: the reference divides
+    with /, which on two ints would give a float."""
+    return [(tuple(F(c) for c in coeffs), rel, F(rhs)) for coeffs, rel, rhs in rows]
+
+
+def _assert_matches_fourier_motzkin(n, rows):
+    """Decision and full witness against the reference; returns the
+    decision."""
+    reference = _exact(rows)
+    feasible = _fm_feasible(n, reference)
+    assert check_feasible(n, rows) == feasible
+    result = solve_feasibility(n, rows)
+    assert result.feasible == feasible
+    if feasible:
+        assert result.witness == _fm_lex_min(n, reference)[0]
+        assert all(type(c) is F for c in result.witness)
+    return feasible
+
+
+def _int_box(n, lo, hi):
+    rows = []
+    for v in range(n):
+        unit = tuple(int(j == v) for j in range(n))
+        rows += [(unit, GE, lo), (unit, LE, hi)]
+    return rows
+
+
+@pytest.mark.parametrize("n, rows, feasible", [
+    pytest.param(2, [((1, F(1, 2)), EQ, 1), ((F(2, 3), 1), GE, F(1, 3))]
+                 + _int_box(2, -2, 2), True, id="mixed-int-and-fraction"),
+    pytest.param(2, [((1, 1), EQ, 1), ((2, 2), EQ, 2), ((F(1, 3), F(1, 3)), EQ, F(1, 3))]
+                 + _int_box(2, 0, 1), True, id="dependent-consistent"),
+    pytest.param(3, [((1, 1, 1), EQ, 1), ((1, -1, 0), EQ, 0), ((2, 0, 1), EQ, 1)]
+                 + _int_box(3, 0, 1), True, id="dependent-after-back-substitution"),
+    pytest.param(2, [((1, 1), EQ, 1), ((2, 2), EQ, 3)] + _int_box(2, 0, 1),
+                 False, id="inconsistent"),
+    pytest.param(3, [((1, 1, 1), EQ, 1), ((1, -1, 0), EQ, 0), ((2, 0, 1), EQ, 2)]
+                 + _int_box(3, 0, 1), False, id="inconsistent-after-back-substitution"),
+    pytest.param(3, [((2, 1, 0), EQ, 1), ((0, 3, -1), EQ, F(1, 2)), ((1, 0, 5), EQ, 2)]
+                 + _int_box(3, -1, 1), True, id="every-variable-eliminated"),
+    pytest.param(3, [((2, 1, 0), EQ, 1), ((0, 3, -1), EQ, F(1, 2)), ((1, 0, 5), EQ, 2)]
+                 + _int_box(3, 0, F(1, 10)), False, id="every-variable-eliminated-outside-box"),
+    pytest.param(2, [((0, F(0)), LE, 0), ((F(0), 0), EQ, 0), ((0, 0), GE, -1)]
+                 + _int_box(2, 0, 1), True, id="zero-rows-that-hold"),
+    pytest.param(2, [((0, F(0)), GE, 1)] + _int_box(2, 0, 1), False, id="zero-row-ge"),
+    pytest.param(2, [((F(0), 0), EQ, F(1, 999_983))] + _int_box(2, 0, 1), False,
+                 id="zero-row-eq"),
+    pytest.param(3, [((F(1, _BIG[0]), F(1, _BIG[1]), F(1, _BIG[2])), EQ, F(1, _BIG[3])),
+                     ((F(3, _BIG[4]), F(-2, _BIG[5]), 0), GE, F(-1, _BIG[2]))]
+                 + _int_box(3, 0, 1), True, id="coprime-denominators"),
+    pytest.param(2, [((F(1, _BIG[0]), F(1, _BIG[1])), EQ, F(1, _BIG[2])),
+                     ((F(1, _BIG[0]), F(1, _BIG[1])), EQ, F(1, _BIG[3]))]
+                 + _int_box(2, 0, 1), False, id="coprime-denominators-inconsistent"),
+])
+def test_fraction_free_elimination_examples(n, rows, feasible):
+    assert _assert_matches_fourier_motzkin(n, rows) == feasible
+
+
+def _mixed_number(data, bound=2):
+    """An int, or a Fraction with a small or a large coprime denominator."""
+    kind = data.draw(st.sampled_from(["int", "small", "large"]))
+    if kind == "int":
+        return data.draw(st.integers(min_value=-bound, max_value=bound))
+    den = data.draw(st.sampled_from((2, 3, 4, 6) if kind == "small" else _BIG))
+    return F(data.draw(st.integers(min_value=-bound * den, max_value=bound * den)), den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fraction_free_elimination_matches_fourier_motzkin(data):
+    """Systems that mix int rows, Fraction rows and rows holding both, with
+    equalities that hold at an anchor point, dependent equalities that are
+    consistent or shifted off, up to one equality per variable, all-zero
+    rows, and denominators up to 10**6; boxes keep every lex step bounded."""
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    point = [data.draw(st.fractions(min_value=-1, max_value=1, max_denominator=6))
+             for _ in range(n)]
+    rows = []
+    for v in range(n):
+        unit = tuple(int(j == v) if data.draw(st.booleans()) else F(int(j == v))
+                     for j in range(n))
+        rows.append((unit, GE, point[v] - data.draw(st.sampled_from([0, 1, F(1, 3)]))))
+        rows.append((unit, LE, point[v] + data.draw(st.sampled_from([0, 1, F(1, 999_983)]))))
+    eqs = []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=n))):
+        coeffs = tuple(_mixed_number(data) for _ in range(n))
+        eqs.append((coeffs, EQ, sum(c * x for c, x in zip(coeffs, point))))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2)) if eqs else 0):
+        (a, _, ra), (b, _, rb) = data.draw(st.sampled_from(eqs)), data.draw(st.sampled_from(eqs))
+        lam, mu = _mixed_number(data), _mixed_number(data)
+        shift = data.draw(st.sampled_from([0, 0, 1, F(1, 999_979)]))
+        eqs.append((tuple(lam * p + mu * q for p, q in zip(a, b)), EQ, lam * ra + mu * rb + shift))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        zeros = tuple(data.draw(st.sampled_from([0, F(0)])) for _ in range(n))
+        rows.append((zeros, data.draw(st.sampled_from([LE, EQ, GE])),
+                     data.draw(st.sampled_from([0, 1, -1, F(1, 524_287)]))))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        coeffs = tuple(_mixed_number(data) for _ in range(n))
+        rows.append((coeffs, data.draw(st.sampled_from([LE, GE])), _mixed_number(data)))
+    rows = data.draw(st.permutations(rows + eqs))
+    _assert_matches_fourier_motzkin(n, rows)

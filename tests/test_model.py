@@ -200,5 +200,8 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance("moebius", (uniform,), (F(1),))
 
-    def test_pie_topology_accepted(self, uniform):
-        assert Instance("pie", (uniform,), (F(1),)).topology == "pie"
+    def test_pie_topology_rejected(self, uniform):
+        # a pie was counted as an interval: halves reported 1 cut, not 2
+        with pytest.raises(ValueError, match="topology must be 'interval'"):
+            Instance("pie", (uniform,), (F(1),))
+        assert Instance("interval", (uniform,), (F(1),)).topology == "interval"

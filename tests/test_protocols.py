@@ -76,12 +76,6 @@ class TestRecursiveDivide:
             assert len(report.cuts) <= upper_bound_cuts(n)
             assert verify_allocation(inst, report.allocation).passed
 
-    def test_pie_topology_handled_identically(self, uniform):
-        as_pie = Instance("pie", (uniform, uniform), (F(1, 3), F(2, 3)))
-        report = recursive_divide(as_pie)
-        assert_proportional(as_pie, report.allocation, exact=True)
-        assert verify_allocation(as_pie, report.allocation).passed
-
     def test_scale_invariance(self):
         inst = random_instance(3, 4242)
         scaled_vals = list(inst.valuations)

@@ -111,6 +111,17 @@ class TestExactSplit:
             if n >= 2:
                 assert pie_arc_count(res.part) <= n - 1
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_part_endpoints_are_fractions(self, n):
+        # cuts come back from cell coordinates; an int / int there is a float
+        rng = random.Random(31 * n)
+        for trial in range(4):
+            vals = tuple(random_valuation(rng, 3, 8) for _ in range(n))
+            subcake = FULL_CAKE if trial % 2 == 0 else region((0, F(3, 8)), (F(1, 2), 1))
+            res = exact_split(SplitRequest(vals, subcake, F(rng.randint(1, 7), 8)))
+            for iv in res.part.intervals + res.complement.intervals:
+                assert type(iv.lo) is F and type(iv.hi) is F, iv
+
     def test_wrap_part_counts_as_one_arc(self):
         # the part that hugs both endpoints is a single arc on the pie
         assert pie_arc_count(region((0, F(1, 8)), (F(7, 8), 1))) == 1
