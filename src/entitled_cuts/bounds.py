@@ -1,20 +1,25 @@
 """Lower-bound instance family and the exhaustive minimal-cut oracle.
 
 The oracle decides, for a concrete instance and cut budget k, whether any
-proportional allocation with at most k cuts exists.  It enumerates weakly
-increasing assignments of the k cut points to cells of the common
-breakpoint refinement, then piece-to-agent maps, and asks the exact
-feasibility solver per combination.  Decisions are exact and deterministic;
-an answer for a sampled instance says nothing about other instances.
+proportional allocation with at most k cuts exists.  Its combinations are
+a weakly increasing assignment of the k cut points to cells of the common
+breakpoint refinement, then a piece-to-agent map, and it asks the exact
+feasibility solver about them in canonical order: cut-cell tuples
+lexicographically, then maps lexicographically.  Decisions are exact and
+deterministic; an answer for a sampled instance says nothing about other
+instances.
 
-Before the solver, an interval prefilter bounds what each agent can get
-from its pieces given the cells the cuts lie in.  It runs on each agent's
-prefix table scaled to integers, and walks the lexicographically sorted
-maps owner by owner: as soon as the owners chosen so far leave some agent
-unable to reach its threshold even with every remaining piece, the whole
-block of maps sharing that prefix is counted as examined and skipped.
-The maps that reach the solver, their order, and ``systems_examined`` are
-those of a plain scan that runs the prefilter on every map.
+The oracle never lists the combinations.  It walks cut-cell prefixes
+depth first, and for each it keeps the owner prefixes of the pieces the
+placed cuts fix that could still end in a feasible system, judged by
+each agent's prefix table scaled to integers (see ``_first_feasible``).
+At a full tuple the test is the interval prefilter of a plain scan, so
+the systems that reach the solver are, in order, a subsequence of the
+plain scan's, and the first feasible one is the same.
+``systems_examined`` is the position of that combination in canonical
+order, or the number of all combinations, computed by counting and ranking
+tuples and maps rather than by visiting them.  The budget bounds the work
+actually done: owner prefixes kept plus solver calls.
 """
 
 from __future__ import annotations
@@ -22,10 +27,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from operator import sub
 from typing import Optional, Sequence
 
-from .cells import CellTable, tuple_count
+from .cells import CellTable, tuple_count, tuple_rank
 from .errors import BudgetExceeded, NotFoundWithin
 from .feasibility import GE, check_feasible, solve_feasibility
 from .model import (
@@ -87,37 +93,42 @@ class CutBudgetCertificate:
     systems_examined: int
 
 
-def _agent_maps(n: int, pieces: int) -> list[tuple[int, ...]]:
-    """Piece-to-agent maps in lexicographic order.
-
-    Maps leaving some agent empty-handed are dropped (every entitlement is
-    positive, so such a map cannot be proportional).  For n >= 2, maps
-    giving adjacent pieces to the same agent are dropped too: an allocation
-    with at most k real cuts always has an alternating-owner representation
-    (park unused cut points at 1 and alternate the empty pieces), so the
-    decision is unchanged.  The maps are generated depth-first, owners in
-    ascending order, and a prefix is abandoned as soon as the pieces left
-    cannot reach every agent it has not used.
-    """
+def _completions(n: int, unused: int, left: int) -> int:
+    """Owner sequences for the ``left`` pieces after a nonempty owner
+    prefix that leaves ``unused`` agents out: each piece's owner differs
+    from the previous piece's, and every unused agent appears.  By
+    inclusion-exclusion over the unused agents a sequence avoids, each
+    term counting the (n - 1 - t)^left sequences over the other owners.
+    With one agent there is one sequence: it owns every piece."""
     if n == 1:
-        return [(0,) * pieces]
-    out = []
-    owners = [0] * pieces
+        return 1
+    return sum((-1) ** t * comb(unused, t) * (n - 1 - t) ** left for t in range(unused + 1))
 
-    def extend(j: int, used: frozenset) -> None:
-        if n - len(used) > pieces - j:
-            return
-        if j == pieces:
-            out.append(tuple(owners))
-            return
-        previous = owners[j - 1] if j else -1
-        for a in range(n):
+
+def _map_count(n: int, pieces: int) -> int:
+    """Piece-to-agent maps the oracle ranges over: for n >= 2, those that
+    give every agent a piece and never give adjacent pieces to one agent.
+
+    Dropping the other maps keeps every decision: every entitlement is
+    positive, and an allocation with at most k real cuts always has an
+    alternating-owner representation (park unused cut points at 1 and
+    alternate the empty pieces).
+    """
+    return n * _completions(n, n - 1, pieces - 1)
+
+
+def _map_rank(n: int, assign: Sequence[int]) -> int:
+    """Position of ``assign`` among the maps of its length, which run in
+    lexicographic order."""
+    rank, used, previous = 0, 0, -1
+    for j, owner in enumerate(assign):
+        left = len(assign) - j - 1
+        for a in range(owner):
             if a != previous:
-                owners[j] = a
-                extend(j + 1, used | {a})
-
-    extend(0, frozenset())
-    return out
+                rank += _completions(n, n - (used | 1 << a).bit_count(), left)
+        used |= 1 << owner
+        previous = owner
+    return rank
 
 
 def feasible_with_k_cuts(
@@ -131,120 +142,145 @@ def feasible_with_k_cuts(
     feasibility monotone in k by construction.  The first feasible
     combination in canonical order (cut-cell assignments ascending, then
     piece maps ascending) yields the witness allocation via the
-    lex-minimal cut positions.  Raises BudgetExceeded, before examining
-    any system, when the full enumeration would exceed ``budget`` systems,
+    lex-minimal cut positions.  ``systems_examined`` is that combination's
+    position in canonical order, counting from 1, or the number of all
+    combinations when none is feasible.  Raises BudgetExceeded as soon as
+    the work done, owner prefixes kept plus LP calls, exceeds ``budget``,
     rather than ever returning an undecided status.
     """
     if k < 0:
         raise ValueError("cut budget must be nonnegative")
     n = instance.n
     digest = instance_digest(instance)
-    maps = _agent_maps(n, k + 1)
-
-    if k == 0:
-        examined = 0
-        for assign in maps:  # at most one map: everything to one agent
-            examined += 1
-            owner = assign[0]
-            if all(
-                (instance.valuations[i].total if i == owner else ZERO)
-                >= instance.entitlements[i] * instance.valuations[i].total
-                for i in range(n)
-            ):
-                return CutBudgetCertificate(
-                    digest, k, True, _allocation_from_cuts(n, (), assign), examined
-                )
-        return CutBudgetCertificate(digest, k, False, None, examined)
-
+    maps = _map_count(n, k + 1)
+    if not maps:  # fewer pieces than agents
+        return CutBudgetCertificate(digest, k, False, None, 0)
     table = CellTable(instance.valuations, instance.entitlements)
-    projected = tuple_count(table.cells, k) * len(maps)
-    if projected > budget:
-        raise BudgetExceeded(f"oracle would examine {projected} systems (cap {budget})")
-
-    lcp, skip = _prefix_blocks(maps)
-    examined = 0
-    for cells in table.tuples(k):
-        # cut j ranges over edge indices [lo_idx[j], hi_idx[j]]; the pinned
-        # boundary points 0 and 1 sit at both ends
-        lo_idx = (0,) + cells + (table.cells,)
-        hi_idx = (0,) + tuple(c + 1 for c in cells) + (table.cells,)
-        for m in _prefiltered_maps(maps, lcp, skip, lo_idx, hi_idx, table):
-            assign = maps[m]
-            constraints = _oracle_system(table, cells, assign)
-            if check_feasible(k, constraints):
-                t = solve_feasibility(k, constraints).witness
-                allocation = _allocation_from_cuts(n, table.to_cuts(cells, t), assign)
-                return CutBudgetCertificate(digest, k, True, allocation, examined + m + 1)
-        examined += len(maps)
-    return CutBudgetCertificate(digest, k, False, None, examined)
+    found = _first_feasible(table, k, budget)
+    if found is None:
+        return CutBudgetCertificate(digest, k, False, None, tuple_count(table.cells, k) * maps)
+    cells, assign, cuts = found
+    examined = tuple_rank(table.cells, cells) * maps + _map_rank(n, assign) + 1
+    return CutBudgetCertificate(digest, k, True, _allocation_from_cuts(n, cuts, assign), examined)
 
 
-def _prefix_blocks(maps):
-    """Shared-prefix structure of the lexicographically sorted maps.
+def _first_feasible(table: CellTable, k: int, budget: int):
+    """The first combination in canonical order whose system is feasible,
+    as (cut cells, owners, cut positions), or None.
 
-    lcp[m] is the length of the common prefix of maps[m-1] and maps[m]
-    (0 for m = 0).  skip[d][m] is the index just past the contiguous block
-    of maps that agree with maps[m] on their first d+1 owners.
+    A depth-first walk over cut-cell prefixes.  Once cuts 1..j lie in
+    cells c_1 <= ... <= c_j, pieces 0..j-1 are fixed: piece p spans at most
+    edge indices [c_p, c_{p+1} + 1] (c_0 = 0), so its gain
+    F_i(edges[c_{p+1} + 1]) - F_i(edges[c_p]) bounds what agent i can get
+    from it.  Each cell prefix keeps the frontier of owner prefixes for its
+    fixed pieces, ascending, each with every agent's slack: the gains of
+    the pieces it owns, plus F_i(1) - F_i(edges[c_j]), minus its threshold.
+    The pieces still to come lie in [edges[c_j], 1], so the second term
+    bounds what the agent can own of them, and an owner prefix with a
+    negative slack has no feasible completion.  Neither has one that
+    repeats an owner on adjacent pieces (for n >= 2) or leaves more agents
+    unused than pieces remain.  A cell prefix whose frontier is empty is
+    pruned with its subtree.  An owner prefix with two agents short at
+    cell c, or with one that may not own the next piece, stays so at every
+    later cell, since the second term only falls as c grows: the later
+    cells do without it, and once no owner prefix is left they are skipped.
+
+    At a full tuple the last piece gains exactly the remaining term, so a
+    map passes exactly when the gains of every agent's pieces reach its
+    threshold: the interval prefilter of a plain scan.  The maps that pass
+    go to the exact LP in canonical order.  The walk drops no feasible
+    system, so the first feasible one is the plain scan's.
+
+    The budget bounds the work done, owner prefixes kept plus LP calls,
+    and is checked as the work grows.
     """
-    count = len(maps)
-    pieces = len(maps[0]) if maps else 0
-    lcp = [0] * count
-    for m in range(1, count):
-        a, b = maps[m - 1], maps[m]
-        d = 0
-        while a[d] == b[d]:
-            d += 1
-        lcp[m] = d
-    skip = [[count] * count for _ in range(pieces)]
-    for d in range(pieces):
-        row = skip[d]
-        for m in range(count - 2, -1, -1):
-            row[m] = row[m + 1] if lcp[m + 1] > d else m + 1
-    return lcp, skip
+    n = len(table.int_thresholds)
+    pieces = k + 1
+    ncells = table.cells
+    # at[e][i]: agent i's scaled value of [0, edges[e]].  The last piece
+    # ends at a cut in cell ncells, whose two edges are both the cake's end.
+    at = [tuple(row[e] for row in table.int_prefix) for e in range(ncells + 1)]
+    at.append(at[-1])
+    # owners allowed after owner `last`; index n stands before the first piece
+    allowed = [
+        tuple(a for a in range(n) if a != last or n == 1) for last in range(n)
+    ] + [tuple(range(n))]
+    cells = [0] * k
+    work = 0
 
+    def spend(units: int, placed: int) -> None:
+        nonlocal work
+        work += units
+        if work > budget:
+            padded = cells[:placed] + [cells[placed - 1] if placed else 0] * (k - placed)
+            raise BudgetExceeded(
+                f"oracle budget of {budget} exceeded at k={k}: {work} units of work done "
+                f"(owner prefixes kept plus LP calls), at cut-cell tuple "
+                f"{tuple_rank(ncells, padded)} of {tuple_count(ncells, k)}"
+            )
 
-def _prefiltered_maps(maps, lcp, skip, lo_idx, hi_idx, table):
-    """Indices, ascending, of the maps that pass the interval prefilter.
+    def extend(frontier, lo: int, c: int, depth: int) -> tuple:
+        """The owner prefixes that extend ``frontier`` with an owner of
+        piece ``depth``, which spans edges [lo, c + 1], and the part of
+        ``frontier`` that may still extend at a later cell.  An owner
+        prefix is (slack, last owner, used agents as a bitmask, owners)."""
+        drop = list(map(sub, at[c], at[lo]))  # what the remaining term loses
+        gain = list(map(sub, at[c + 1], at[lo]))
+        need = n - (pieces - depth - 1)  # agents used once pieces 0..depth are owned
+        out, alive = [], []
+        for node in frontier:
+            slack, last, used, assign = node
+            base = list(map(sub, slack, drop))
+            low = min(base)
+            if low < 0:
+                # only the one agent short can own the piece, which makes
+                # up its shortfall: gain - drop is cell c's mass
+                a = base.index(low)
+                base[a] = 0
+                if min(base) < 0 or a not in allowed[last]:
+                    continue  # drop only grows with c
+                alive.append(node)
+                u = used | 1 << a
+                if u.bit_count() >= need:
+                    base[a] = low + gain[a]
+                    out.append((base, a, u, assign + (a,)))
+                continue
+            alive.append(node)
+            for a in allowed[last]:
+                u = used | 1 << a
+                if u.bit_count() >= need:
+                    child = base[:]
+                    child[a] += gain[a]
+                    out.append((child, a, u, assign + (a,)))
+        return out, alive
 
-    Piece j spans at most edge indices [lo_idx[j], hi_idx[j+1]], so its
-    gain F_i(hi) - F_i(lo) bounds what agent i can get from it.  Gains
-    need no clipping at 0: hi_idx[j+1] > lo_idx[j] and prefix rows never
-    fall.  A map passes when every agent's gains over its own pieces
-    reach the agent's threshold.  The walk keeps each agent's slack: gains
-    of the pieces it owns so far plus all gains still to come, minus its
-    threshold.  Slack only falls, so once some agent's slack is negative
-    after the first d+1 owners, every map sharing that prefix fails and
-    the whole block is skipped.
-    """
-    int_prefix, int_thresholds = table.int_prefix, table.int_thresholds
-    n = len(int_thresholds)
-    pieces = len(lo_idx) - 1
-    gains = [
-        [int_prefix[i][hi_idx[j + 1]] - int_prefix[i][lo_idx[j]] for i in range(n)]
-        for j in range(pieces)
-    ]
-    slack = [sum(column) - t for column, t in zip(zip(*gains), int_thresholds)]
-    if min(slack) < 0:
-        return
-    # losses[j][owner]: what each agent's slack drops by when piece j goes
-    # to owner; the owner keeps the gain, every other agent loses it
-    losses = [
-        [tuple(0 if i == owner else g[i] for i in range(n)) for owner in range(n)]
-        for g in gains
-    ]
-    slacks = [tuple(slack)] + [()] * pieces
-    m, count = 0, len(maps)
-    while m < count:
-        assign = maps[m]
-        for d in range(lcp[m], pieces):
-            s = tuple(map(sub, slacks[d], losses[d][assign[d]]))
-            if min(s) < 0:
-                m = skip[d][m]
+    def descend(depth: int, lo: int, frontier):
+        if depth == k:
+            # the last piece gains the whole remaining term, so its owner's
+            # slack stands and every other agent's falls by the term
+            for _, _, _, assign in extend(frontier, lo, ncells, k)[0]:
+                if k == 0:  # no cut variables: the bound is the exact value
+                    return (), assign, ()
+                spend(1, k)
+                constraints = _oracle_system(table, cells, assign)
+                if check_feasible(k, constraints):
+                    t = solve_feasibility(k, constraints).witness
+                    return tuple(cells), assign, table.to_cuts(cells, t)
+            return None
+        for c in range(lo, ncells):
+            children, frontier = extend(frontier, lo, c, depth)
+            if children:
+                cells[depth] = c
+                spend(len(children), depth + 1)
+                found = descend(depth + 1, c, children)
+                if found is not None:
+                    return found
+            if not frontier:
                 break
-            slacks[d + 1] = s
-        else:
-            yield m
-            m += 1
+        return None
+
+    root = (list(map(sub, at[-1], table.int_thresholds)), n, 0, ())
+    return descend(0, 0, [root])
 
 
 def _oracle_system(table, cells, assign):

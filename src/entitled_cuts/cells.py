@@ -39,6 +39,22 @@ def tuple_count(cells: int, k: int) -> int:
     return comb(cells + k - 1, k)
 
 
+def tuple_rank(cells: int, tup: Sequence[int]) -> int:
+    """Position of a weakly increasing tuple in ``CellTable.tuples`` order.
+
+    The tuples before it whose first j entries agree with it and whose
+    next entry is smaller are those of length k - j from cells >= tup[j-1]
+    less those from cells >= tup[j]: a difference of two tuple counts per
+    position (the combinatorial number system, shifted to allow repeats).
+    """
+    k = len(tup)
+    rank, low = 0, 0
+    for j, c in enumerate(tup):
+        rank += tuple_count(cells - low, k - j) - tuple_count(cells - c, k - j)
+        low = c
+    return rank
+
+
 class CellTable:
     """The refinement of ``valuations`` and, per agent, a threshold of
     ``shares[i]`` times the agent's total.

@@ -41,7 +41,8 @@ class NoSplitFound(EntitledCutsError, RuntimeError):
 
 
 class BudgetExceeded(EntitledCutsError, RuntimeError):
-    """An enumeration would examine (or has examined) too many systems."""
+    """An enumeration would examine too many systems (the splitter), or a
+    search has done more work than its budget allows (the oracle)."""
 
 
 class NotFoundWithin(EntitledCutsError):

@@ -188,6 +188,8 @@ def exact_split(req: SplitRequest, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitR
     n = len(req.valuations)
     length, flat_vals, fmap = flatten(req.subcake, req.valuations)
     table = CellTable(flat_vals, [req.ratio] * n)
+    # a projected count, checked up front: without a prefix walk the
+    # splitter screens every tuple it counts, so the count is its work
     if enumeration_size(table.cells, n) > budget:
         raise BudgetExceeded(
             f"split enumeration would visit more than {budget} systems"

@@ -1,18 +1,22 @@
+import re
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, product
-from math import comb
+from unittest.mock import patch
 
 import pytest
 
+from entitled_cuts import bounds
 from entitled_cuts.bounds import (
     CutBudgetCertificate,
-    _agent_maps,
     _allocation_from_cuts,
+    _map_count,
+    _map_rank,
     feasible_with_k_cuts,
     gen_lower_bound_instance,
     instance_digest,
     min_cuts,
 )
+from entitled_cuts.cells import tuple_count, tuple_rank
 from entitled_cuts.errors import BudgetExceeded, NotFoundWithin
 from entitled_cuts.feasibility import GE, LE, check_feasible, solve_feasibility
 from entitled_cuts.generate import random_instance
@@ -119,12 +123,35 @@ class TestOracle:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_agent_maps_match_product_and_filter(self, n):
+        # the oracle never lists its maps: it counts them and ranks the
+        # witness's map, and both must match the product-and-filter list
         for pieces in range(1, 8):
-            expected = [
-                a for a in _unpruned_maps(n, pieces)
-                if n == 1 or all(x != y for x, y in zip(a, a[1:]))
-            ]
-            assert _agent_maps(n, pieces) == expected, (n, pieces)
+            maps = _alternating_maps(n, pieces)
+            assert _map_count(n, pieces) == len(maps), (n, pieces)
+            assert [_map_rank(n, a) for a in maps] == list(range(len(maps))), (n, pieces)
+
+    @pytest.mark.parametrize("n, k, count", [
+        (4, 6, 2160), (5, 7, 42000), (5, 8, 204120), (6, 9, 5004720),
+    ])
+    def test_map_counts_by_inclusion_exclusion(self, n, k, count):
+        assert _map_count(n, k + 1) == count
+
+    def test_tuple_rank_is_the_position(self):
+        for cells in range(1, 6):
+            for k in range(5):
+                tuples = list(combinations_with_replacement(range(cells), k))
+                assert tuple_count(cells, k) == len(tuples)
+                assert [tuple_rank(cells, t) for t in tuples] == list(range(len(tuples)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_single_agent_owns_every_piece(self, k):
+        # with one agent, adjacent pieces share their owner: the one map
+        # (0, ..., 0) at the first tuple is the witness
+        inst = make_instance([pw("0 1/2 1", "1 3")], [1])
+        cert = feasible_with_k_cuts(inst, k)
+        assert cert.feasible and cert.systems_examined == 1
+        assert cert == _reference_certificate(inst, k, _alternating_maps(1, k + 1))
+        assert verify_allocation(inst, cert.allocation).passed
 
     def test_deterministic_certificates(self):
         inst = gen_lower_bound_instance(2)
@@ -158,11 +185,22 @@ def _unpruned_maps(n, pieces):
     return [a for a in product(range(n), repeat=pieces) if len(set(a)) == n]
 
 
-def _reference_certificate(instance, k, maps):
+def _alternating_maps(n, pieces):
+    """The maps the oracle ranges over, by product and filter: for n >= 2,
+    no agent owns two adjacent pieces."""
+    return [
+        a for a in _unpruned_maps(n, pieces)
+        if n == 1 or all(x != y for x, y in zip(a, a[1:]))
+    ]
+
+
+def _reference_certificate(instance, k, maps, sent=None):
     """The oracle as a plain scan: every map in ``maps`` for every cut-cell
     tuple, in canonical order, through the interval prefilter in Fraction
     arithmetic.  No budget; over the oracle's own maps, the library's
-    pruned integer walk must agree with it certificate for certificate."""
+    pruned integer walk must agree with it certificate for certificate.
+    Each combination the scan hands to the LP is appended to ``sent`` as
+    (cut cells, owners)."""
     n = instance.n
     digest = instance_digest(instance)
     edges = sorted({b for v in instance.valuations for b in v.breakpoints})
@@ -172,30 +210,29 @@ def _reference_certificate(instance, k, maps):
         [v.density_at(edges[c]) for c in range(n_cells)] for v in instance.valuations
     ]
     thresholds = [t * v.total for t, v in zip(instance.entitlements, instance.valuations)]
+    # subsets[i]: every set of pieces a map gives agent i; owned[m][i]: the
+    # index of maps[m]'s set there.  Each tuple sums each set once.
+    given = [[tuple(j for j, a in enumerate(assign) if a == i) for i in range(n)] for assign in maps]
+    subsets = [sorted({sets[i] for sets in given}) for i in range(n)]
+    owned = [tuple(subsets[i].index(s) for i, s in enumerate(sets)) for sets in given]
     examined = 0
     for cells in combinations_with_replacement(range(n_cells), k):
         lo_idx = (0,) + tuple(cells) + (n_cells,)
         hi_idx = (0,) + tuple(c + 1 for c in cells) + (n_cells,)
-        for assign in maps:
+        reaches = []
+        for p, row, t in zip(prefix, subsets, thresholds):
+            gains = [max(p[hi_idx[j + 1]] - p[lo_idx[j]], ZERO) for j in range(k + 1)]
+            reaches.append([sum((gains[j] for j in s), ZERO) >= t for s in row])
+        for assign, ids in zip(maps, owned):
             examined += 1
-            ok = True
-            for i in range(n):
-                p = prefix[i]
-                upper = ZERO
-                for j, owner in enumerate(assign):
-                    if owner == i:
-                        gain = p[hi_idx[j + 1]] - p[lo_idx[j]]
-                        if gain > ZERO:
-                            upper += gain
-                if upper < thresholds[i]:
-                    ok = False
-                    break
-            if not ok:
+            if not all(r[x] for r, x in zip(reaches, ids)):
                 continue
             if k == 0:  # no cut variables: the bound is the exact value
                 return CutBudgetCertificate(
                     digest, k, True, _allocation_from_cuts(n, (), assign), examined
                 )
+            if sent is not None:
+                sent.append((cells, assign))
             constraints = _reference_system(
                 n, k, cells, assign, edges, prefix, cell_density, thresholds
             )
@@ -244,19 +281,42 @@ def _reference_system(n, k, cells, assign, edges, prefix, cell_density, threshol
     return constraints
 
 
-def _projected(instance, k):
-    n_cells = len({b for v in instance.valuations for b in v.breakpoints}) - 1
-    return comb(n_cells + k - 1, k) * len(_agent_maps(instance.n, k + 1))
+def _walk(inst, k):
+    """The library's certificate and the combinations its walk hands the
+    LP, in order, as (cut cells, owners)."""
+    sent, checks = [], []
+    build, check = bounds._oracle_system, bounds.check_feasible
+
+    def recording_build(table, cells, assign):
+        sent.append((tuple(cells), tuple(assign)))
+        return build(table, cells, assign)
+
+    def counting_check(*args):
+        checks.append(None)
+        return check(*args)
+
+    with patch.object(bounds, "_oracle_system", recording_build), \
+            patch.object(bounds, "check_feasible", counting_check):
+        cert = feasible_with_k_cuts(inst, k)
+    assert len(checks) == len(sent)
+    return cert, sent
 
 
 def _assert_matches_reference(inst, k, reference_pruned):
     """With ``reference_pruned``, the certificate equals the plain scan's
-    over the oracle's own (pruned) maps.  Without it, the scan runs over
-    every map, adjacent pieces of one owner included: the decision must be
-    the same, which checks the pruning, and a witness must verify."""
-    cert = feasible_with_k_cuts(inst, k)
+    over the oracle's own (pruned) maps, and the systems the walk hands the
+    LP are a subsequence, in order, of those the scan hands it.  Without
+    it, the scan runs over every map, adjacent pieces of one owner
+    included: the decision must be the same, which checks the pruning,
+    and a witness must verify."""
+    cert, walked = _walk(inst, k)
     if reference_pruned:
-        assert cert == _reference_certificate(inst, k, _agent_maps(inst.n, k + 1))
+        scanned = []
+        assert cert == _reference_certificate(inst, k, _alternating_maps(inst.n, k + 1), scanned)
+        rest = iter(scanned)
+        assert all(system in rest for system in walked), (instance_digest(inst), k)
+        if cert.feasible and k:
+            assert walked[-1] == scanned[-1]
     else:
         full = _reference_certificate(inst, k, _unpruned_maps(inst.n, k + 1))
         assert cert.feasible == full.feasible
@@ -266,8 +326,9 @@ def _assert_matches_reference(inst, k, reference_pruned):
 
 
 class TestPrunedPrefilterMatchesFractionScan:
-    @pytest.mark.parametrize("reference_pruned", [True, False])
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n, reference_pruned", [
+        (2, False), (2, True), (3, False), (3, True), (4, True),
+    ])
     def test_lower_bound_family(self, n, reference_pruned):
         inst = gen_lower_bound_instance(n)
         for k in range(2 * n - 1):
@@ -307,11 +368,36 @@ class TestPrunedPrefilterMatchesFractionScan:
         report = verify_allocation(inst, certs[-1].allocation)
         assert report.passed and report.cut_count <= 6
 
-    def test_budget_is_checked_against_the_projected_count(self):
+    def test_four_agent_work(self):
+        # owner prefixes kept plus LP calls on the n = 4 family, exactly:
+        # a walk that prunes less runs out of these budgets
+        inst = gen_lower_bound_instance(4)
+        for k, work in ((3, 106), (4, 681), (5, 3820), (6, 16940)):
+            assert feasible_with_k_cuts(inst, k, budget=work).feasible == (k == 6)
+            with pytest.raises(BudgetExceeded, match=f"at k={k}: {work} units of work done"):
+                feasible_with_k_cuts(inst, k, budget=work - 1)
+
+    def test_budget_bounds_the_work_done(self):
+        # a run stops once its work passes the budget and says how far it
+        # got; raised to the work reached each time, the budget eventually
+        # covers the whole search, which then returns the unbounded result
         inst = gen_lower_bound_instance(3)
-        projected = _projected(inst, 3)
-        with pytest.raises(BudgetExceeded, match=f"would examine {projected} systems"):
-            feasible_with_k_cuts(inst, 3, budget=projected - 1)
-        cert = feasible_with_k_cuts(inst, 3, budget=projected)
-        assert not cert.feasible
-        assert cert.systems_examined == projected
+        for k in (3, 4):
+            unbounded = feasible_with_k_cuts(inst, k)
+            budget, ranks = 0, []
+            while True:
+                try:
+                    cert = feasible_with_k_cuts(inst, k, budget=budget)
+                    break
+                except BudgetExceeded as exc:
+                    reached = re.search(
+                        r"at k=(\d+): (\d+) units of work done .* tuple (\d+) of (\d+)", str(exc)
+                    )
+                    assert int(reached[1]) == k and int(reached[2]) > budget
+                    assert int(reached[3]) < int(reached[4])
+                    ranks.append(int(reached[3]))
+                    budget = int(reached[2])
+            assert cert == unbounded
+            assert len(ranks) > 1 and ranks == sorted(ranks)
+            with pytest.raises(BudgetExceeded, match=f": {budget} units of work done"):
+                feasible_with_k_cuts(inst, k, budget=budget - 1)
