@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 from . import bounds, protocols
-from .errors import BudgetExceeded, EntitledCutsError, InternalCheckFailed, NotFoundWithin
+from .errors import BudgetExceeded, EntitledCutsError, InternalCheckFailed
 from .generate import random_instance
 from .model import Instance, format_rational
 from .serialize import (
@@ -256,9 +256,6 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except NotFoundWithin as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OK
     except InternalCheckFailed as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_VERIFY

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import TargetExceedsRemainder
+from .errors import InternalCheckFailed, TargetExceedsRemainder
 
 Rational = Fraction
 
@@ -246,7 +246,7 @@ def mark_right(valuation: Valuation, start: Fraction, target: Fraction) -> Fract
         if acc + cell_value >= target:
             return a + (target - acc) / d
         acc += cell_value
-    raise AssertionError("unreachable: remainder check guarantees the scan succeeds")
+    raise InternalCheckFailed("unreachable: remainder check guarantees the scan succeeds")
 
 
 def equal_marks(valuation: Valuation, parts: int) -> list[Fraction]:

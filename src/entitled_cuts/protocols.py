@@ -99,11 +99,15 @@ def connected_proportional(valuations: Sequence[Valuation], subcake: Interval) -
     floor(n/2)-th smallest mark (ties by agent index) and the two groups
     recurse.  Every agent receives one interval worth at least 1/n of their
     value of the sub-cake, with exactly n-1 cuts on nondegenerate inputs.
+
+    Agents that share one Valuation object (the clones of one agent) always
+    make the same mark, so each round marks once per distinct object and
+    gives that mark to every agent holding it.
     """
     n = len(valuations)
     if n < 1:
         raise ValueError("need at least one agent")
-    for v in valuations:
+    for v in {id(v): v for v in valuations}.values():
         if v.value_between(subcake.lo, subcake.hi) <= ZERO:
             raise ValueError("every agent must value the sub-cake positively")
     assigned: dict[int, Interval] = {}
@@ -117,11 +121,14 @@ def _even_split(agents, lo, hi, valuations, assigned):
         return
     n = len(agents)
     n_left = n // 2
+    # keyed on identity: Valuation equality would hash its Fraction tuples
+    mark_of = {}
     marks = []
     for i in agents:
         v = valuations[i]
-        target = v.value_between(lo, hi) * n_left / n
-        marks.append((mark_right(v, lo, target), i))
+        if id(v) not in mark_of:
+            mark_of[id(v)] = mark_right(v, lo, v.value_between(lo, hi) * n_left / n)
+        marks.append((mark_of[id(v)], i))
     marks.sort()
     split_at = marks[n_left - 1][0]
     left_ids = sorted(i for _, i in marks[:n_left])

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from entitled_cuts.errors import TargetExceedsRemainder
+from entitled_cuts.errors import InternalCheckFailed, TargetExceedsRemainder
 from entitled_cuts.model import (
     Allocation,
     Instance,
@@ -135,6 +135,15 @@ class TestMarkRight:
     def test_target_beyond_remainder(self, uniform):
         with pytest.raises(TargetExceedsRemainder):
             mark_right(uniform, F(1, 2), F(3, 4))
+
+    def test_scan_running_out_is_an_internal_check(self):
+        # a corrupted prefix table claims more value than the cells hold, so
+        # the remainder check passes and the scan runs out: a bug, which the
+        # CLI reports with exit 2, not a traceback
+        v = Valuation.uniform()
+        object.__setattr__(v, "_prefix", (F(0), F(2)))
+        with pytest.raises(InternalCheckFailed, match="unreachable"):
+            mark_right(v, F(0), F(3, 2))
 
     @given(st.fractions(min_value=0, max_value=1, max_denominator=8),
            st.fractions(min_value=0, max_value=1, max_denominator=8))

@@ -4,6 +4,7 @@ from math import lcm
 
 import pytest
 
+import entitled_cuts.protocols as protocols_mod
 from entitled_cuts.errors import InternalCheckFailed, PreconditionViolated
 from entitled_cuts.generate import random_instance, random_valuation
 from entitled_cuts.model import (
@@ -12,6 +13,7 @@ from entitled_cuts.model import (
     Region,
     Valuation,
     cut_count,
+    mark_right,
     measure_of,
 )
 from entitled_cuts.protocols import (
@@ -149,6 +151,116 @@ class TestConnectedProportional:
         alloc = connected_proportional([v] * 3, Interval(F(0), F(1)))
         values = [measure_of(v, piece) for piece in alloc.pieces]
         assert len(set(values)) == 1
+
+
+def _reference_even_split(agents, lo, hi, valuations, assigned):
+    """The per-clone split: every agent marks, even when another agent holds
+    the same Valuation object."""
+    if len(agents) == 1:
+        assigned[agents[0]] = Interval(lo, hi)
+        return
+    n = len(agents)
+    n_left = n // 2
+    marks = []
+    for i in agents:
+        v = valuations[i]
+        target = v.value_between(lo, hi) * n_left / n
+        marks.append((mark_right(v, lo, target), i))
+    marks.sort()
+    split_at = marks[n_left - 1][0]
+    left_ids = sorted(i for _, i in marks[:n_left])
+    right_ids = sorted(i for _, i in marks[n_left:])
+    _reference_even_split(left_ids, lo, split_at, valuations, assigned)
+    _reference_even_split(right_ids, split_at, hi, valuations, assigned)
+
+
+def _per_clone(run, *args):
+    """``run(*args)`` with connected_proportional marking once per agent."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocols_mod, "_even_split", _reference_even_split)
+        return run(*args)
+
+
+class TestMarksOncePerValuation:
+    """Agents sharing a Valuation object mark once per round; every
+    allocation must equal the per-clone reference's."""
+
+    WHOLE = Interval(F(0), F(1))
+
+    def assert_same(self, vals, subcake=WHOLE):
+        expected = _per_clone(connected_proportional, vals, subcake)
+        assert connected_proportional(vals, subcake) == expected
+
+    def test_clone_lists(self, uniform):
+        eager = pw("0 1/2 1", "2 0")
+        rng = random.Random(17)
+        drawn = [random_valuation(rng, 3, 8) for _ in range(3)]
+        self.assert_same([uniform] * 4 + [eager] * 3)
+        self.assert_same([eager, uniform, eager, uniform, eager])
+        self.assert_same([drawn[0]] * 7)
+        self.assert_same([drawn[i % 3] for i in range(11)])
+        self.assert_same([drawn[2]] * 5 + [drawn[0]] * 2 + [drawn[1]] * 9)
+
+    def test_value_equal_distinct_objects(self):
+        a, b = pw("0 1/3 1", "1 2"), pw("0 1/3 1", "1 2")
+        assert a == b and a is not b
+        self.assert_same([a, b, a, b, b])
+        self.assert_same([a] * 3 + [b] * 3)
+
+    def test_zero_density_plateaus(self, uniform):
+        # plateaus make leftmost marks tie across agents, so the
+        # (mark, index) order decides the groups
+        hump = pw("0 1/4 3/4 1", "0 2 0")
+        right = pw("0 1/2 1", "0 1")
+        left = pw("0 1/2 1", "2 0")
+        self.assert_same([hump] * 4 + [right] * 2 + [left] * 3)
+        self.assert_same([right, hump, left, uniform] * 3)
+        self.assert_same([hump] * 8)
+
+    def test_sub_interval(self, uniform):
+        hump = pw("0 1/4 3/4 1", "0 2 0")
+        rng = random.Random(29)
+        drawn = [random_valuation(rng, 3, 8) for _ in range(3)]
+        for lo, hi in ((F(1, 4), F(3, 4)), (F(1, 3), F(5, 6))):
+            sub = Interval(lo, hi)
+            self.assert_same([hump] * 3 + [uniform] * 4, sub)
+            vals = [v for v in drawn if v.value_between(lo, hi) > 0]
+            self.assert_same([vals[i % len(vals)] for i in range(9)], sub)
+
+    def test_positivity_checked_per_valuation(self, uniform):
+        dead = pw("0 1/2 1", "1 0")
+        for vals in ([uniform] * 3 + [dead] * 2, [dead] * 4):
+            with pytest.raises(ValueError, match="positively"):
+                connected_proportional(vals, Interval(F(1, 2), F(1)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_clone_protocols_on_seeded_pools(self, n):
+        rng = random.Random(6400 + n)
+        for trial in range(6):
+            vals = tuple(random_valuation(rng, 3, 8) for _ in range(n))
+            d = rng.randint(n, 64)
+            edges = [0] + sorted(rng.sample(range(1, d), n - 1)) + [d]
+            shares = tuple(F(b - a, d) for a, b in zip(edges, edges[1:]))
+            inst = Instance("interval", vals, shares)
+            assert clone_divide(inst) == _per_clone(clone_divide, inst)
+            heavy = rng.randrange(n)
+            shares = tuple(F(d - n + 1 if i == heavy else 1, d) for i in range(n))
+            inst = Instance("interval", vals, shares)
+            assert near_equal_divide(inst) == _per_clone(near_equal_divide, inst)
+
+    def test_clone_divide_work(self, monkeypatch, uniform):
+        # 64 clones take 63 splits; each split marks once per agent whose
+        # clones it holds, so 63 marks plus one more at each of the 6 splits
+        # holding both agents' clones.  Marking per clone makes 64 * 6 = 384.
+        calls = []
+        real = protocols_mod.mark_right
+        monkeypatch.setattr(
+            protocols_mod, "mark_right", lambda *args: calls.append(args) or real(*args)
+        )
+        inst = make_instance([uniform, pw("0 1/2 1", "2 0")], ["21/64", "43/64"])
+        report = clone_divide(inst)
+        assert len(calls) == 69
+        assert report.cuts == (F(3, 8), F(13, 32), F(1, 2))
 
 
 class TestCloneDivide:
