@@ -23,12 +23,15 @@ and the ordering rows); each gets a slack variable bounded below by zero.
 What is left goes to a bounded-variable exact simplex.  Every column is
 either basic or non-basic at one of its bounds; a column with no bound at
 all sits at zero until it enters the basis.  A step may move the entering
-column from one bound to the other without a basis change.  Pivots touch
-only the non-zero entries of the pivot row, and Bland's rule (the lowest
-eligible column enters, the lowest column leaves among tied rows) keeps the
-method from cycling.  Phase 1 starts every column at a bound and gives
-each row whose slack starts negative an artificial column; the system is
-feasible exactly when the artificials can all reach zero.
+column from one bound to the other without a basis change.  Rows are ints
+over a positive denominator each (after Edmonds 1967); a pivot updates the
+rows that hold the entering column by cross-multiplication and one gcd
+reduction, and reduced costs are ints up to a positive factor, as only
+their signs are read.  Bland's rule (the lowest eligible column enters, the
+lowest column leaves among tied rows) keeps the method from cycling.
+Phase 1 starts every column at a bound and gives each row whose slack
+starts negative an artificial column; the system is feasible exactly when
+the artificials can all reach zero.
 
 The lexicographic minimum is taken on the same tableau by successive
 objectives, each warm-started from the previous optimal basis: minimize
@@ -46,7 +49,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalCheckFailed, UnboundedLexMin
-from .model import ZERO, ONE, as_rational
+from .model import ZERO, as_rational
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -66,6 +69,8 @@ def _normalize(num_vars: int, constraints: Iterable) -> list:
     raise TypeError) and multiplied by the positive lcm of their
     denominators, which keeps its solution set.
     """
+    if num_vars < 1:
+        raise ValueError("need at least one variable")
     rows = []
     for coeffs, rel, rhs in constraints:
         if len(coeffs) != num_vars:
@@ -176,35 +181,35 @@ class _Tableau:
     variables, in order), then per row its slack and, if the row starts
     violated, an artificial column.
 
-    ``rows[r]`` holds the non-zero coefficients of the non-basic, non-fixed
-    columns in  x[basis[r]] + sum(rows[r][j] * x[j]) = const; the constant
-    itself is never needed because ``x`` holds every column's value.
+    Row r is  dens[r] * x[basis[r]] + sum(rows[r][j] * x[j]) = const  over
+    the non-basic, non-fixed columns j, in ints with dens[r] > 0 and gcd 1;
+    ``x`` holds every column's value, so the constant is never needed.
     ``lo``/``hi`` are the bounds, None meaning unbounded on that side.
     """
 
     def __init__(self, lo: list, hi: list, rows: list):
         x = [ZERO if l is None and h is None else (h if l is None else l) for l, h in zip(lo, hi)]
         self.x, self.lo, self.hi = x, lo, hi
-        self.rows: list[dict] = []
-        self.basis: list[int] = []
-        self.artificials: list[int] = []
+        self.rows, self.dens, self.basis, self.artificials = [], [], [], []
+        fixed = {j for j, l in enumerate(lo) if l is not None and l == hi[j]}
+        # the starting point over one common denominator
+        scale = lcm(*(q.denominator for q in x))
+        at = [q.numerator * (scale // q.denominator) for q in x]
         for expr, rhs in rows:
-            level = rhs - sum((c * x[j] for j, c in expr.items()), ZERO)
-            row = {j: c for j, c in expr.items() if not self._fixed(j)}
-            slack = len(x)
+            level = Fraction(rhs * scale - sum(c * at[j] for j, c in expr.items()), scale)
+            row = {j: c for j, c in expr.items() if j not in fixed}
             x.append(max(level, ZERO))
-            lo.append(ZERO)
-            hi.append(None)
-            if level < ZERO:
+            if level < 0:
                 # the slack starts at zero and an artificial takes the shortfall
                 row = {j: -c for j, c in row.items()}
-                row[slack] = -ONE
+                row[len(x) - 1] = -1
                 self.artificials.append(len(x))
                 x.append(-level)
-                lo.append(ZERO)
-                hi.append(None)
             self.basis.append(len(x) - 1)
             self.rows.append(row)
+            self.dens.append(1)
+        lo += [ZERO] * (len(x) - len(lo))
+        hi += [None] * (len(x) - len(hi))
 
     def _fixed(self, j: int) -> bool:
         return self.lo[j] is not None and self.lo[j] == self.hi[j]
@@ -214,9 +219,9 @@ class _Tableau:
         Afterwards the artificials are fixed at zero."""
         if not self.artificials:
             return True
-        if not self.optimize(self.reduced_costs({a: ONE for a in self.artificials})):
+        if not self.optimize(self.reduced_costs({a: 1 for a in self.artificials})):
             raise InternalCheckFailed("phase 1 of the simplex reported an unbounded sum of artificials")
-        if any(self.x[a] != ZERO for a in self.artificials):
+        if any(self.x[a] for a in self.artificials):
             return False
         for a in self.artificials:
             self.hi[a] = ZERO
@@ -224,26 +229,29 @@ class _Tableau:
         return True
 
     def reduced_costs(self, objective: dict) -> dict:
-        """Reduced costs of  sum(objective[j] * x[j])  at the current basis."""
+        """Reduced costs of  sum(objective[j] * x[j])  at the current basis,
+        for an integer objective, up to a positive factor."""
         row_of = {b: r for r, b in enumerate(self.basis)}
-        costs: dict[int, Fraction] = {}
+        scale = lcm(*(self.dens[row_of[j]] for j in objective if j in row_of))
+        costs: dict[int, int] = {}
         for j, c in objective.items():
             r = row_of.get(j)
             if r is not None:
+                f = c * (scale // self.dens[r])
                 for k, a in self.rows[r].items():
-                    costs[k] = costs.get(k, ZERO) - c * a
+                    costs[k] = costs.get(k, 0) - f * a
             elif not self._fixed(j):
-                costs[j] = costs.get(j, ZERO) + c
-        return {j: c for j, c in costs.items() if c != ZERO}
+                costs[j] = costs.get(j, 0) + c * scale
+        return _reduced({j: c for j, c in costs.items() if c})[0]
 
     def optimize(self, costs: dict) -> bool:
         """Minimize from the current basis; ``costs`` holds the non-zero
         reduced costs and is kept current.  False means unbounded below."""
-        x, lo, hi, rows, basis = self.x, self.lo, self.hi, self.rows, self.basis
+        x, lo, hi, rows, dens, basis = self.x, self.lo, self.hi, self.rows, self.dens, self.basis
         while True:
             enter = -1
             for j in sorted(costs):
-                if costs[j] < ZERO:
+                if costs[j] < 0:
                     if hi[j] is None or x[j] < hi[j]:
                         enter, up = j, True
                         break
@@ -266,51 +274,44 @@ class _Tableau:
                     continue
                 touched.append((r, a))
                 b = basis[r]
-                # x[b] moves by -a per unit increase of x[enter]
-                if (a < ZERO) == up:
-                    if hi[b] is None:
-                        continue
-                    room = (hi[b] - x[b]) / abs(a)
-                else:
-                    if lo[b] is None:
-                        continue
-                    room = (x[b] - lo[b]) / abs(a)
-                if step is None or room < step or (
-                    room == step and leave >= 0 and b < basis[leave]
-                ):
+                # x[b] moves by -a / dens[r] per unit increase of x[enter]
+                bound = hi[b] if (a < 0) == up else lo[b]
+                if bound is None:
+                    continue
+                gap = bound - x[b]
+                room = Fraction(abs(gap.numerator) * dens[r], gap.denominator * abs(a))
+                if step is None or room < step or (room == step and leave >= 0 and b < basis[leave]):
                     step, leave = room, r
             if step is None:
                 return False
-            if step != ZERO:
+            if step:
                 delta = step if up else -step
                 x[enter] += delta
                 for r, a in touched:
-                    x[basis[r]] -= a * delta
+                    x[basis[r]] -= Fraction(a * delta.numerator, dens[r] * delta.denominator)
             if leave >= 0:
                 self._pivot(leave, enter, touched, costs)
 
     def _pivot(self, leave: int, enter: int, touched: list, costs: dict) -> None:
-        rows, basis = self.rows, self.basis
-        out = basis[leave]
-        row = rows[leave]
-        inv = ONE / row.pop(enter)
-        new = {j: c * inv for j, c in row.items()}
+        rows, dens, basis = self.rows, self.dens, self.basis
+        out, row = basis[leave], rows[leave]
+        # dens * x[out] + row . x + p * x[enter] = const, solved for x[enter]
+        p = row.pop(enter)
         if not self._fixed(out):
-            new[out] = inv
-        rows[leave] = new
-        basis[leave] = enter
-        for r, f in touched:
+            row[out] = dens[leave]
+        new, p = _reduced(row if p > 0 else {j: -c for j, c in row.items()}, abs(p))
+        rows[leave], dens[leave], basis[leave] = new, p, enter
+        for r, _ in touched:
             if r != leave:
-                _axpy(rows[r], enter, f, new)
-        f = costs.get(enter)
-        if f is not None:
-            _axpy(costs, enter, f, new)
+                dens[r] = _eliminate(rows[r], enter, new, p, dens[r])
+        if enter in costs:
+            _eliminate(costs, enter, new, p, 0)
 
     def _drop_fixed(self, columns: Iterable[int]) -> None:
         """Forget non-basic columns that can no longer move."""
-        for row in self.rows:
-            for j in columns:
-                row.pop(j, None)
+        for r, row in enumerate(self.rows):
+            if [row.pop(j) for j in columns if j in row]:
+                self.rows[r], self.dens[r] = _reduced(row, self.dens[r])
 
     def fix_optimal_face(self, costs: dict) -> None:
         """After optimize(costs): restrict to the minimizers by fixing every
@@ -320,19 +321,29 @@ class _Tableau:
         self._drop_fixed(costs)
 
 
-def _axpy(target: dict, pivot_col: int, f: Fraction, new: dict) -> None:
-    """target -= f * new, with target's own pivot_col entry (f) removed."""
-    del target[pivot_col]
+def _eliminate(target: dict, col: int, new: dict, new_den: int, den: int) -> int:
+    """In place, target -= (f / new_den) * new with f its entry in column
+    ``col``, by cross-multiplication and one gcd reduction; returns its new
+    denominator.  Reduced costs have none and pass den=0 (gcd ignores it)."""
+    f = target.pop(col)
+    g = gcd(f, new_den)
+    m, f = new_den // g, f // g
+    if m != 1:
+        for j in target:
+            target[j] *= m
     for j, c in new.items():
-        v = target.get(j)
-        if v is None:
-            target[j] = -f * c
+        v = target.get(j, 0) - f * c
+        if v:
+            target[j] = v
         else:
-            v -= f * c
-            if v:
-                target[j] = v
-            else:
-                del target[j]
+            del target[j]
+    den *= m
+    g = gcd(den, *target.values())
+    if g > 1:
+        for j in target:
+            target[j] //= g
+        den //= g
+    return den
 
 
 def _decide(num_vars: int, rows: list) -> Optional[tuple]:
@@ -388,8 +399,6 @@ def solve_feasibility(num_vars: int, constraints: Iterable) -> FeasibilityResult
     on, which makes repeated calls byte-for-byte reproducible.  Raises
     UnboundedLexMin if some minimization step has no finite optimum.
     """
-    if num_vars < 1:
-        raise ValueError("need at least one variable")
     rows = _normalize(num_vars, constraints)
     decided = _decide(num_vars, rows)
     if decided is None:
@@ -400,7 +409,7 @@ def solve_feasibility(num_vars: int, constraints: Iterable) -> FeasibilityResult
             # minimizing x_var is minimizing -expr . x, up to the factor 1/den
             objective = {col[v]: -c for v, c in solved[var][2].items()}
         else:
-            objective = {col[var]: ONE}
+            objective = {col[var]: 1}
         costs = tableau.reduced_costs(objective)
         if not tableau.optimize(costs):
             raise UnboundedLexMin(f"minimizing variable {var + 1} is unbounded below")

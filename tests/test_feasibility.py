@@ -1,9 +1,13 @@
 from fractions import Fraction as F
+from math import gcd
+from typing import Iterable
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entitled_cuts import feasibility
+from entitled_cuts import bounds, feasibility, split
+from entitled_cuts.cells import CellTable
 from entitled_cuts.errors import InternalCheckFailed, UnboundedLexMin
 from entitled_cuts.feasibility import (
     EQ,
@@ -12,6 +16,8 @@ from entitled_cuts.feasibility import (
     check_feasible,
     solve_feasibility,
 )
+from entitled_cuts.generate import random_instance
+from entitled_cuts.model import ONE, ZERO
 
 
 def test_forced_point():
@@ -122,8 +128,12 @@ def test_determinism():
 
 
 def test_needs_at_least_one_variable():
-    with pytest.raises(ValueError):
-        solve_feasibility(0, [])
+    # check_feasible once answered True here
+    for decide in (check_feasible, solve_feasibility):
+        with pytest.raises(ValueError, match="at least one variable"):
+            decide(0, [])
+        with pytest.raises(ValueError, match="at least one variable"):
+            decide(0, [((), GE, 1)])
 
 
 def test_coefficient_length_checked():
@@ -599,3 +609,323 @@ def test_fraction_free_elimination_matches_fourier_motzkin(data):
         rows.append((coeffs, data.draw(st.sampled_from([LE, GE])), _mixed_number(data)))
     rows = data.draw(st.permutations(rows + eqs))
     _assert_matches_fourier_motzkin(n, rows)
+
+
+# ---- the integer simplex against a Fraction simplex
+#
+# The reference is the same method with every row, reduced cost and pivot in
+# Fraction arithmetic.  Both run inside the same reduction and lex-min loop,
+# so they must take the same pivots and return the same decisions and
+# witnesses.
+
+
+class _FractionTableau:
+    """Bounded-variable simplex state over columns 0..len(free)-1 (the free
+    variables, in order), then per row its slack and, if the row starts
+    violated, an artificial column.
+
+    ``rows[r]`` holds the non-zero coefficients of the non-basic, non-fixed
+    columns in  x[basis[r]] + sum(rows[r][j] * x[j]) = const; the constant
+    itself is never needed because ``x`` holds every column's value.
+    ``lo``/``hi`` are the bounds, None meaning unbounded on that side.
+    """
+
+    def __init__(self, lo: list, hi: list, rows: list):
+        x = [ZERO if l is None and h is None else (h if l is None else l) for l, h in zip(lo, hi)]
+        self.x, self.lo, self.hi = x, lo, hi
+        self.rows: list[dict] = []
+        self.basis: list[int] = []
+        self.artificials: list[int] = []
+        for expr, rhs in rows:
+            level = rhs - sum((c * x[j] for j, c in expr.items()), ZERO)
+            row = {j: c for j, c in expr.items() if not self._fixed(j)}
+            slack = len(x)
+            x.append(max(level, ZERO))
+            lo.append(ZERO)
+            hi.append(None)
+            if level < ZERO:
+                # the slack starts at zero and an artificial takes the shortfall
+                row = {j: -c for j, c in row.items()}
+                row[slack] = -ONE
+                self.artificials.append(len(x))
+                x.append(-level)
+                lo.append(ZERO)
+                hi.append(None)
+            self.basis.append(len(x) - 1)
+            self.rows.append(row)
+
+    def _fixed(self, j: int) -> bool:
+        return self.lo[j] is not None and self.lo[j] == self.hi[j]
+
+    def phase1(self) -> bool:
+        """Drive the artificials to zero; False if the system is infeasible.
+        Afterwards the artificials are fixed at zero."""
+        if not self.artificials:
+            return True
+        if not self.optimize(self.reduced_costs({a: ONE for a in self.artificials})):
+            raise InternalCheckFailed("phase 1 of the simplex reported an unbounded sum of artificials")
+        if any(self.x[a] != ZERO for a in self.artificials):
+            return False
+        for a in self.artificials:
+            self.hi[a] = ZERO
+        self._drop_fixed(self.artificials)
+        return True
+
+    def reduced_costs(self, objective: dict) -> dict:
+        """Reduced costs of  sum(objective[j] * x[j])  at the current basis."""
+        row_of = {b: r for r, b in enumerate(self.basis)}
+        costs: dict[int, F] = {}
+        for j, c in objective.items():
+            r = row_of.get(j)
+            if r is not None:
+                for k, a in self.rows[r].items():
+                    costs[k] = costs.get(k, ZERO) - c * a
+            elif not self._fixed(j):
+                costs[j] = costs.get(j, ZERO) + c
+        return {j: c for j, c in costs.items() if c != ZERO}
+
+    def optimize(self, costs: dict) -> bool:
+        """Minimize from the current basis; ``costs`` holds the non-zero
+        reduced costs and is kept current.  False means unbounded below."""
+        x, lo, hi, rows, basis = self.x, self.lo, self.hi, self.rows, self.basis
+        while True:
+            enter = -1
+            for j in sorted(costs):
+                if costs[j] < ZERO:
+                    if hi[j] is None or x[j] < hi[j]:
+                        enter, up = j, True
+                        break
+                elif lo[j] is None or x[j] > lo[j]:
+                    enter, up = j, False
+                    break
+            if enter < 0:
+                return True
+            # bound flip first; a row replaces it only on a strictly shorter step
+            step = None
+            if up and hi[enter] is not None:
+                step = hi[enter] - x[enter]
+            elif not up and lo[enter] is not None:
+                step = x[enter] - lo[enter]
+            leave = -1
+            touched = []
+            for r, row in enumerate(rows):
+                a = row.get(enter)
+                if a is None:
+                    continue
+                touched.append((r, a))
+                b = basis[r]
+                # x[b] moves by -a per unit increase of x[enter]
+                if (a < ZERO) == up:
+                    if hi[b] is None:
+                        continue
+                    room = (hi[b] - x[b]) / abs(a)
+                else:
+                    if lo[b] is None:
+                        continue
+                    room = (x[b] - lo[b]) / abs(a)
+                if step is None or room < step or (
+                    room == step and leave >= 0 and b < basis[leave]
+                ):
+                    step, leave = room, r
+            if step is None:
+                return False
+            if step != ZERO:
+                delta = step if up else -step
+                x[enter] += delta
+                for r, a in touched:
+                    x[basis[r]] -= a * delta
+            if leave >= 0:
+                self._pivot(leave, enter, touched, costs)
+
+    def _pivot(self, leave: int, enter: int, touched: list, costs: dict) -> None:
+        rows, basis = self.rows, self.basis
+        out = basis[leave]
+        row = rows[leave]
+        inv = ONE / row.pop(enter)
+        new = {j: c * inv for j, c in row.items()}
+        if not self._fixed(out):
+            new[out] = inv
+        rows[leave] = new
+        basis[leave] = enter
+        for r, f in touched:
+            if r != leave:
+                _fraction_axpy(rows[r], enter, f, new)
+        f = costs.get(enter)
+        if f is not None:
+            _fraction_axpy(costs, enter, f, new)
+
+    def _drop_fixed(self, columns: Iterable[int]) -> None:
+        """Forget non-basic columns that can no longer move."""
+        for row in self.rows:
+            for j in columns:
+                row.pop(j, None)
+
+    def fix_optimal_face(self, costs: dict) -> None:
+        """After optimize(costs): restrict to the minimizers by fixing every
+        non-basic column whose reduced cost is non-zero at its value."""
+        for j in costs:
+            self.lo[j] = self.hi[j] = self.x[j]
+        self._drop_fixed(costs)
+
+
+def _fraction_axpy(target: dict, pivot_col: int, f: F, new: dict) -> None:
+    """target -= f * new, with target's own pivot_col entry (f) removed."""
+    del target[pivot_col]
+    for j, c in new.items():
+        v = target.get(j)
+        if v is None:
+            target[j] = -f * c
+        else:
+            v -= f * c
+            if v:
+                target[j] = v
+            else:
+                del target[j]
+
+
+
+class _CheckedTableau(feasibility._Tableau):
+    """The integer simplex, checking that the reduced costs are ints and,
+    after every pivot and every column fixed, that each row is ints over a
+    positive denominator with gcd 1."""
+
+    def _check_rows(self):
+        for row, den in zip(self.rows, self.dens):
+            assert type(den) is int and den > 0, den
+            assert all(type(c) is int and c for c in row.values()), row
+            assert gcd(den, *row.values()) == 1, (den, row)
+
+    def reduced_costs(self, objective):
+        costs = super().reduced_costs(objective)
+        assert all(type(c) is int and c for c in costs.values()), costs
+        return costs
+
+    def _pivot(self, leave, enter, touched, costs):
+        super()._pivot(leave, enter, touched, costs)
+        self._check_rows()
+        assert all(type(c) is int and c for c in costs.values()), costs
+
+    def _drop_fixed(self, columns):
+        super()._drop_fixed(columns)
+        self._check_rows()
+
+
+def _run_with(tableau, n, rows):
+    """check_feasible's answer, solve_feasibility's result (or the message
+    of the UnboundedLexMin it raised) and every pivot made, as (leaving row,
+    entering column), with ``tableau`` as the simplex."""
+    pivots = []
+
+    class Recording(tableau):
+        def _pivot(self, leave, enter, touched, costs):
+            pivots.append((leave, enter))
+            super()._pivot(leave, enter, touched, costs)
+
+    with patch.object(feasibility, "_Tableau", Recording):
+        decision = check_feasible(n, rows)
+        try:
+            result = solve_feasibility(n, rows)
+        except UnboundedLexMin as err:
+            result = str(err)
+    return decision, result, pivots
+
+
+def _assert_same_as_fraction_simplex(n, rows):
+    """Same decision, same witness and same pivots; returns (decision,
+    pivot count)."""
+    decision, result, pivots = _run_with(_CheckedTableau, n, rows)
+    assert (decision, result, pivots) == _run_with(_FractionTableau, n, rows)
+    if not decision:
+        assert not result.feasible
+    elif not isinstance(result, str):
+        assert all(type(c) is F for c in result.witness), result
+    return decision, len(pivots)
+
+
+def _oracle_systems(inst, k):
+    """The systems the cut oracle sends to the LP deciding k cuts."""
+    sent = []
+
+    def record(num_vars, rows):
+        sent.append(rows)
+        return check_feasible(num_vars, rows)
+
+    with patch.object(bounds, "check_feasible", record):
+        bounds.feasible_with_k_cuts(inst, k)
+    return sent
+
+
+def _splitter_system(table, cells, origin_inside):
+    """The splitter's system for cut cells ``cells``: every agent's value of
+    the part equals its threshold."""
+    k = len(cells)
+    signs = split._arc_signs(k, origin_inside)
+    rows = []
+    for i, target in enumerate(table.int_thresholds):
+        base = table.int_prefix[i][-1] if origin_inside else 0
+        coeffs, const = table.value_row(i, cells, signs, base)
+        rows.append((coeffs, EQ, target - const))
+    return rows + table.placement_rows(cells)
+
+
+def _certify_pool(n, count):
+    """Seeded instances shaped like the benchmark's oracle cross-check: n
+    agents and at most 5 refinement cells."""
+    pool, seed = [], 9100
+    while len(pool) < count:
+        inst = random_instance(n, seed, max_cells=3)
+        seed += 1
+        if CellTable(inst.valuations, inst.entitlements).cells <= 5:
+            pool.append(inst)
+    return pool
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_integer_simplex_matches_fraction_simplex_on_cut_systems(n):
+    """Every system the oracle sends to the LP for k <= 2n - 2 cuts, and
+    every splitter system with up to 4 cuts, on a seeded pool."""
+    decisions, pivots = set(), 0
+    for inst in _certify_pool(n, 6):
+        table = CellTable(inst.valuations, inst.entitlements)
+        systems = [(k, rows) for k in range(1, 2 * n - 1) for rows in _oracle_systems(inst, k)]
+        systems += [(k, _splitter_system(table, cells, inside))
+                    for k in (2, 4) for inside in (False, True) for cells in table.tuples(k)]
+        for k, rows in systems:
+            decision, count = _assert_same_as_fraction_simplex(k, rows)
+            decisions.add(decision)
+            pivots += count
+    assert decisions == {True, False} and pivots > 100
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_simplex_matches_fraction_simplex_on_drawn_systems(data):
+    """One oracle or splitter system over a CellTable, with cut cells and
+    owners drawn freely, or a general system with free and half-bounded
+    variables."""
+    shape = data.draw(st.sampled_from(["oracle", "splitter", "general"]))
+    if shape == "general":
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        rows = _random_system(data, n, 6)
+        for v in range(n):
+            side = data.draw(st.sampled_from(["both", "lower", "none"]))
+            if side != "none":
+                rows.append((_unit(n, v), GE, data.draw(density)))
+            if side == "both":
+                rows.append((_unit(n, v), LE, data.draw(density) + 2))
+        _assert_same_as_fraction_simplex(n, rows)
+        return
+    inst = random_instance(data.draw(st.integers(min_value=1, max_value=3)),
+                           data.draw(st.integers(min_value=0, max_value=10**6)), max_cells=3)
+    table = CellTable(inst.valuations, inst.entitlements)
+    k = data.draw(st.sampled_from([2, 4]) if shape == "splitter" else
+                  st.integers(min_value=1, max_value=4))
+    cells = sorted(data.draw(st.integers(min_value=0, max_value=table.cells - 1))
+                   for _ in range(k))
+    if shape == "splitter":
+        rows = _splitter_system(table, cells, data.draw(st.booleans()))
+    else:
+        owners = [data.draw(st.integers(min_value=0, max_value=inst.n - 1))
+                  for _ in range(k + 1)]
+        rows = bounds._oracle_system(table, cells, owners)
+    _assert_same_as_fraction_simplex(k, rows)
