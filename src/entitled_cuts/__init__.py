@@ -61,14 +61,7 @@ from .protocols import (
     special3_half,
     upper_bound_cuts,
 )
-from .split import (
-    FlatMap,
-    SplitRequest,
-    SplitResult,
-    exact_split,
-    flatten,
-    pie_arc_count,
-)
+from .split import SplitRequest, SplitResult, exact_split, pie_arc_count
 from .verifier import VerificationReport, verify_allocation
 
 __all__ = [
@@ -79,7 +72,6 @@ __all__ = [
     "EmptySubcake",
     "EntitledCutsError",
     "FeasibilityResult",
-    "FlatMap",
     "Instance",
     "InternalCheckFailed",
     "Interval",
@@ -104,7 +96,6 @@ __all__ = [
     "equal_marks",
     "exact_split",
     "feasible_with_k_cuts",
-    "flatten",
     "format_rational",
     "gen_lower_bound_instance",
     "instance_digest",

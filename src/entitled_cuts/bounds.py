@@ -35,6 +35,7 @@ from .cells import CellTable, tuple_count, tuple_rank
 from .errors import BudgetExceeded, NotFoundWithin
 from .feasibility import GE, check_feasible, solve_feasibility
 from .model import (
+    FULL_CAKE,
     ONE,
     ZERO,
     Allocation,
@@ -155,7 +156,7 @@ def feasible_with_k_cuts(
     maps = _map_count(n, k + 1)
     if not maps:  # fewer pieces than agents
         return CutBudgetCertificate(digest, k, False, None, 0)
-    table = CellTable(instance.valuations, instance.entitlements)
+    table = CellTable(instance.valuations, instance.entitlements, FULL_CAKE)
     found = _first_feasible(table, k, budget)
     if found is None:
         return CutBudgetCertificate(digest, k, False, None, tuple_count(table.cells, k) * maps)
@@ -168,7 +169,8 @@ def _first_feasible(table: CellTable, k: int, budget: int):
     """The first combination in canonical order whose system is feasible,
     as (cut cells, owners, cut positions), or None.
 
-    A depth-first walk over cut-cell prefixes.  Once cuts 1..j lie in
+    A depth-first walk over cut-cell prefixes; edges[e] is the left end
+    of cell e, or 1 for e = cells.  Once cuts 1..j lie in
     cells c_1 <= ... <= c_j, pieces 0..j-1 are fixed: piece p spans at most
     edge indices [c_p, c_{p+1} + 1] (c_0 = 0), so its gain
     F_i(edges[c_{p+1} + 1]) - F_i(edges[c_p]) bounds what agent i can get

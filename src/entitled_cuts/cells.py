@@ -1,23 +1,28 @@
 """Cut points in the cells of a common breakpoint refinement.
 
 The consensus splitter and the cut oracle search the same space: k cut
-points, weakly increasing along the cake, each placed in a cell of the
-refinement of all agents' breakpoints.  Both screen each placement with
-interval arithmetic and hand the placements that pass to the exact solver.
-This module owns what the two share: the refinement, each agent's prefix
-values at its edges and its threshold, both scaled to integers, and the
-integer rows of the linear system over the cuts.
+points, weakly increasing along a region of the cake, each placed in a cell
+of the refinement of all agents' breakpoints.  The oracle's region is the
+whole cake; the splitter's is a sub-cake, whose components are read in
+order as one pie.  Both screen each placement with interval arithmetic and
+hand the placements that pass to the exact solver.  This module owns what
+the two share: the refinement, each agent's running value over its cells
+and its threshold, both scaled to integers, and the integer rows of the
+linear system over the cuts.
 
-The rows are written in cell coordinates.  A cut in cell c is
+Each component of the region is cut at the breakpoints strictly inside it,
+and the cells are the pieces, in order along the cake.  The rows are
+written in cell coordinates.  A cut in cell c, which spans [lo, hi], is
 
-    x = edges[c] + w_c * t,   w_c = edges[c+1] - edges[c],   0 <= t <= 1,
+    x = lo + (hi - lo) * t,   0 <= t <= 1,
 
 and an agent's density is constant in the cell, so with P the agent's
-integer prefix row its scaled prefix value at the cut is
+integer running-value row (its value of the region's cells before c is
+P[c]) its scaled value of the region up to the cut is
 
     P[c] + (P[c+1] - P[c]) * t.
 
-Once each cut's cell is fixed, any signed sum of prefix values at the cuts
+Once each cut's cell is fixed, any signed sum of these values at the cuts
 is an integer row over the t's.  The map from t to x is increasing in each
 coordinate, so it keeps the feasible set's lexicographic order, and
 ``to_cuts`` turns the solver's lex-minimal t into the lex-minimal cuts.
@@ -25,13 +30,14 @@ coordinate, so it keeps the feasible set's lexicographic order, and
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, lcm
 from typing import Sequence
 
 from .feasibility import GE, LE
-from .model import Valuation
+from .model import ZERO, Region, Valuation
 
 
 def tuple_count(cells: int, k: int) -> int:
@@ -56,25 +62,36 @@ def tuple_rank(cells: int, tup: Sequence[int]) -> int:
 
 
 class CellTable:
-    """The refinement of ``valuations`` and, per agent, a threshold of
-    ``shares[i]`` times the agent's total.
+    """The refinement of ``valuations`` over the region ``cake`` and, per
+    agent, a threshold of ``shares[i]`` times the agent's value of it.
 
-    ``edges`` are the refinement's sorted edges and ``cells`` its cell
-    count.  ``totals[i]`` and ``thresholds[i]`` are agent i's total and
-    threshold.  ``int_prefix[i][e]`` and ``int_thresholds[i]`` are agent
-    i's value of [0, edges[e]] and its threshold times the lcm of their
+    ``spans[c]`` is cell c's (lo, hi) and ``cells`` the cell count.
+    ``totals[i]`` and ``thresholds[i]`` are agent i's value of ``cake`` and
+    its threshold.  ``int_prefix[i][c]`` and ``int_thresholds[i]`` are agent
+    i's value of the cells before c and its threshold times the lcm of their
     denominators: a positive factor, so comparing sums of prefix
     differences with the threshold gives the same outcome on either scale.
     """
 
-    def __init__(self, valuations: Sequence[Valuation], shares: Sequence[Fraction]):
-        edges = sorted({b for v in valuations for b in v.breakpoints})
-        self.edges = edges
-        self.cells = len(edges) - 1
+    def __init__(self, valuations: Sequence[Valuation], shares: Sequence[Fraction],
+                 cake: Region):
+        points = sorted({b for v in valuations for b in v.breakpoints})
+        self.spans = []
+        rows = [[ZERO] for _ in valuations]
+        for comp in cake.intervals:
+            inner = points[bisect_right(points, comp.lo):bisect_left(points, comp.hi)]
+            edges = [comp.lo, *inner, comp.hi]
+            self.spans += zip(edges, edges[1:])
+            for v, row in zip(valuations, rows):
+                # shift is minus the agent's value of the gaps so far: zero
+                # on the whole cake, which then skips a Fraction add per edge
+                shift = row[-1] - v.cumulative(comp.lo)
+                values = map(v.cumulative, edges[1:])
+                row += (shift + x for x in values) if shift else values
+        self.cells = len(self.spans)
         self.totals, self.thresholds = [], []
         self.int_prefix, self.int_thresholds = [], []
-        for v, share in zip(valuations, shares):
-            row = [v.cumulative(e) for e in edges]
+        for row, share in zip(rows, shares):
             t = share * row[-1]
             scale = lcm(t.denominator, *(p.denominator for p in row))
             self.totals.append(row[-1])
@@ -120,5 +137,5 @@ class CellTable:
 
     def to_cuts(self, cells: Sequence[int], t: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """The cut positions of cell coordinates ``t``."""
-        edges = self.edges
-        return tuple(edges[c] + (edges[c + 1] - edges[c]) * tc for c, tc in zip(cells, t))
+        spans = self.spans
+        return tuple(spans[c][0] + (spans[c][1] - spans[c][0]) * tc for c, tc in zip(cells, t))

@@ -133,9 +133,6 @@ class Region:
                 out.append(Interval(cursor, a.hi))
         return Region(out)
 
-    def contains(self, other: "Region") -> bool:
-        return other.difference(self).is_empty
-
 
 FULL_CAKE = Region((Interval(ZERO, ONE),))
 
@@ -144,12 +141,9 @@ FULL_CAKE = Region((Interval(ZERO, ONE),))
 class Valuation:
     """Nonatomic measure given by a piecewise-constant density.
 
-    ``breakpoints`` are strictly increasing and start at 0; ``densities[j]``
-    is the (nonnegative) value per unit length on cell
+    ``breakpoints`` are strictly increasing, start at 0 and end at 1;
+    ``densities[j]`` is the (nonnegative) value per unit length on cell
     [breakpoints[j], breakpoints[j+1]].  The total value must be positive.
-
-    Cake valuations end at 1.  Internal code (the flattener) also builds
-    valuations on [0, L] for L < 1; Instance enforces the full-cake domain.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -167,6 +161,8 @@ class Valuation:
             raise ValueError("valuation needs at least one cell")
         if bps[0] != ZERO:
             raise ValueError("first breakpoint must be 0")
+        if bps[-1] != ONE:
+            raise ValueError("last breakpoint must be 1")
         if any(b >= c for b, c in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if any(d < ZERO for d in dens):
@@ -181,18 +177,13 @@ class Valuation:
         object.__setattr__(self, "_prefix", tuple(prefix))
 
     @property
-    def extent(self) -> Fraction:
-        """Right end of the domain (1 for cake valuations)."""
-        return self.breakpoints[-1]
-
-    @property
     def total(self) -> Fraction:
         return self._prefix[-1]
 
     def cumulative(self, x: Fraction) -> Fraction:
         """Exact value of [0, x]."""
-        if not (ZERO <= x <= self.extent):
-            raise ValueError(f"coordinate {x} outside [0, {self.extent}]")
+        if not (ZERO <= x <= ONE):
+            raise ValueError(f"coordinate {x} outside [0, 1]")
         j = bisect_right(self.breakpoints, x) - 1
         if j >= len(self.densities):
             return self.total
@@ -224,8 +215,8 @@ def mark_right(valuation: Valuation, start: Fraction, target: Fraction) -> Fract
     """
     start = as_rational(start)
     target = as_rational(target)
-    if not (ZERO <= start <= valuation.extent):
-        raise ValueError(f"start {start} outside [0, {valuation.extent}]")
+    if not (ZERO <= start <= ONE):
+        raise ValueError(f"start {start} outside [0, 1]")
     if target < ZERO:
         raise ValueError("target must be nonnegative")
     remainder = valuation.total - valuation.cumulative(start)
@@ -282,9 +273,6 @@ class Instance:
             raise ValueError("entitlements must be positive")
         if sum(self.entitlements) != ONE:
             raise ValueError(f"entitlements must sum to 1, got {sum(self.entitlements)}")
-        for v in self.valuations:
-            if v.extent != ONE:
-                raise ValueError("instance valuations must cover [0, 1]")
 
     @property
     def n(self) -> int:

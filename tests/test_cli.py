@@ -129,6 +129,16 @@ class TestSolve:
         path.write_text(dumps(doc))
         assert main(["solve", str(path)]) == 1
 
+    def test_valuation_short_of_the_cake_exit_1(self, tmp_path, capsys, uniform):
+        doc = instance_to_document(make_instance([uniform, uniform], ["1/2", "1/2"]))
+        doc["agents"][1]["breakpoints"] = ["0", "1/2"]
+        path = tmp_path / "short.json"
+        path.write_text(dumps(doc))
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "last breakpoint must be 1" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1
 

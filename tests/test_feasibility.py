@@ -17,7 +17,7 @@ from entitled_cuts.feasibility import (
     solve_feasibility,
 )
 from entitled_cuts.generate import random_instance
-from entitled_cuts.model import ONE, ZERO
+from entitled_cuts.model import FULL_CAKE, ONE, ZERO
 
 
 def test_forced_point():
@@ -875,7 +875,7 @@ def _certify_pool(n, count):
     while len(pool) < count:
         inst = random_instance(n, seed, max_cells=3)
         seed += 1
-        if CellTable(inst.valuations, inst.entitlements).cells <= 5:
+        if CellTable(inst.valuations, inst.entitlements, FULL_CAKE).cells <= 5:
             pool.append(inst)
     return pool
 
@@ -886,7 +886,7 @@ def test_integer_simplex_matches_fraction_simplex_on_cut_systems(n):
     every splitter system with up to 4 cuts, on a seeded pool."""
     decisions, pivots = set(), 0
     for inst in _certify_pool(n, 6):
-        table = CellTable(inst.valuations, inst.entitlements)
+        table = CellTable(inst.valuations, inst.entitlements, FULL_CAKE)
         systems = [(k, rows) for k in range(1, 2 * n - 1) for rows in _oracle_systems(inst, k)]
         systems += [(k, _splitter_system(table, cells, inside))
                     for k in (2, 4) for inside in (False, True) for cells in table.tuples(k)]
@@ -917,7 +917,7 @@ def test_integer_simplex_matches_fraction_simplex_on_drawn_systems(data):
         return
     inst = random_instance(data.draw(st.integers(min_value=1, max_value=3)),
                            data.draw(st.integers(min_value=0, max_value=10**6)), max_cells=3)
-    table = CellTable(inst.valuations, inst.entitlements)
+    table = CellTable(inst.valuations, inst.entitlements, FULL_CAKE)
     k = data.draw(st.sampled_from([2, 4]) if shape == "splitter" else
                   st.integers(min_value=1, max_value=4))
     cells = sorted(data.draw(st.integers(min_value=0, max_value=table.cells - 1))

@@ -118,6 +118,12 @@ class TestMeasure:
             Valuation((F(0), F(1, 2), F(1, 2), F(1)), (F(1), F(1), F(1)))
         with pytest.raises(ValueError):
             Valuation((F(1, 4), F(1)), (F(1),))  # must start at 0
+
+    def test_valuation_spans_the_cake(self):
+        with pytest.raises(ValueError, match="last breakpoint must be 1"):
+            Valuation((F(0), F(1, 2)), (F(1),))
+        with pytest.raises(ValueError, match="last breakpoint must be 1"):
+            Valuation((F(0), F(1), F(2)), (F(1), F(1)))
         with pytest.raises(TypeError):
             Valuation((0.0, 1.0), (1.0,))  # floats forbidden
 

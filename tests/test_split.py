@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
@@ -12,10 +13,8 @@ from entitled_cuts.model import FULL_CAKE, ONE, ZERO, Interval, Region, measure_
 from entitled_cuts.split import (
     SplitRequest,
     _arc_signs,
-    _part_intervals,
     enumeration_size,
     exact_split,
-    flatten,
     pie_arc_count,
 )
 
@@ -26,39 +25,39 @@ def region(*pairs):
     return Region([Interval(F(a), F(b)) for a, b in pairs])
 
 
-class TestFlatten:
-    def test_identity_on_full_cake(self, uniform):
-        length, vals, fmap = flatten(FULL_CAKE, [uniform])
-        assert length == 1
-        assert vals[0] == uniform
-        assert fmap.to_original(F(1, 3)) == F(1, 3)
-
-    def test_concatenation_arithmetic(self, uniform):
-        sub = region((0, F(1, 4)), (F(1, 2), F(3, 4)))
-        length, _, fmap = flatten(sub, [uniform])
-        assert length == F(1, 2)
-        assert fmap.to_original(F(3, 8)) == F(5, 8)
-
-    def test_translation(self, uniform):
-        length, _, fmap = flatten(region((F(1, 3), F(2, 3))), [uniform])
-        assert length == F(1, 3)
-        assert fmap.to_original(F(0)) == F(1, 3)
+class TestSubcakeGeometry:
+    """Splits of a sub-cake are cut in the cake's own coordinates, and its
+    pie joins the components end to end."""
 
     def test_empty_subcake_rejected(self, uniform):
         with pytest.raises(EmptySubcake):
-            flatten(Region(), [uniform])
+            SplitRequest((uniform,), Region(), F(1, 2))
 
-    def test_measures_preserved_cell_by_cell(self):
-        v = pw("0 1/4 1/2 3/4 1", "4 0 2 1")
-        sub = region((F(1, 8), F(3, 8)), (F(5, 8), 1))
-        length, (flat,), fmap = flatten(sub, [v])
-        assert flat.total == measure_of(v, sub)
-        assert length == sub.length
-        # round trip a flat region through the map
-        piece = region((F(1, 16), F(1, 4)))
-        lifted = fmap.lift_region(piece)
-        assert measure_of(v, lifted) == flat.value_between(F(1, 16), F(1, 4))
-        assert lifted.length == piece.length
+    def test_cut_on_a_component_boundary(self, uniform):
+        sub = region((0, F(1, 4)), (F(1, 2), 1))
+        res = exact_split(SplitRequest((uniform,), sub, F(1, 3)))
+        assert res.part == region((0, F(1, 4)))
+        assert res.complement == region((F(1, 2), 1))
+
+    def test_arc_across_a_gap_is_one_arc(self, uniform):
+        sub = region((0, F(1, 4)), (F(1, 2), 1))
+        res = exact_split(SplitRequest((uniform, pw("0 1/2 1", "2 0")), sub, F(1, 2)))
+        assert res.part == region((F(1, 8), F(1, 4)), (F(1, 2), F(3, 4)))
+        assert res.complement == region((0, F(1, 8)), (F(3, 4), 1))
+        assert pie_arc_count(res.part, sub) == 1
+        assert pie_arc_count(res.part) == 2
+
+    def test_wrap_across_the_subcake_ends_is_one_arc(self):
+        sub = region((F(1, 8), F(1, 4)), (F(1, 2), F(7, 8)))
+        wrap = region((F(1, 8), F(3, 16)), (F(3, 4), F(7, 8)))
+        assert pie_arc_count(wrap, sub) == 1
+        assert pie_arc_count(wrap) == 2
+        # a gap joint and the ends together close one arc, not zero
+        around = region((F(1, 8), F(1, 4)), (F(1, 2), F(5, 8)), (F(3, 4), F(7, 8)))
+        assert pie_arc_count(around, sub) == 1
+        assert pie_arc_count(sub, sub) == 1
+        # touching only one end is no wrap
+        assert pie_arc_count(region((F(1, 8), F(3, 16)), (F(1, 2), F(5, 8))), sub) == 2
 
 
 class TestExactSplit:
@@ -142,19 +141,77 @@ class TestExactSplit:
         assert pie_arc_count(res.part) <= 3
 
 
+def _flatten(subcake, valuations):
+    """The sub-cake's components laid end to end on [0, L] without
+    rescaling.  Returns L, each component's offset, and each agent's
+    breakpoints and densities on [0, L], carried over cell by cell."""
+    offsets, length = [], ZERO
+    for comp in subcake.intervals:
+        offsets.append(length)
+        length += comp.length
+    flat = []
+    for v in valuations:
+        bps, dens = [ZERO], []
+        for comp, off in zip(subcake.intervals, offsets):
+            x = comp.lo
+            for cell in range(bisect_right(v.breakpoints, comp.lo) - 1, len(v.densities)):
+                hi = min(v.breakpoints[cell + 1], comp.hi)
+                if hi <= x:
+                    continue
+                dens.append(v.densities[cell])
+                bps.append(off + (hi - comp.lo))
+                x = hi
+                if hi == comp.hi:
+                    break
+        flat.append((bps, dens))
+    return length, offsets, flat
+
+
+def _flat_value(bps, dens, x):
+    """A flattened agent's value of [0, x]."""
+    return sum((d * (min(b, x) - a) for a, b, d in zip(bps, bps[1:], dens) if a < x), ZERO)
+
+
+def _lift(flat_part, subcake, offsets):
+    """A region of [0, L] mapped back onto the sub-cake, split at the
+    component boundaries."""
+    out = []
+    for iv in flat_part.intervals:
+        for comp, off in zip(subcake.intervals, offsets):
+            lo, hi = max(iv.lo, off), min(iv.hi, off + comp.length)
+            if lo < hi:
+                out.append(Interval(comp.lo + (lo - off), comp.lo + (hi - off)))
+    return Region(out)
+
+
+def _flat_arcs(xs, origin_inside, length):
+    """The part's intervals on [0, L] for sorted endpoints ``xs``."""
+    if origin_inside:
+        # part = [0, x1] u [x2, x3] u ... u [x_{2m}, L]
+        pairs = [(ZERO, xs[0])]
+        pairs += [(xs[2 * i - 1], xs[2 * i]) for i in range(1, len(xs) // 2)]
+        pairs.append((xs[-1], length))
+    else:
+        # part = [x1, x2] u [x3, x4] u ...
+        pairs = [(xs[2 * i], xs[2 * i + 1]) for i in range(len(xs) // 2)]
+    return [Interval(lo, hi) for lo, hi in pairs if lo < hi]
+
+
 def _reference_split(req):
-    """The splitter as a plain scan in Fraction arithmetic: per-agent prefix
-    and density tables, the interval prefilter on Fraction prefix values,
-    and each system built cut by cut.  It shares with the library only the
-    flattening, the sign patterns and the arc assembly.  Returns the part
-    and complement of the first feasible system in canonical order, and how
-    many systems passed the prefilter up to and including it."""
+    """The splitter as a plain scan in Fraction arithmetic on the sub-cake
+    flattened onto [0, L]: per-agent prefix and density tables, the
+    interval prefilter on Fraction prefix values, each system built cut by
+    cut in flat coordinates, and the part assembled on [0, L] and mapped
+    back.  It shares with the library only the sign patterns and the LP.  Returns the
+    part and complement of the first feasible system in canonical order,
+    and how many systems passed the prefilter up to and including it."""
     n = len(req.valuations)
-    length, flat_vals, fmap = flatten(req.subcake, req.valuations)
-    edges = sorted({b for v in flat_vals for b in v.breakpoints})
+    length, offsets, flat = _flatten(req.subcake, req.valuations)
+    edges = sorted({b for bps, _ in flat for b in bps})
     n_cells = len(edges) - 1
-    prefix = [[v.cumulative(e) for e in edges] for v in flat_vals]
-    cell_density = [[v.density_at(edges[c]) for c in range(n_cells)] for v in flat_vals]
+    prefix = [[_flat_value(bps, dens, e) for e in edges] for bps, dens in flat]
+    cell_density = [[dens[bisect_right(bps, edges[c]) - 1] for c in range(n_cells)]
+                    for bps, dens in flat]
     totals = [p[-1] for p in prefix]
     targets = [req.ratio * t for t in totals]
     checked = 0
@@ -186,8 +243,8 @@ def _reference_split(req):
                 checked += 1
                 if check_feasible(k, constraints):
                     witness = solve_feasibility(k, constraints).witness
-                    flat_part = Region(_part_intervals(witness, origin_inside, length))
-                    part = fmap.lift_region(flat_part)
+                    flat_part = Region(_flat_arcs(witness, origin_inside, length))
+                    part = _lift(flat_part, req.subcake, offsets)
                     return part, req.subcake.difference(part), checked
     raise AssertionError("reference scan found no split")
 
