@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import sub
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .cells import CellTable, tuple_count, tuple_rank
 from .errors import BudgetExceeded, NotFoundWithin
@@ -151,12 +151,41 @@ def feasible_with_k_cuts(
     """
     if k < 0:
         raise ValueError("cut budget must be nonnegative")
-    n = instance.n
     digest = instance_digest(instance)
+    if not _map_count(instance.n, k + 1):  # no map to rank, so no table to build
+        return CutBudgetCertificate(digest, k, False, None, 0)
+    table = CellTable(instance.valuations, instance.entitlements, FULL_CAKE)
+    return _certificate(table, digest, k, budget)
+
+
+def certificates(
+    instance: Instance,
+    k_max: int,
+    budget: int = DEFAULT_ORACLE_BUDGET,
+) -> Iterator[CutBudgetCertificate]:
+    """The certificates of ``feasible_with_k_cuts`` for k = 0, 1, ..., k_max,
+    up to and including the first feasible one, all decided over one
+    ``CellTable`` of the instance.  ``k_max`` is checked at the call; each
+    certificate is yielded as soon as it is decided."""
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    table = CellTable(instance.valuations, instance.entitlements, FULL_CAKE)
+    return _certificates(table, instance_digest(instance), k_max, budget)
+
+
+def _certificates(table: CellTable, digest: str, k_max: int, budget: int):
+    for k in range(k_max + 1):
+        cert = _certificate(table, digest, k, budget)
+        yield cert
+        if cert.feasible:
+            return
+
+
+def _certificate(table: CellTable, digest: str, k: int, budget: int) -> CutBudgetCertificate:
+    n = len(table.totals)
     maps = _map_count(n, k + 1)
     if not maps:  # fewer pieces than agents
         return CutBudgetCertificate(digest, k, False, None, 0)
-    table = CellTable(instance.valuations, instance.entitlements, FULL_CAKE)
     found = _first_feasible(table, k, budget)
     if found is None:
         return CutBudgetCertificate(digest, k, False, None, tuple_count(table.cells, k) * maps)
@@ -180,18 +209,33 @@ def _first_feasible(table: CellTable, k: int, budget: int):
     The pieces still to come lie in [edges[c_j], 1], so the second term
     bounds what the agent can own of them, and an owner prefix with a
     negative slack has no feasible completion.  Neither has one that
-    repeats an owner on adjacent pieces (for n >= 2) or leaves more agents
-    unused than pieces remain.  A cell prefix whose frontier is empty is
-    pruned with its subtree.  An owner prefix with two agents short at
-    cell c, or with one that may not own the next piece, stays so at every
-    later cell, since the second term only falls as c grows: the later
-    cells do without it, and once no owner prefix is left they are skipped.
+    repeats an owner on adjacent pieces (for n >= 2).
+
+    An agent is needy in an owner prefix while the gains of the pieces it
+    owns are below its threshold, that is while its slack is below its
+    remaining term F_i(1) - F_i(edges[c_j]).  Every threshold is positive,
+    so an agent that owns no piece yet is needy.  A needy agent must own
+    one of the pieces still to come, so an owner prefix with more needy
+    agents than pieces left has no feasible completion, and neither has
+    one whose last owner is needy when one piece is left (for n >= 2,
+    where that owner may not own the next piece).  Gains only grow, so
+    only the owner of the new piece can stop being needy.  A cell prefix
+    whose frontier is empty is pruned with its subtree.  An owner prefix
+    with two agents short at cell c, or with one that may not own the next
+    piece, stays so at every later cell, since the remaining term only
+    falls as c grows: the later cells do without it, and once no owner
+    prefix is left they are skipped.
 
     At a full tuple the last piece gains exactly the remaining term, so a
     map passes exactly when the gains of every agent's pieces reach its
-    threshold: the interval prefilter of a plain scan.  The maps that pass
-    go to the exact LP in canonical order.  The walk drops no feasible
-    system, so the first feasible one is the plain scan's.
+    threshold: the interval prefilter of a plain scan.  A map that passes
+    leaves no agent needy, so every owner prefix of it passes each test
+    above: the gains of a prefix's pieces are those of the full tuple's
+    pieces, and a needy agent of a prefix must own a later piece.  The
+    maps that pass go to the exact LP in canonical order.  The walk drops
+    no system the prefilter passes, so the systems it sends are, in order,
+    a subsequence of the plain scan's, and the first feasible one is the
+    plain scan's.
 
     The budget bounds the work done, owner prefixes kept plus LP calls,
     and is checked as the work grows.
@@ -225,13 +269,15 @@ def _first_feasible(table: CellTable, k: int, budget: int):
         """The owner prefixes that extend ``frontier`` with an owner of
         piece ``depth``, which spans edges [lo, c + 1], and the part of
         ``frontier`` that may still extend at a later cell.  An owner
-        prefix is (slack, last owner, used agents as a bitmask, owners)."""
+        prefix is (slack, last owner, needy agents as a bitmask, owners)."""
         drop = list(map(sub, at[c], at[lo]))  # what the remaining term loses
         gain = list(map(sub, at[c + 1], at[lo]))
-        need = n - (pieces - depth - 1)  # agents used once pieces 0..depth are owned
+        rest = list(map(sub, at[-1], at[c]))  # the child's remaining term
+        left = pieces - depth - 1  # pieces after this one
+        barred = left == 1 and n > 1  # this piece's owner may not own the last
         out, alive = [], []
         for node in frontier:
-            slack, last, used, assign = node
+            slack, last, needy, assign = node
             base = list(map(sub, slack, drop))
             low = min(base)
             if low < 0:
@@ -241,19 +287,18 @@ def _first_feasible(table: CellTable, k: int, budget: int):
                 base[a] = 0
                 if min(base) < 0 or a not in allowed[last]:
                     continue  # drop only grows with c
-                alive.append(node)
-                u = used | 1 << a
-                if u.bit_count() >= need:
-                    base[a] = low + gain[a]
-                    out.append((base, a, u, assign + (a,)))
-                continue
+                base[a] = low
+                owners = (a,)
+            else:
+                owners = allowed[last]
             alive.append(node)
-            for a in allowed[last]:
-                u = used | 1 << a
-                if u.bit_count() >= need:
+            for a in owners:
+                value = base[a] + gain[a]
+                still = needy & ~(1 << a) if value >= rest[a] else needy
+                if still.bit_count() <= left and not (barred and still >> a & 1):
                     child = base[:]
-                    child[a] += gain[a]
-                    out.append((child, a, u, assign + (a,)))
+                    child[a] = value
+                    out.append((child, a, still, assign + (a,)))
         return out, alive
 
     def descend(depth: int, lo: int, frontier):
@@ -281,7 +326,8 @@ def _first_feasible(table: CellTable, k: int, budget: int):
                 break
         return None
 
-    root = (list(map(sub, at[-1], table.int_thresholds)), n, 0, ())
+    # every threshold is positive, so every agent starts needy
+    root = (list(map(sub, at[-1], table.int_thresholds)), n, (1 << n) - 1, ())
     return descend(0, 0, [root])
 
 

@@ -148,23 +148,16 @@ def cmd_min_cuts(args) -> int:
         raise FormatError(f"--k-max must be nonnegative, got {args.k_max}")
     instance = _load_instance(args.instance)
     budget = _env_budget()
-    final_cert = None
-    answer = None
-    for k in range(args.k_max + 1):
-        cert = bounds.feasible_with_k_cuts(instance, k, budget)
+    for cert in bounds.certificates(instance, args.k_max, budget):
         status = "feasible" if cert.feasible else "infeasible"
-        print(f"k={k}: {status} ({cert.systems_examined} systems examined)")
-        final_cert = cert
-        if cert.feasible:
-            answer = k
-            break
-    if answer is not None:
-        print(f"min cuts = {answer}")
+        print(f"k={cert.k}: {status} ({cert.systems_examined} systems examined)")
+    if cert.feasible:
+        print(f"min cuts = {cert.k}")
     else:
         print(f"min cuts: not found within k-max {args.k_max}")
     print("scope: instance evidence only (this decision covers exactly this instance)")
     out_path = args.output or str(Path(args.instance).with_suffix(".certificate.json"))
-    _write(dumps(certificate_to_document(final_cert)), out_path)
+    _write(dumps(certificate_to_document(cert)), out_path)
     print(f"wrote {out_path}")
     return EXIT_OK
 

@@ -11,6 +11,7 @@ from entitled_cuts.bounds import (
     _allocation_from_cuts,
     _map_count,
     _map_rank,
+    certificates,
     feasible_with_k_cuts,
     gen_lower_bound_instance,
     instance_digest,
@@ -169,6 +170,24 @@ class TestMinCuts:
         with pytest.raises(NotFoundWithin) as info:
             min_cuts(gen_lower_bound_instance(2), 1)
         assert info.value.k_max == 1
+
+    def test_certificates_share_one_table(self):
+        # one certificate per k up to the first feasible one, each equal to
+        # the one feasible_with_k_cuts decides alone, all over one table
+        inst = gen_lower_bound_instance(3)
+        with patch.object(bounds, "CellTable", wraps=bounds.CellTable) as table:
+            certs = list(certificates(inst, 6))
+        assert table.call_count == 1
+        assert [c.k for c in certs] == [0, 1, 2, 3, 4]
+        assert certs == [feasible_with_k_cuts(inst, k) for k in range(5)]
+        assert [c.k for c in certificates(inst, 2)] == [0, 1, 2]
+
+    def test_negative_k_max(self, uniform):
+        inst = make_instance([uniform], [1])
+        with pytest.raises(ValueError):
+            min_cuts(inst, -1)
+        with pytest.raises(ValueError):  # at the call, before any iteration
+            certificates(inst, -1)
 
     def test_never_beats_protocol_cut_counts(self):
         from entitled_cuts.protocols import recursive_divide
@@ -346,15 +365,34 @@ class TestPrunedPrefilterMatchesFractionScan:
                 outcomes.add(cert.feasible)
         assert outcomes == {True, False}
 
+    def test_random_pools_four_agents(self):
+        # with four agents the needy agents often outnumber the pieces left;
+        # one large entitlement makes some of these pools infeasible
+        entitlements = (F(31, 40), F(3, 40), F(3, 40), F(3, 40))
+        outcomes = set()
+        for seed in range(8):
+            inst = random_instance(4, 4200 + seed, max_cells=4, entitlements=entitlements)
+            for k in (3, 4):
+                cert = _assert_matches_reference(inst, k, reference_pruned=True)
+                outcomes.add(cert.feasible)
+        assert outcomes == {True, False}
+
     @pytest.mark.parametrize("reference_pruned", [True, False])
     def test_threshold_ties(self, reference_pruned):
         # an agent whose bound from the cut cells equals its threshold exactly
-        # still passes: on one piece (uniform agent left of a cut in [0, 1/2])
-        # and on the sum of all pieces (a lone agent that values nothing in
-        # the cut's cell)
+        # still passes: on one piece (uniform agent left of a cut in [0, 1/2]),
+        # on the sum of all pieces (a lone agent that values nothing in the
+        # cut's cell), and before the last piece (the uniform agent's first
+        # piece, up to a cut in [0, 1/3], makes it not needy, which leaves
+        # two needy agents for two pieces: the witness is system 7, the first
+        # map of the second tuple)
         cases = [
             make_instance([pw("0 1", "1"), pw("0 1/2 1", "0 2")], ["1/2", "1/2"]),
             make_instance([pw("0 1/2 1", "0 2")], [1]),
+            make_instance(
+                [pw("0 1", "1"), pw("0 1/3 2/3 1", "0 3 0"), pw("0 2/3 1", "0 3")],
+                ["1/3", "1/3", "1/3"],
+            ),
         ]
         for inst in cases:
             for k in range(3):
@@ -370,12 +408,35 @@ class TestPrunedPrefilterMatchesFractionScan:
 
     def test_four_agent_work(self):
         # owner prefixes kept plus LP calls on the n = 4 family, exactly:
-        # a walk that prunes less runs out of these budgets
+        # a walk that prunes less runs out of these budgets.  At k = 3 the
+        # needy-agent bound drops every owner of the first piece, so the
+        # walk does no work
         inst = gen_lower_bound_instance(4)
-        for k, work in ((3, 106), (4, 681), (5, 3820), (6, 16940)):
+        for k, work in ((3, 0), (4, 9), (5, 90), (6, 507)):
             assert feasible_with_k_cuts(inst, k, budget=work).feasible == (k == 6)
-            with pytest.raises(BudgetExceeded, match=f"at k={k}: {work} units of work done"):
-                feasible_with_k_cuts(inst, k, budget=work - 1)
+            if work:
+                with pytest.raises(BudgetExceeded, match=f"at k={k}: {work} units of work done"):
+                    feasible_with_k_cuts(inst, k, budget=work - 1)
+
+    def test_needy_owner_of_the_next_to_last_piece_work(self):
+        # exact work on a random two-agent pool, where some owners
+        # of the next-to-last piece are still needy: the last piece goes to
+        # the other agent, so the walk drops them (and would do 8 units
+        # without that rule)
+        inst = random_instance(2, 506, max_cells=4)
+        assert feasible_with_k_cuts(inst, 2, budget=6).feasible
+        with pytest.raises(BudgetExceeded, match="at k=2: 6 units of work done"):
+            feasible_with_k_cuts(inst, 2, budget=5)
+
+    def test_five_agent_proof(self):
+        # the 2n - 2 bound at n = 5 under the default budget
+        inst = gen_lower_bound_instance(5)
+        below = feasible_with_k_cuts(inst, 7)
+        assert not below.feasible and below.systems_examined == 270270000
+        cert = feasible_with_k_cuts(inst, 8)
+        assert cert.feasible and cert.systems_examined == 833014150
+        report = verify_allocation(inst, cert.allocation)
+        assert report.passed and report.cut_count <= 8
 
     def test_budget_bounds_the_work_done(self):
         # a run stops once its work passes the budget and says how far it
