@@ -8,7 +8,7 @@ All types are immutable values, so they are safe to share across threads.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -184,9 +184,7 @@ class Valuation:
         """Exact value of [0, x]."""
         if not (ZERO <= x <= ONE):
             raise ValueError(f"coordinate {x} outside [0, 1]")
-        j = bisect_right(self.breakpoints, x) - 1
-        if j >= len(self.densities):
-            return self.total
+        j = bisect_right(self.breakpoints, x, 0, len(self.densities)) - 1
         return self._prefix[j] + self.densities[j] * (x - self.breakpoints[j])
 
     def value_between(self, lo: Fraction, hi: Fraction) -> Fraction:
@@ -194,8 +192,7 @@ class Valuation:
 
     def density_at(self, x: Fraction) -> Fraction:
         """Density of the cell whose left edge is at or before x."""
-        j = min(bisect_right(self.breakpoints, x) - 1, len(self.densities) - 1)
-        return self.densities[j]
+        return self.densities[bisect_right(self.breakpoints, x, 0, len(self.densities)) - 1]
 
     @classmethod
     def uniform(cls) -> "Valuation":
@@ -211,7 +208,10 @@ def mark_right(valuation: Valuation, start: Fraction, target: Fraction) -> Fract
     """Leftmost x >= start with value exactly ``target`` on [start, x].
 
     Well defined because the cumulative function is continuous and
-    nondecreasing; on zero-density plateaus the leftmost point is returned.
+    nondecreasing.  The goal F(start) + target is found by bisecting the
+    prefix table: the first cell whose right end reaches it holds positive
+    value, so the mark is that cell's left edge plus the shortfall over its
+    density, the leftmost point even across zero-density plateaus.
     """
     start = as_rational(start)
     target = as_rational(target)
@@ -219,25 +219,19 @@ def mark_right(valuation: Valuation, start: Fraction, target: Fraction) -> Fract
         raise ValueError(f"start {start} outside [0, 1]")
     if target < ZERO:
         raise ValueError("target must be nonnegative")
-    remainder = valuation.total - valuation.cumulative(start)
+    base = valuation.cumulative(start)
+    remainder = valuation.total - base
     if target > remainder:
         raise TargetExceedsRemainder(f"target {target} exceeds remaining value {remainder}")
     if target == ZERO:
         return start
-    bps, dens = valuation.breakpoints, valuation.densities
-    j = min(bisect_right(bps, start) - 1, len(dens) - 1)
-    acc = ZERO
-    for cell in range(j, len(dens)):
-        a = max(bps[cell], start)
-        b = bps[cell + 1]
-        d = dens[cell]
-        if d == ZERO or b <= a:
-            continue
-        cell_value = d * (b - a)
-        if acc + cell_value >= target:
-            return a + (target - acc) / d
-        acc += cell_value
-    raise InternalCheckFailed("unreachable: remainder check guarantees the scan succeeds")
+    goal = base + target
+    prefix, bps = valuation._prefix, valuation.breakpoints
+    j = bisect_left(prefix, goal) - 1
+    mark = bps[j] + (goal - prefix[j]) / valuation.densities[j]
+    if not (start < mark <= bps[j + 1]):
+        raise InternalCheckFailed(f"unreachable: mark {mark} outside ({start}, {bps[j + 1]}]")
+    return mark
 
 
 def equal_marks(valuation: Valuation, parts: int) -> list[Fraction]:

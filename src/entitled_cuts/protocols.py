@@ -311,12 +311,11 @@ def near_equal_divide(instance: Instance) -> AlgorithmReport:
 DEFAULT_CLONE_CAP = 64
 
 
-def auto_solve(instance: Instance, budget: int = DEFAULT_SPLIT_BUDGET,
-               clone_cap: int = DEFAULT_CLONE_CAP) -> AlgorithmReport:
+def auto_solve(instance: Instance, budget: int = DEFAULT_SPLIT_BUDGET) -> AlgorithmReport:
     """Pick a protocol: the near-equal pattern first, then the three-agent
     special cases, otherwise the better (fewer cuts) of cloning (when the
-    common denominator is at most ``clone_cap``) and the recursive divider,
-    preferring the recursive result on ties."""
+    common denominator is at most ``DEFAULT_CLONE_CAP``) and the recursive
+    divider, preferring the recursive result on ties."""
     if instance.n == 1:
         return recursive_divide(instance, budget)
     if _near_equal_pattern(instance) is not None:
@@ -328,6 +327,6 @@ def auto_solve(instance: Instance, budget: int = DEFAULT_SPLIT_BUDGET,
             return special3_equal_pair(instance, budget)
     candidates = [recursive_divide(instance, budget)]
     denominator = lcm(*(t.denominator for t in instance.entitlements))
-    if denominator <= clone_cap:
+    if denominator <= DEFAULT_CLONE_CAP:
         candidates.append(clone_divide(instance))
     return min(candidates, key=lambda rep: len(rep.cuts))

@@ -10,7 +10,6 @@ possible.
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
 
 from .bounds import CutBudgetCertificate
 from .errors import EntitledCutsError
@@ -53,19 +52,17 @@ def _rational_list(values, label):
     return out
 
 
-def instance_to_document(instance: Instance, names: Optional[Sequence[str]] = None) -> dict:
-    if names is None:
-        names = [f"agent{i + 1}" for i in range(instance.n)]
+def instance_to_document(instance: Instance) -> dict:
     return {
         "topology": instance.topology,
         "agents": [
             {
-                "name": name,
+                "name": f"agent{i}",
                 "breakpoints": [format_rational(b) for b in v.breakpoints],
                 "densities": [format_rational(d) for d in v.densities],
                 "entitlement": format_rational(t),
             }
-            for name, v, t in zip(names, instance.valuations, instance.entitlements)
+            for i, (v, t) in enumerate(zip(instance.valuations, instance.entitlements), 1)
         ],
     }
 

@@ -20,7 +20,7 @@ which the cut oracle shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cells import CellTable, tuple_count
@@ -36,6 +36,8 @@ class SplitRequest:
     valuations: tuple[Valuation, ...]
     subcake: Region
     ratio: Fraction
+    # the sub-cake's cell table, whose totals are each agent's value of it
+    table: CellTable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "valuations", tuple(self.valuations))
@@ -46,9 +48,10 @@ class SplitRequest:
             raise EmptySubcake("split requested on an empty sub-cake")
         if not (ZERO < self.ratio < ONE):
             raise ValueError(f"ratio must lie strictly between 0 and 1, got {self.ratio}")
-        for v in self.valuations:
-            if measure_of(v, self.subcake) <= ZERO:
-                raise ValueError("every agent must value the sub-cake positively")
+        table = CellTable(self.valuations, [self.ratio] * len(self.valuations), self.subcake)
+        if min(table.totals) <= ZERO:
+            raise ValueError("every agent must value the sub-cake positively")
+        object.__setattr__(self, "table", table)
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,7 @@ def exact_split(req: SplitRequest, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitR
     existence is guaranteed at n-1 arcs).
     """
     n = len(req.valuations)
-    cake = req.subcake
-    table = CellTable(req.valuations, [req.ratio] * n, cake)
+    cake, table = req.subcake, req.table
     # a projected count, checked up front: without a prefix walk the
     # splitter screens every tuple it counts, so the count is its work
     if enumeration_size(table.cells, n) > budget:

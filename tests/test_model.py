@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +28,37 @@ rationals = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
 def region(*pairs):
     return Region([Interval(F(a), F(b)) for a, b in pairs])
+
+
+def reference_mark(valuation, start, target):
+    """The leftmost mark by a linear scan: walk the cells from start's cell,
+    summing their values, until the target is reached."""
+    if target == 0:
+        return start
+    bps, dens = valuation.breakpoints, valuation.densities
+    j = min(bisect_right(bps, start) - 1, len(dens) - 1)
+    acc = F(0)
+    for cell in range(j, len(dens)):
+        a = max(bps[cell], start)
+        b = bps[cell + 1]
+        d = dens[cell]
+        if d == 0 or b <= a:
+            continue
+        cell_value = d * (b - a)
+        if acc + cell_value >= target:
+            return a + (target - acc) / d
+        acc += cell_value
+    raise AssertionError("the reference scan ran out")
+
+
+@st.composite
+def plateau_valuations(draw):
+    """Up to six cells, many of them of zero density, with positive total."""
+    inner = draw(st.sets(st.fractions(min_value=0, max_value=1, max_denominator=12), max_size=5))
+    bps = (F(0), *sorted(inner - {F(0), F(1)}), F(1))
+    dens = draw(st.lists(st.sampled_from([F(0), F(0), F(1), F(2), F(1, 3), F(5, 2)]),
+                         min_size=len(bps) - 1, max_size=len(bps) - 1).filter(any))
+    return Valuation(bps, tuple(dens))
 
 
 class TestRationalStrings:
@@ -150,6 +182,32 @@ class TestMarkRight:
         object.__setattr__(v, "_prefix", (F(0), F(2)))
         with pytest.raises(InternalCheckFailed, match="unreachable"):
             mark_right(v, F(0), F(3, 2))
+
+    def test_matches_reference_scan_on_plateaus(self):
+        # every start on a breakpoint or inside a cell, zero-density cells at
+        # both ends and in the middle included, and start = 1; targets 0, a
+        # third and all the remainder
+        v = pw("0 1/4 1/2 5/8 3/4 1", "0 2 0 1 0")
+        bps = v.breakpoints
+        starts = sorted({*bps, *((a + b) / 2 for a, b in zip(bps, bps[1:]))})
+        for start in starts:
+            remainder = v.total - v.cumulative(start)
+            for target in (F(0), remainder / 3, remainder):
+                assert mark_right(v, start, target) == reference_mark(v, start, target)
+        # the whole remainder is reached where the last positive cell ends,
+        # not at the end of the plateau after it
+        assert mark_right(v, F(1, 8), v.total) == F(3, 4)
+
+    @given(plateau_valuations(), st.data())
+    def test_matches_reference_scan(self, v, data):
+        bps = v.breakpoints
+        mids = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+        start = data.draw(st.one_of(st.sampled_from(bps), st.sampled_from(mids),
+                                    st.just(F(1)), rationals))
+        remainder = v.total - v.cumulative(start)
+        frac = data.draw(st.one_of(st.just(F(0)), st.just(F(1)), rationals))
+        target = frac * remainder
+        assert mark_right(v, start, target) == reference_mark(v, start, target)
 
     @given(st.fractions(min_value=0, max_value=1, max_denominator=8),
            st.fractions(min_value=0, max_value=1, max_denominator=8))

@@ -77,6 +77,19 @@ class TestExactSplit:
         req = SplitRequest((uniform, pw("0 1/3 1", "2 1")), FULL_CAKE, F(2, 5))
         assert exact_split(req) == exact_split(req)
 
+    def test_request_reads_its_totals_from_the_table(self, uniform, monkeypatch):
+        # the positivity check uses the table's totals; measure_of stays
+        # for the split's post-conditions
+        calls = []
+        monkeypatch.setattr(split, "measure_of", lambda v, r: calls.append(r) or measure_of(v, r))
+        sub = region((0, F(1, 4)), (F(1, 2), 1))
+        req = SplitRequest((uniform, pw("0 1/2 1", "2 0")), sub, F(1, 2))
+        assert calls == []
+        assert req.table.totals == [F(3, 4), F(1, 2)]
+        with pytest.raises(ValueError, match="positively"):
+            SplitRequest((uniform, pw("0 1/2 1", "2 0")), region((F(1, 2), 1)), F(1, 2))
+        assert calls == []
+
     def test_ratio_must_be_interior(self, uniform):
         with pytest.raises(ValueError):
             SplitRequest((uniform,), FULL_CAKE, F(1))
