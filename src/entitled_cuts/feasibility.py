@@ -8,11 +8,13 @@ there is no tolerance anywhere.
 Each row is scaled once to plain integers, by the positive lcm of the
 denominators of its numbers, which keeps its solution set.  Each system is
 then reduced once, over the integers.  Equality constraints are eliminated
-fraction-free: substituting solved variables into a row multiplies it by
-the lcm of their denominators, and a solved variable is kept as
-den * x_v = const - sum(a * x) with den > 0, every row and solution
-divided by the gcd of its numbers (after Bareiss 1968).  So equalities that
-contradict each other are refuted without building a single rational.
+fraction-free (after Bareiss 1968) with the simplex's own row update
+(below): a row is a sparse dict of ints that keeps its right-hand side
+under one more key, a solved variable is kept as den * x_v + row . x = rhs
+with den > 0, and substituting a solved variable into a row, or a new
+pivot into an earlier solution, is one cross-multiplication and one gcd
+reduction.  So equalities that contradict each other are refuted without
+building a single rational.
 This leaves integer inequalities over the remaining free variables.  An
 inequality that touches a single free variable becomes a lower or upper
 bound on it, the first Fraction of the reduction, and the tightest bound
@@ -53,6 +55,8 @@ from .model import ZERO, as_rational
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
+# the key under which an eliminated row keeps its right-hand side, if non-zero
+_RHS = -1
 
 
 @dataclass(frozen=True)
@@ -102,77 +106,54 @@ def _eliminate_equalities(num_vars: int, rows: Sequence) -> Optional[tuple]:
     """Substitute equalities away, over the integers.
 
     Returns (free_vars, ineqs, solved) where ``solved`` maps an eliminated
-    variable v to (den, const, expr) with den > 0 and
+    variable v to (den, row) with den > 0 and
 
-        den * x_v = const - sum(expr[k] * x_k)
+        den * x_v + sum(row[k] * x_k) = row[_RHS]
 
-    over the free variables k, and ``ineqs`` are sparse integer rows
-    expr . x <= rhs touching free variables only.  Returns None if the
-    equalities alone are inconsistent.
+    over the free variables k, and ``ineqs`` are rows
+    sum(row[k] * x_k) <= row[_RHS] touching free variables only, a missing
+    right-hand side meaning 0.  Returns None if the equalities alone are
+    inconsistent.
     """
-    eqs = []
-    raw_ineqs = []
-    for coeffs, rel, rhs in rows:
-        if rel == EQ:
-            eqs.append((coeffs, rhs))
-        else:
-            raw_ineqs.append((coeffs, rel, rhs))
-
-    solved: dict[int, tuple[int, int, dict[int, int]]] = {}
+    solved: dict[int, tuple[int, dict[int, int]]] = {}
 
     def substitute(coeffs, rhs):
-        """Rewrite  coeffs . x (rel) rhs  over the not-yet-eliminated
-        variables: the row times the lcm of the denominators of the solved
-        variables it touches (a positive factor), as (expr, rhs)."""
-        hits = [(j, c) for j, c in enumerate(coeffs) if c]
-        scale = lcm(*(solved[j][0] for j, _ in hits if j in solved))
-        rhs *= scale
-        expr: dict[int, int] = {}
-        for j, c in hits:
-            s = solved.get(j)
-            if s is None:
-                expr[j] = expr.get(j, 0) + c * scale
-            else:
-                den, const, s_expr = s
-                f = c * (scale // den)
-                rhs -= f * const
-                for k, a in s_expr.items():
-                    expr[k] = expr.get(k, 0) - f * a
-        return _reduced({k: c for k, c in expr.items() if c}, rhs)
+        """Rewrite  coeffs . x (rel) rhs  as a row over the not-yet-eliminated
+        variables, up to a positive factor."""
+        row = {j: c for j, c in enumerate(coeffs) if c}
+        # _eliminate needs rows without zero entries, right-hand side included
+        if rhs:
+            row[_RHS] = rhs
+        hits = [j for j in row if j in solved]
+        for j in hits:
+            den, s_row = solved[j]
+            _eliminate(row, j, s_row, den, 0)
+        return row if hits else _reduced(row)[0]
 
-    for coeffs, rhs in eqs:
-        expr, rhs = substitute(coeffs, rhs)
-        if not expr:
-            if rhs:
+    for coeffs, rel, rhs in rows:
+        if rel != EQ:
+            continue
+        row = substitute(coeffs, rhs)
+        pivot = min((k for k in row if k != _RHS), default=None)
+        if pivot is None:
+            if row:
                 return None
             continue
-        pivot = min(expr)
-        den = expr.pop(pivot)
+        den = row.pop(pivot)
         if den < 0:
-            den, rhs = -den, -rhs
-            expr = {k: -c for k, c in expr.items()}
-        # den * x_pivot = rhs - expr . x; put it into every earlier solution
-        for var, (s_den, s_const, s_expr) in list(solved.items()):
-            w = s_expr.get(pivot)
-            if w is None:
-                continue
-            new = {k: den * a for k, a in s_expr.items() if k != pivot}
-            for k, a in expr.items():
-                new[k] = new.get(k, 0) - w * a
-            new, s_den, s_const = _reduced(
-                {k: a for k, a in new.items() if a}, den * s_den, den * s_const - w * rhs
-            )
-            solved[var] = (s_den, s_const, new)
-        solved[pivot] = (den, rhs, expr)
+            den, row = -den, {k: -c for k, c in row.items()}
+        # den * x_pivot + row . x = row[_RHS]; put it into every earlier solution
+        for var, (s_den, s_row) in solved.items():
+            if pivot in s_row:
+                solved[var] = (_eliminate(s_row, pivot, row, den, s_den), s_row)
+        solved[pivot] = (den, row)
 
     free = [j for j in range(num_vars) if j not in solved]
     ineqs = []
-    for coeffs, rel, rhs in raw_ineqs:
-        expr, rhs = substitute(coeffs, rhs)
-        if rel == LE:
-            ineqs.append((expr, rhs))
-        else:
-            ineqs.append(({k: -c for k, c in expr.items()}, -rhs))
+    for coeffs, rel, rhs in rows:
+        if rel != EQ:
+            row = substitute(coeffs, rhs)
+            ineqs.append(row if rel == LE else {k: -c for k, c in row.items()})
     return free, ineqs, solved
 
 
@@ -324,7 +305,9 @@ class _Tableau:
 def _eliminate(target: dict, col: int, new: dict, new_den: int, den: int) -> int:
     """In place, target -= (f / new_den) * new with f its entry in column
     ``col``, by cross-multiplication and one gcd reduction; returns its new
-    denominator.  Reduced costs have none and pass den=0 (gcd ignores it)."""
+    denominator.  Reduced costs and the rows a solved variable is
+    substituted into have none and pass den=0 (gcd ignores it).  Neither
+    row may hold a zero entry."""
     f = target.pop(col)
     g = gcd(f, new_den)
     m, f = new_den // g, f // g
@@ -361,11 +344,12 @@ def _decide(num_vars: int, rows: list) -> Optional[tuple]:
     lo: list = [None] * len(free)
     hi: list = [None] * len(free)
     multi = []
-    for expr, rhs in ineqs:
-        if len(expr) >= 2:
-            multi.append(({col[v]: c for v, c in expr.items()}, rhs))
-        elif expr:
-            (v, c), = expr.items()
+    for row in ineqs:
+        rhs = row.pop(_RHS, 0)
+        if len(row) >= 2:
+            multi.append(({col[v]: c for v, c in row.items()}, rhs))
+        elif row:
+            (v, c), = row.items()
             p = col[v]
             bound = Fraction(rhs, c)
             if c > 0:
@@ -406,8 +390,8 @@ def solve_feasibility(num_vars: int, constraints: Iterable) -> FeasibilityResult
     col, solved, tableau = decided
     for var in range(num_vars):
         if var in solved:
-            # minimizing x_var is minimizing -expr . x, up to the factor 1/den
-            objective = {col[v]: -c for v, c in solved[var][2].items()}
+            # minimizing x_var is minimizing -row . x, up to the factor 1/den
+            objective = {col[v]: -c for v, c in solved[var][1].items() if v != _RHS}
         else:
             objective = {col[var]: 1}
         costs = tableau.reduced_costs(objective)
@@ -418,10 +402,10 @@ def solve_feasibility(num_vars: int, constraints: Iterable) -> FeasibilityResult
     witness = []
     for var in range(num_vars):
         if var in solved:
-            den, const, expr = solved[var]
+            den, row = solved[var]
             # rest starts as a Fraction, so no int is divided by an int here
-            rest = sum((c * x[col[v]] for v, c in expr.items()), ZERO)
-            witness.append((const - rest) / den)
+            rest = sum((c * x[col[v]] for v, c in row.items() if v != _RHS), ZERO)
+            witness.append((row.get(_RHS, 0) - rest) / den)
         else:
             witness.append(x[col[var]])
     for coeffs, rel, rhs in rows:

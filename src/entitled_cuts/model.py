@@ -190,10 +190,6 @@ class Valuation:
     def value_between(self, lo: Fraction, hi: Fraction) -> Fraction:
         return self.cumulative(hi) - self.cumulative(lo)
 
-    def density_at(self, x: Fraction) -> Fraction:
-        """Density of the cell whose left edge is at or before x."""
-        return self.densities[bisect_right(self.breakpoints, x, 0, len(self.densities)) - 1]
-
     @classmethod
     def uniform(cls) -> "Valuation":
         return cls((ZERO, ONE), (ONE,))

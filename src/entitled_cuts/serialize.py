@@ -19,6 +19,7 @@ from .model import (
     Interval,
     Region,
     Valuation,
+    boundary_points,
     format_rational,
     parse_rational,
 )
@@ -93,8 +94,6 @@ def parse_instance_document(doc) -> Instance:
 
 
 def allocation_to_document(allocation: Allocation, algorithm: str) -> dict:
-    from .model import boundary_points
-
     return {
         "pieces": [
             [

@@ -1,4 +1,5 @@
 import re
+from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, product
 from unittest.mock import patch
@@ -226,7 +227,8 @@ def _reference_certificate(instance, k, maps, sent=None):
     n_cells = len(edges) - 1
     prefix = [[v.cumulative(e) for e in edges] for v in instance.valuations]
     cell_density = [
-        [v.density_at(edges[c]) for c in range(n_cells)] for v in instance.valuations
+        [v.densities[bisect_right(v.breakpoints, edges[c]) - 1] for c in range(n_cells)]
+        for v in instance.valuations
     ]
     thresholds = [t * v.total for t, v in zip(instance.entitlements, instance.valuations)]
     # subsets[i]: every set of pieces a map gives agent i; owned[m][i]: the

@@ -1,6 +1,6 @@
 from fractions import Fraction as F
-from math import gcd
-from typing import Iterable
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence
 from unittest.mock import patch
 
 import pytest
@@ -13,6 +13,7 @@ from entitled_cuts.feasibility import (
     EQ,
     GE,
     LE,
+    _reduced,
     check_feasible,
     solve_feasibility,
 )
@@ -513,9 +514,121 @@ def _exact(rows):
     return [(tuple(F(c) for c in coeffs), rel, F(rhs)) for coeffs, rel, rhs in rows]
 
 
+# ---- the equality elimination against its lcm-scaled predecessor
+#
+# The reference scales each row by the lcm of the denominators of the solved
+# variables it touches and back-substitutes by hand.  Both routines end with
+# primitive integer rows, which are unique for their rational rows, so they
+# must reduce every system to the same free variables, inequality rows (in
+# the same order) and solved variables.
+
+
+def _reference_eliminate(num_vars: int, rows: Sequence) -> Optional[tuple]:
+    """Substitute equalities away, over the integers.
+
+    Returns (free_vars, ineqs, solved) where ``solved`` maps an eliminated
+    variable v to (den, const, expr) with den > 0 and
+
+        den * x_v = const - sum(expr[k] * x_k)
+
+    over the free variables k, and ``ineqs`` are sparse integer rows
+    expr . x <= rhs touching free variables only.  Returns None if the
+    equalities alone are inconsistent.
+    """
+    eqs = []
+    raw_ineqs = []
+    for coeffs, rel, rhs in rows:
+        if rel == EQ:
+            eqs.append((coeffs, rhs))
+        else:
+            raw_ineqs.append((coeffs, rel, rhs))
+
+    solved: dict[int, tuple[int, int, dict[int, int]]] = {}
+
+    def substitute(coeffs, rhs):
+        """Rewrite  coeffs . x (rel) rhs  over the not-yet-eliminated
+        variables: the row times the lcm of the denominators of the solved
+        variables it touches (a positive factor), as (expr, rhs)."""
+        hits = [(j, c) for j, c in enumerate(coeffs) if c]
+        scale = lcm(*(solved[j][0] for j, _ in hits if j in solved))
+        rhs *= scale
+        expr: dict[int, int] = {}
+        for j, c in hits:
+            s = solved.get(j)
+            if s is None:
+                expr[j] = expr.get(j, 0) + c * scale
+            else:
+                den, const, s_expr = s
+                f = c * (scale // den)
+                rhs -= f * const
+                for k, a in s_expr.items():
+                    expr[k] = expr.get(k, 0) - f * a
+        return _reduced({k: c for k, c in expr.items() if c}, rhs)
+
+    for coeffs, rhs in eqs:
+        expr, rhs = substitute(coeffs, rhs)
+        if not expr:
+            if rhs:
+                return None
+            continue
+        pivot = min(expr)
+        den = expr.pop(pivot)
+        if den < 0:
+            den, rhs = -den, -rhs
+            expr = {k: -c for k, c in expr.items()}
+        # den * x_pivot = rhs - expr . x; put it into every earlier solution
+        for var, (s_den, s_const, s_expr) in list(solved.items()):
+            w = s_expr.get(pivot)
+            if w is None:
+                continue
+            new = {k: den * a for k, a in s_expr.items() if k != pivot}
+            for k, a in expr.items():
+                new[k] = new.get(k, 0) - w * a
+            new, s_den, s_const = _reduced(
+                {k: a for k, a in new.items() if a}, den * s_den, den * s_const - w * rhs
+            )
+            solved[var] = (s_den, s_const, new)
+        solved[pivot] = (den, rhs, expr)
+
+    free = [j for j in range(num_vars) if j not in solved]
+    ineqs = []
+    for coeffs, rel, rhs in raw_ineqs:
+        expr, rhs = substitute(coeffs, rhs)
+        if rel == LE:
+            ineqs.append((expr, rhs))
+        else:
+            ineqs.append(({k: -c for k, c in expr.items()}, -rhs))
+    return free, ineqs, solved
+
+
+def _assert_same_reduction(n, rows):
+    """The library's elimination reduces the system exactly as the
+    reference does, and no row it returns holds a zero entry."""
+    rows = feasibility._normalize(n, rows)
+    reduced = feasibility._eliminate_equalities(n, rows)
+    expected = _reference_eliminate(n, rows)
+    if expected is None:
+        assert reduced is None
+        return
+    free, ineqs, solved = reduced
+    rhs_key = feasibility._RHS
+    for row in [*ineqs, *(row for _, row in solved.values())]:
+        assert all(type(c) is int and c for c in row.values()), row
+
+    def split(row):
+        return {k: c for k, c in row.items() if k != rhs_key}, row.get(rhs_key, 0)
+
+    assert free == expected[0]
+    assert [split(row) for row in ineqs] == expected[1]
+    assert {v: (den, *split(row)) for v, (den, row) in solved.items()} == {
+        v: (den, expr, const) for v, (den, const, expr) in expected[2].items()
+    }
+
+
 def _assert_matches_fourier_motzkin(n, rows):
     """Decision and full witness against the reference; returns the
     decision."""
+    _assert_same_reduction(n, rows)
     reference = _exact(rows)
     feasible = _fm_feasible(n, reference)
     assert check_feasible(n, rows) == feasible
@@ -561,6 +674,9 @@ def _int_box(n, lo, hi):
     pytest.param(2, [((F(1, _BIG[0]), F(1, _BIG[1])), EQ, F(1, _BIG[2])),
                      ((F(1, _BIG[0]), F(1, _BIG[1])), EQ, F(1, _BIG[3]))]
                  + _int_box(2, 0, 1), False, id="coprime-denominators-inconsistent"),
+    # a solved variable with a zero right-hand side substituted into a row
+    pytest.param(3, [((1, 0, 0), EQ, 0), ((0, 0, 1), EQ, 0), ((1, 1, 1), EQ, 0)]
+                 + _int_box(3, -1, 1), True, id="zero-right-hand-sides"),
 ])
 def test_fraction_free_elimination_examples(n, rows, feasible):
     assert _assert_matches_fourier_motzkin(n, rows) == feasible
@@ -833,6 +949,7 @@ def _run_with(tableau, n, rows):
 def _assert_same_as_fraction_simplex(n, rows):
     """Same decision, same witness and same pivots; returns (decision,
     pivot count)."""
+    _assert_same_reduction(n, rows)
     decision, result, pivots = _run_with(_CheckedTableau, n, rows)
     assert (decision, result, pivots) == _run_with(_FractionTableau, n, rows)
     if not decision:
