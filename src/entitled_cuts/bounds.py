@@ -10,12 +10,12 @@ deterministic; an answer for a sampled instance says nothing about other
 instances.
 
 The oracle never lists the combinations.  It walks cut-cell prefixes
-depth first, and for each it keeps the owner prefixes of the pieces the
-placed cuts fix that could still end in a feasible system, judged by
-each agent's prefix table scaled to integers (see ``_first_feasible``).
-At a full tuple the test is the interval prefilter of a plain scan, so
-the systems that reach the solver are, in order, a subsequence of the
-plain scan's, and the first feasible one is the same.
+depth first (``cells.walk``), and for each it keeps the owner prefixes of
+the pieces the placed cuts fix that could still end in a feasible system,
+judged by each agent's prefix table scaled to integers (see
+``_first_feasible``).  At a full tuple the test is the interval prefilter
+of a plain scan, so the systems that reach the solver are, in order, a
+subsequence of the plain scan's, and the first feasible one is the same.
 ``systems_examined`` is the position of that combination in canonical
 order, or the number of all combinations, computed by counting and ranking
 tuples and maps rather than by visiting them.  The budget bounds the work
@@ -31,8 +31,8 @@ from math import comb
 from operator import sub
 from typing import Iterator, Optional, Sequence
 
-from .cells import CellTable, tuple_count, tuple_rank
-from .errors import BudgetExceeded, NotFoundWithin
+from .cells import DEFAULT_BUDGET, CellTable, Work, tuple_count, tuple_rank, walk
+from .errors import NotFoundWithin
 from .feasibility import GE, check_feasible, solve_feasibility
 from .model import (
     FULL_CAKE,
@@ -44,8 +44,6 @@ from .model import (
     Region,
     Valuation,
 )
-
-DEFAULT_ORACLE_BUDGET = 10**7
 
 
 def gen_lower_bound_instance(n: int) -> Instance:
@@ -135,7 +133,7 @@ def _map_rank(n: int, assign: Sequence[int]) -> int:
 def feasible_with_k_cuts(
     instance: Instance,
     k: int,
-    budget: int = DEFAULT_ORACLE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> CutBudgetCertificate:
     """Decide whether a proportional allocation with at most k cuts exists.
 
@@ -161,7 +159,7 @@ def feasible_with_k_cuts(
 def certificates(
     instance: Instance,
     k_max: int,
-    budget: int = DEFAULT_ORACLE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> Iterator[CutBudgetCertificate]:
     """The certificates of ``feasible_with_k_cuts`` for k = 0, 1, ..., k_max,
     up to and including the first feasible one, all decided over one
@@ -219,8 +217,7 @@ def _first_feasible(table: CellTable, k: int, budget: int):
     agents than pieces left has no feasible completion, and neither has
     one whose last owner is needy when one piece is left (for n >= 2,
     where that owner may not own the next piece).  Gains only grow, so
-    only the owner of the new piece can stop being needy.  A cell prefix
-    whose frontier is empty is pruned with its subtree.  An owner prefix
+    only the owner of the new piece can stop being needy.  An owner prefix
     with two agents short at cell c, or with one that may not own the next
     piece, stays so at every later cell, since the remaining term only
     falls as c grows: the later cells do without it, and once no owner
@@ -236,9 +233,6 @@ def _first_feasible(table: CellTable, k: int, budget: int):
     no system the prefilter passes, so the systems it sends are, in order,
     a subsequence of the plain scan's, and the first feasible one is the
     plain scan's.
-
-    The budget bounds the work done, owner prefixes kept plus LP calls,
-    and is checked as the work grows.
     """
     n = len(table.int_thresholds)
     pieces = k + 1
@@ -251,19 +245,7 @@ def _first_feasible(table: CellTable, k: int, budget: int):
     allowed = [
         tuple(a for a in range(n) if a != last or n == 1) for last in range(n)
     ] + [tuple(range(n))]
-    cells = [0] * k
-    work = 0
-
-    def spend(units: int, placed: int) -> None:
-        nonlocal work
-        work += units
-        if work > budget:
-            padded = cells[:placed] + [cells[placed - 1] if placed else 0] * (k - placed)
-            raise BudgetExceeded(
-                f"oracle budget of {budget} exceeded at k={k}: {work} units of work done "
-                f"(owner prefixes kept plus LP calls), at cut-cell tuple "
-                f"{tuple_rank(ncells, padded)} of {tuple_count(ncells, k)}"
-            )
+    work = Work(budget, ncells, "oracle", "owner prefixes kept plus LP calls", f"k={k}")
 
     def extend(frontier, lo: int, c: int, depth: int) -> tuple:
         """The owner prefixes that extend ``frontier`` with an owner of
@@ -301,34 +283,20 @@ def _first_feasible(table: CellTable, k: int, budget: int):
                     out.append((child, a, still, assign + (a,)))
         return out, alive
 
-    def descend(depth: int, lo: int, frontier):
-        if depth == k:
-            # the last piece gains the whole remaining term, so its owner's
-            # slack stands and every other agent's falls by the term
-            for _, _, _, assign in extend(frontier, lo, ncells, k)[0]:
-                if k == 0:  # no cut variables: the bound is the exact value
-                    return (), assign, ()
-                spend(1, k)
-                constraints = _oracle_system(table, cells, assign)
-                if check_feasible(k, constraints):
-                    t = solve_feasibility(k, constraints).witness
-                    return tuple(cells), assign, table.to_cuts(cells, t)
-            return None
-        for c in range(lo, ncells):
-            children, frontier = extend(frontier, lo, c, depth)
-            if children:
-                cells[depth] = c
-                spend(len(children), depth + 1)
-                found = descend(depth + 1, c, children)
-                if found is not None:
-                    return found
-            if not frontier:
-                break
-        return None
-
     # every threshold is positive, so every agent starts needy
     root = (list(map(sub, at[-1], table.int_thresholds)), n, (1 << n) - 1, ())
-    return descend(0, 0, [root])
+    for cells, frontier in walk(ncells, k, [root], extend, work.spend):
+        # the last piece gains the whole remaining term, so its owner's
+        # slack stands and every other agent's falls by the term
+        for _, _, _, assign in extend(frontier, cells[-1] if k else 0, ncells, k)[0]:
+            if k == 0:  # no cut variables: the bound is the exact value
+                return (), assign, ()
+            work.spend(1, cells, k)
+            constraints = _oracle_system(table, cells, assign)
+            if check_feasible(k, constraints):
+                t = solve_feasibility(k, constraints).witness
+                return cells, assign, table.to_cuts(cells, t)
+    return None
 
 
 def _oracle_system(table, cells, assign):
@@ -363,7 +331,7 @@ def _allocation_from_cuts(n: int, cuts: Sequence[Fraction], assign: Sequence[int
 def min_cuts(
     instance: Instance,
     k_max: int,
-    budget: int = DEFAULT_ORACLE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Smallest k <= k_max admitting a proportional allocation with k cuts.
 

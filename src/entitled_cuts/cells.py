@@ -4,11 +4,12 @@ The consensus splitter and the cut oracle search the same space: k cut
 points, weakly increasing along a region of the cake, each placed in a cell
 of the refinement of all agents' breakpoints.  The oracle's region is the
 whole cake; the splitter's is a sub-cake, whose components are read in
-order as one pie.  Both screen each placement with interval arithmetic and
-hand the placements that pass to the exact solver.  This module owns what
-the two share: the refinement, each agent's running value over its cells
-and its threshold, both scaled to integers, and the integer rows of the
-linear system over the cuts.
+order as one pie.  Both walk the placements cut by cut, drop a prefix once
+interval arithmetic shows no completion passes, and hand the rest to the
+exact solver.  This module owns what the two share: the refinement, each
+agent's running value over its cells and its threshold, both scaled to
+integers, the walk, the work budget, and the integer rows of the linear
+system over the cuts.
 
 Each component of the region is cut at the breakpoints strictly inside it,
 and the cells are the pieces, in order along the cake.  The rows are
@@ -32,12 +33,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb, lcm
 from typing import Sequence
 
+from .errors import BudgetExceeded
 from .feasibility import GE, LE
 from .model import ZERO, Region, Valuation
+
+DEFAULT_BUDGET = 10**7
 
 
 def tuple_count(cells: int, k: int) -> int:
@@ -46,7 +49,7 @@ def tuple_count(cells: int, k: int) -> int:
 
 
 def tuple_rank(cells: int, tup: Sequence[int]) -> int:
-    """Position of a weakly increasing tuple in ``CellTable.tuples`` order.
+    """Position of a weakly increasing tuple in lexicographic order.
 
     The tuples before it whose first j entries agree with it and whose
     next entry is smaller are those of length k - j from cells >= tup[j-1]
@@ -59,6 +62,55 @@ def tuple_rank(cells: int, tup: Sequence[int]) -> int:
         rank += tuple_count(cells - low, k - j) - tuple_count(cells - c, k - j)
         low = c
     return rank
+
+
+def walk(cells: int, k: int, root, extend, spend):
+    """Depth first over the weakly increasing tuples of k cells out of
+    ``cells``, lexicographically: yields (tuple, state) for each full tuple
+    whose every prefix survived.  A state lists the partial systems a
+    prefix keeps, from ``root``.  ``extend(state, lo, c, depth)`` places
+    cut ``depth`` in cell c >= lo, the cell of the cut before (0 for the
+    first), and returns the child's state, falsy if it dies, and what of
+    ``state`` may extend at a later cell, falsy once nothing can.  Each
+    child kept costs ``spend(len(child), tup, depth + 1)``, its cells in tup.
+    """
+    tup = [0] * k
+
+    def descend(depth: int, lo: int, state):
+        if depth == k:
+            yield tuple(tup), state
+            return
+        for c in range(lo, cells):
+            child, state = extend(state, lo, c, depth)
+            if child:
+                tup[depth] = c
+                spend(len(child), tup, depth + 1)
+                yield from descend(depth + 1, c, child)
+            if not state:
+                break
+
+    return descend(0, 0, root)
+
+
+class Work:
+    """The work of one split or one oracle decision, checked against
+    ``budget`` as it grows; the BudgetExceeded text names the search, where
+    it was (``at``), the work done, its units and the cut-cell tuple reached."""
+
+    def __init__(self, budget: int, cells: int, search: str, units: str, at: str):
+        self.budget, self.cells, self.search, self.units, self.at = budget, cells, search, units, at
+        self.done = 0
+
+    def spend(self, units: int, tup: Sequence[int], placed: int) -> None:
+        self.done += units
+        if self.done > self.budget:
+            k = len(tup)  # the reached prefix ranks as its first completion
+            padded = [*tup[:placed], *[tup[placed - 1] if placed else 0] * (k - placed)]
+            raise BudgetExceeded(
+                f"{self.search} budget of {self.budget} exceeded at {self.at}: {self.done} units "
+                f"of work done ({self.units}), at cut-cell tuple "
+                f"{tuple_rank(self.cells, padded)} of {tuple_count(self.cells, k)}"
+            )
 
 
 class CellTable:
@@ -98,10 +150,6 @@ class CellTable:
             self.thresholds.append(t)
             self.int_prefix.append([p.numerator * (scale // p.denominator) for p in row])
             self.int_thresholds.append(t.numerator * (scale // t.denominator))
-
-    def tuples(self, k: int):
-        """Weakly increasing cut-cell tuples of length k, lexicographically."""
-        return combinations_with_replacement(range(self.cells), k)
 
     def value_row(self, i: int, cells: Sequence[int], signs: Sequence[int], const: int):
         """Agent i's scaled value  const + sum_j signs[j] * P(cut j)  with

@@ -8,10 +8,10 @@ Subcommands:
   bench     CSV comparison of the general protocols over seeded instances
 
 Exit codes: 0 success, 1 invalid input, 2 internal verification failure
-(or a failed internal post-condition), 3 enumeration budget exceeded,
+(or a failed internal post-condition), 3 work budget exceeded,
 4 verification reported a failure.
 The environment variable ENTITLED_CUTS_BUDGET (positive integer) overrides
-the enumeration cap used by the splitter and the oracle.
+the work budget of each split and each oracle decision (see cells.Work).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ ALGORITHMS = {
 def _env_budget() -> int:
     raw = os.environ.get("ENTITLED_CUTS_BUDGET")
     if raw is None:
-        return bounds.DEFAULT_ORACLE_BUDGET
+        return bounds.DEFAULT_BUDGET
     try:
         value = int(raw)
     except ValueError:
@@ -181,12 +181,9 @@ def cmd_bench(args) -> int:
             raise FormatError("bench needs n >= 1")
         for seed in range(args.seeds):
             instance = random_instance(n, seed, args.max_cells, args.denom_bound)
-            for name, runner in (
-                ("recursive", lambda i: protocols.recursive_divide(i, budget)),
-                ("clone", protocols.clone_divide),
-            ):
+            for name in ("recursive", "clone"):
                 start = time.perf_counter()
-                report = runner(instance)
+                report = ALGORITHMS[name](instance, budget)
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
                 passed = verify_allocation(instance, report.allocation).passed
                 print(

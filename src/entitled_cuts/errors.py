@@ -41,8 +41,8 @@ class NoSplitFound(EntitledCutsError, RuntimeError):
 
 
 class BudgetExceeded(EntitledCutsError, RuntimeError):
-    """An enumeration would examine too many systems (the splitter), or a
-    search has done more work than its budget allows (the oracle)."""
+    """A search, the splitter's or the oracle's, has done more work than its
+    budget allows: cut-cell prefixes kept plus LP calls (``cells.Work``)."""
 
 
 class NotFoundWithin(EntitledCutsError):

@@ -38,7 +38,7 @@ from .model import (
     mark_right,
     measure_of,
 )
-from .split import DEFAULT_SPLIT_BUDGET, SplitRequest, exact_split
+from .split import DEFAULT_BUDGET, SplitRequest, exact_split
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def _split_two_ways(agents: Sequence[int], weights: Sequence[Fraction], subcake:
     _split_two_ways(agents[n_a:], weights[n_a:], result.complement, valuations, out, budget)
 
 
-def recursive_divide(instance: Instance, budget: int = DEFAULT_SPLIT_BUDGET) -> AlgorithmReport:
+def recursive_divide(instance: Instance, budget: int = DEFAULT_BUDGET) -> AlgorithmReport:
     """Recursive consensus halving.  Every agent's final value is exactly
     entitlement * own total, because each level splits exactly."""
     pieces: dict[int, Region] = {}
@@ -190,7 +190,7 @@ def cut_and_choose(owner: Valuation, chooser: Valuation, piece: Region):
     return left, right
 
 
-def special3_half(instance: Instance, budget: int = DEFAULT_SPLIT_BUDGET) -> AlgorithmReport:
+def special3_half(instance: Instance, budget: int = DEFAULT_BUDGET) -> AlgorithmReport:
     """Three agents, one entitled to exactly 1/2: at most 4 cuts.
 
     The other two agents split the whole cake between themselves with their
@@ -227,7 +227,7 @@ def _window_region(edges: Sequence[Fraction], start: int, width: int) -> Region:
     return Region([Interval(edges[start], ONE), Interval(ZERO, edges[end - d])])
 
 
-def special3_equal_pair(instance: Instance, budget: int = DEFAULT_SPLIT_BUDGET) -> AlgorithmReport:
+def special3_equal_pair(instance: Instance, budget: int = DEFAULT_BUDGET) -> AlgorithmReport:
     """Three agents, two with equal (rational) entitlements B/D: at most 4 cuts.
 
     Treat the cake as a pie by identifying the endpoints.  The first agent
@@ -311,7 +311,7 @@ def near_equal_divide(instance: Instance) -> AlgorithmReport:
 DEFAULT_CLONE_CAP = 64
 
 
-def auto_solve(instance: Instance, budget: int = DEFAULT_SPLIT_BUDGET) -> AlgorithmReport:
+def auto_solve(instance: Instance, budget: int = DEFAULT_BUDGET) -> AlgorithmReport:
     """Pick a protocol: the near-equal pattern first, then the three-agent
     special cases, otherwise the better (fewer cuts) of cloning (when the
     common denominator is at most ``DEFAULT_CLONE_CAP``) and the recursive

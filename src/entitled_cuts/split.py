@@ -6,16 +6,16 @@ on the sub-cake's pie: its components end to end, with its two ends
 identified.
 
 The search enumerates candidate arc structures by increasing arc count m;
-for each structure it assigns the 2m arc endpoints to cells of the common
-breakpoint refinement of the sub-cake, in the cake's own coordinates, and
-asks the exact feasibility solver for the n value equations plus ordering
-and cell-box constraints.  The first feasible system in the canonical
-order (m ascending, then origin-outside before origin-inside, the origin
-being the pie's joined ends, then lexicographic cell assignments, then the
-lex-minimal witness) wins, so results are fully deterministic.  The
-refinement tables, the integer rows of the interval prefilter and the
-integer rows of each system, in cell coordinates, come from ``cells``,
-which the cut oracle shares.
+for each structure it walks the assignments of the 2m arc endpoints to
+cells of the common breakpoint refinement of the sub-cake, in the cake's
+own coordinates, endpoint by endpoint, and asks the exact feasibility
+solver for the n value equations plus ordering and cell-box constraints.
+The first feasible system in the canonical order (m ascending, then
+origin-outside before origin-inside, the origin being the pie's joined
+ends, then lexicographic cell assignments, then the lex-minimal witness)
+wins, so results are fully deterministic.  The refinement tables, the
+walk, the work budget and the integer rows of each system, in cell
+coordinates, come from ``cells``, which the cut oracle shares.
 """
 
 from __future__ import annotations
@@ -23,12 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cells import CellTable, tuple_count
-from .errors import BudgetExceeded, EmptySubcake, InternalCheckFailed, NoSplitFound
+from .cells import DEFAULT_BUDGET, CellTable, Work, walk
+from .errors import EmptySubcake, InternalCheckFailed, NoSplitFound
 from .feasibility import EQ, check_feasible, solve_feasibility
 from .model import FULL_CAKE, ONE, ZERO, Interval, Region, Valuation, as_rational, measure_of
-
-DEFAULT_SPLIT_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -82,42 +80,31 @@ def pie_arc_count(part: Region, cake: Region = FULL_CAKE) -> int:
     return runs
 
 
-def enumeration_size(cells: int, n_agents: int) -> int:
-    """Linear systems the full enumeration would visit (the budget guard)."""
-    m_max = max(1, n_agents - 1)
-    return sum(2 * tuple_count(cells, 2 * m) for m in range(1, m_max + 1))
-
-
-def exact_split(req: SplitRequest, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitResult:
+def exact_split(req: SplitRequest, budget: int = DEFAULT_BUDGET) -> SplitResult:
     """Split the sub-cake so every agent values the part at exactly
     ratio * (their value of the sub-cake).
 
     Deterministic: the first feasible arc structure in canonical order is
     returned with its lex-minimal endpoint witness.  Raises BudgetExceeded
-    if the enumeration space is larger than ``budget`` systems, and
-    NoSplitFound if the enumeration is exhausted (an implementation bug:
-    existence is guaranteed at n-1 arcs).
+    once its work, cut-cell prefixes kept plus LP calls, passes ``budget``,
+    and NoSplitFound if the enumeration is exhausted (an implementation
+    bug: existence is guaranteed at n-1 arcs).
     """
     n = len(req.valuations)
     cake, table = req.subcake, req.table
-    # a projected count, checked up front: without a prefix walk the
-    # splitter screens every tuple it counts, so the count is its work
-    if enumeration_size(table.cells, n) > budget:
-        raise BudgetExceeded(
-            f"split enumeration would visit more than {budget} systems"
-        )
     totals, targets = table.totals, table.thresholds
-    int_totals = [row[-1] for row in table.int_prefix]
+    work = Work(budget, table.cells, "split", "cut-cell prefixes kept plus LP calls", "m=1")
 
     m_max = max(1, n - 1)
     for m in range(1, m_max + 1):
         k = 2 * m
+        work.at = f"m={m}"
         for origin_inside in (False, True):
             signs = _arc_signs(k, origin_inside)
-            base = int_totals if origin_inside else [0] * n
-            for cells in table.tuples(k):
-                if not _within_reach(table, cells, signs, base):
-                    continue
+            base = [row[-1] for row in table.int_prefix] if origin_inside else [0] * n
+            root, extend = _reach(table, signs, base)
+            for cells, _ in walk(table.cells, k, root, extend, work.spend):
+                work.spend(1, cells, k)
                 constraints = []
                 for i, target in enumerate(table.int_thresholds):
                     coeffs, const = table.value_row(i, cells, signs, base[i])
@@ -145,19 +132,29 @@ def exact_split(req: SplitRequest, budget: int = DEFAULT_SPLIT_BUDGET) -> SplitR
     )
 
 
-def _within_reach(table: CellTable, cells, signs, base) -> bool:
-    """Interval prefilter on the integer-scaled prefix rows.
+def _reach(table: CellTable, signs, base):
+    """The root and the ``extend`` of the walk over one arc structure's
+    endpoint cells.  A state holds each agent's range [low, high] of part
+    values, from ``base``.  An endpoint with sign + in cell c adds between
+    F(c) and F(c + 1), one with sign - the negatives (ordering ignored: a
+    relaxation), and one still to come, in a cell >= c, between F(c) and
+    F(end) or the negatives.  A prefix dies once a target is out of reach;
+    at a full tuple this is the interval prefilter of a plain scan.  For a
+    cut of sign + the low end's bound only grows with c, for one of sign -
+    the high end's only falls, so failing there ends the loop over c."""
+    later = [(signs[d + 1:].count(1), signs[d + 1:].count(-1)) for d in range(len(signs))]
 
-    With the cuts anywhere in their cells (ordering ignored, so this is a
-    relaxation), each agent's part value ranges over [lo, lo + width]: a
-    cut with sign + adds at least F(left edge), one with sign - at least
-    -F(right edge), and each cut widens the range by its cell's value.
-    """
-    for row, target, lo in zip(table.int_prefix, table.int_thresholds, base):
-        width = 0
-        for s, c in zip(signs, cells):
-            lo += row[c] if s > 0 else -row[c + 1]
-            width += row[c + 1] - row[c]
-        if not (lo <= target <= lo + width):
-            return False
-    return True
+    def extend(state, lo, c, depth):
+        s, (plus, minus) = signs[depth], later[depth]
+        reach = []
+        for (low, high), row, target in zip(state[0], table.int_prefix, table.int_thresholds):
+            left, right, end = row[c], row[c + 1], row[-1]
+            low, high = (low + left, high + right) if s > 0 else (low - right, high - left)
+            if low + plus * left - minus * end > target:
+                return None, s < 0 and state
+            if high + plus * end - minus * left < target:
+                return None, s > 0 and state
+            reach.append((low, high))
+        return [reach], state  # one partial system per cut-cell prefix
+
+    return [[(b, b) for b in base]], extend

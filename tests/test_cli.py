@@ -161,6 +161,15 @@ class TestSolve:
         assert main(["gen", "--lower-bound", "2", "-o", missing_dir]) == 1
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["auto", "recursive"])
+    def test_six_agents_under_the_default_budget(self, tmp_path, capsys, algorithm):
+        inst = random_instance(6, 2, max_cells=6, denom_bound=64)
+        inst_path = write_instance(tmp_path / "i.json", inst)
+        out = str(tmp_path / "a.json")
+        assert main(["solve", inst_path, "--algorithm", algorithm, "-o", out]) == 0
+        assert main(["verify", inst_path, out]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
     def test_budget_exceeded_exit_3(self, tmp_path, monkeypatch):
         inst_path = write_instance(tmp_path / "i.json", random_instance(3, 5))
         monkeypatch.setenv("ENTITLED_CUTS_BUDGET", "1")

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 from unittest.mock import patch
@@ -1006,7 +1007,7 @@ def test_integer_simplex_matches_fraction_simplex_on_cut_systems(n):
         table = CellTable(inst.valuations, inst.entitlements, FULL_CAKE)
         systems = [(k, rows) for k in range(1, 2 * n - 1) for rows in _oracle_systems(inst, k)]
         systems += [(k, _splitter_system(table, cells, inside))
-                    for k in (2, 4) for inside in (False, True) for cells in table.tuples(k)]
+                    for k in (2, 4) for inside in (False, True) for cells in combinations_with_replacement(range(table.cells), k)]
         for k, rows in systems:
             decision, count = _assert_same_as_fraction_simplex(k, rows)
             decisions.add(decision)

@@ -78,6 +78,15 @@ class TestRecursiveDivide:
             assert len(report.cuts) <= upper_bound_cuts(n)
             assert verify_allocation(inst, report.allocation).passed
 
+    def test_six_agents_under_the_default_budget(self):
+        # the top split has 18 refinement cells: a plain scan of every
+        # cut-cell tuple projects 19.2M systems, over the default budget,
+        # while the prefix walk does about 3,800 units of work there
+        inst = random_instance(6, 2, max_cells=6, denom_bound=64)
+        report = recursive_divide(inst)
+        assert verify_allocation(inst, report.allocation).passed
+        assert len(report.cuts) <= report.bound
+
     def test_scale_invariance(self):
         inst = random_instance(3, 4242)
         scaled_vals = list(inst.valuations)

@@ -1,4 +1,5 @@
 import random
+import re
 from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
@@ -6,14 +7,14 @@ from itertools import combinations_with_replacement
 import pytest
 
 from entitled_cuts import split
+from entitled_cuts.cells import tuple_count, walk
 from entitled_cuts.errors import BudgetExceeded, EmptySubcake
 from entitled_cuts.feasibility import EQ, GE, LE, check_feasible, solve_feasibility
-from entitled_cuts.generate import random_valuation
+from entitled_cuts.generate import random_instance, random_valuation
 from entitled_cuts.model import FULL_CAKE, ONE, ZERO, Interval, Region, measure_of
 from entitled_cuts.split import (
     SplitRequest,
     _arc_signs,
-    enumeration_size,
     exact_split,
     pie_arc_count,
 )
@@ -100,7 +101,55 @@ class TestExactSplit:
         req = SplitRequest((uniform, pw("0 1/3 2/3 1", "1 2 3")), FULL_CAKE, F(1, 2))
         with pytest.raises(BudgetExceeded):
             exact_split(req, budget=1)
-        assert enumeration_size(3, 2) > 1
+
+    def test_budget_bounds_the_work_done(self):
+        # a split stops once its work, cut-cell prefixes kept plus LP calls
+        # over every arc count, passes the budget, and says how far it got;
+        # raised to the work reached each time, the budget eventually covers
+        # the whole search, which then returns the unbudgeted result
+        vals = (pw("0 1/4 1", "3 5/4"), pw("0 1/2 1", "0 1"), pw("0 1/2 1", "1/3 2"))
+        req = SplitRequest(vals, FULL_CAKE, F(1, 2))
+        unbudgeted = exact_split(req)
+        assert pie_arc_count(unbudgeted.part) == 2  # the search reaches m = 2
+        budget, reached = 0, []
+        while True:
+            try:
+                res = exact_split(req, budget=budget)
+                break
+            except BudgetExceeded as exc:
+                at = re.fullmatch(
+                    r"split budget of (\d+) exceeded at m=(\d+): (\d+) units of work done "
+                    r"\(cut-cell prefixes kept plus LP calls\), at cut-cell tuple (\d+) of (\d+)",
+                    str(exc),
+                )
+                assert int(at[1]) == budget and int(at[3]) == budget + 1
+                assert int(at[4]) < int(at[5]) == tuple_count(req.table.cells, 2 * int(at[2]))
+                reached.append(int(at[2]))
+                budget = int(at[3])
+        assert res == unbudgeted
+        assert reached == sorted(reached) and set(reached) == {1, 2}
+        # the exact work: a walk that prunes less runs out of this budget
+        assert budget == 20
+        with pytest.raises(BudgetExceeded, match=f"at m=2: {budget} units of work done"):
+            exact_split(req, budget=budget - 1)
+
+    def test_six_agent_top_split_work(self, monkeypatch):
+        # the top split of a six-agent instance on 18 refinement cells: a
+        # plain scan of every tuple would project 19,249,926 systems, while
+        # the walk does exactly this work, 1,457 units of it LP calls.  A
+        # walk that prunes less runs out of the budget
+        inst = random_instance(6, 2, max_cells=6, denom_bound=64)
+        # the first three agents' share, as recursive_divide asks for it
+        req = SplitRequest(inst.valuations, FULL_CAKE, sum(inst.entitlements[:3], F(0)))
+        assert req.table.cells == 18
+        checks = []
+        monkeypatch.setattr(
+            split, "check_feasible", lambda k, rows: checks.append(k) or check_feasible(k, rows)
+        )
+        exact_split(req, budget=3763)
+        assert len(checks) == 1457
+        with pytest.raises(BudgetExceeded, match=r"at m=\d: 3763 units of work done"):
+            exact_split(req, budget=3762)
 
     def test_subcake_split_is_exact_for_everyone(self, uniform):
         skewed = pw("0 1/2 1", "2 0")
@@ -325,6 +374,60 @@ class TestMatchesReferenceScan:
             cases += 1
         assert max(shapes) >= 2  # multi-component sub-cakes were exercised
         assert n == 2 or max(arcs) >= 2  # so was more than the first arc count
+
+
+def _within_reach(table, cells, signs, base) -> bool:
+    """The splitter's full-tuple interval prefilter before the prefix walk,
+    kept as the reference for the walk's leaves.
+
+    With the cuts anywhere in their cells (ordering ignored, so this is a
+    relaxation), each agent's part value ranges over [lo, lo + width]: a
+    cut with sign + adds at least F(left edge), one with sign - at least
+    -F(right edge), and each cut widens the range by its cell's value.
+    """
+    for row, target, lo in zip(table.int_prefix, table.int_thresholds, base):
+        width = 0
+        for s, c in zip(signs, cells):
+            lo += row[c] if s > 0 else -row[c + 1]
+            width += row[c + 1] - row[c]
+        if not (lo <= target <= lo + width):
+            return False
+    return True
+
+
+class TestWalkMatchesPrefilterScan:
+    """The splitter's prefix walk yields exactly the tuples that the plain
+    scan's full-tuple prefilter passes, in the same order."""
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_leaves_are_the_tuples_the_prefilter_passes(self, k):
+        rng = random.Random(7400 + k)
+        cases, shapes, passing, kept, prefixes = 0, set(), 0, [], 0
+        while cases < 12:
+            n = rng.randint(2, 4)
+            vals = tuple(random_valuation(rng, 3 if n <= 3 else 2, 8) for _ in range(n))
+            subcake = FULL_CAKE if cases % 2 == 0 else _random_subcake(rng, 3)
+            try:
+                table = SplitRequest(vals, subcake, F(rng.randint(1, 7), 8)).table
+            except ValueError:  # an empty sub-cake, or one some agent values at 0
+                continue
+            for inside in (False, True):
+                signs = _arc_signs(k, inside)
+                base = [row[-1] for row in table.int_prefix] if inside else [0] * n
+                root, extend = split._reach(table, signs, base)
+                leaves = [cells for cells, _ in walk(
+                    table.cells, k, root, extend, lambda units, tup, placed: kept.append(units)
+                )]
+                scan = [cells for cells in combinations_with_replacement(range(table.cells), k)
+                        if _within_reach(table, cells, signs, base)]
+                assert leaves == scan, (k, cases, inside)
+                passing += len(scan)
+                prefixes += sum(tuple_count(table.cells, j) for j in range(1, k + 1))
+            shapes.add(len(subcake.intervals))
+            cases += 1
+        assert passing > 0 and max(shapes) >= 2
+        # one unit per prefix kept, and prefixes do get pruned
+        assert set(kept) == {1} and len(kept) < prefixes
 
 
 class TestPostConditions:
