@@ -149,8 +149,12 @@ def cmd_min_cuts(args) -> int:
     instance = _load_instance(args.instance)
     budget = _env_budget()
     for cert in bounds.certificates(instance, args.k_max, budget):
-        status = "feasible" if cert.feasible else "infeasible"
-        print(f"k={cert.k}: {status} ({cert.systems_examined} systems examined)")
+        # systems_examined is a canonical rank, counted, not a tally of visits
+        if cert.feasible:
+            print(f"k={cert.k}: feasible (witness at combination"
+                  f" {cert.systems_examined} in canonical order)")
+        else:
+            print(f"k={cert.k}: infeasible (all {cert.systems_examined} combinations ruled out)")
     if cert.feasible:
         print(f"min cuts = {cert.k}")
     else:

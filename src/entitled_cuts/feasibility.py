@@ -17,10 +17,11 @@ reduction.  So equalities that contradict each other are refuted without
 building a single rational.
 This leaves integer inequalities over the remaining free variables.  An
 inequality that touches a single free variable becomes a lower or upper
-bound on it, the first Fraction of the reduction, and the tightest bound
-on each side wins.  Only inequalities over two or more free variables stay
-as rows (in the systems the splitter and the oracle build, the value rows
-and the ordering rows); each gets a slack variable bounded below by zero.
+bound on it, kept as a (numerator, positive denominator) pair, and the
+tightest bound on each side wins by cross-multiplication.  Only
+inequalities over two or more free variables stay as rows (in the systems
+the splitter and the oracle build, the value rows and the ordering rows);
+each gets a slack variable bounded below by zero.
 
 What is left goes to a bounded-variable exact simplex.  Every column is
 either basic or non-basic at one of its bounds; a column with no bound at
@@ -29,8 +30,14 @@ column from one bound to the other without a basis change.  Rows are ints
 over a positive denominator each (after Edmonds 1967); a pivot updates the
 rows that hold the entering column by cross-multiplication and one gcd
 reduction, and reduced costs are ints up to a positive factor, as only
-their signs are read.  Bland's rule (the lowest eligible column enters, the
-lowest column leaves among tied rows) keeps the method from cycling.
+their signs are read.  The point and the bounds are ints over one common
+denominator.  The ratio test compares steps as integer pairs by
+cross-multiplication, so it breaks every tie as a comparison of rationals
+would.  Before a step moves the point, the common denominator grows by the
+least factor that keeps every moved value an int; after it, the point, the
+bounds and the denominator are divided by their gcd.  Bland's rule (the
+lowest eligible column enters, the lowest column leaves among tied rows)
+keeps the method from cycling.
 Phase 1 starts every column at a bound and gives each row whose slack
 starts negative an artificial column; the system is feasible exactly when
 the artificials can all reach zero.
@@ -40,7 +47,8 @@ objectives, each warm-started from the previous optimal basis: minimize
 x1, which is a column or, for an eliminated variable, the affine expression
 it was replaced by; then fix at its current value every non-basic column
 with a non-zero reduced cost, which leaves exactly the set of minimizers;
-then go on to x2.  After the last step the point is unique.
+then go on to x2.  After the last step the point is unique, and it is
+read out as Fractions once, for the witness and its exact re-check.
 """
 
 from __future__ import annotations
@@ -165,21 +173,27 @@ class _Tableau:
     Row r is  dens[r] * x[basis[r]] + sum(rows[r][j] * x[j]) = const  over
     the non-basic, non-fixed columns j, in ints with dens[r] > 0 and gcd 1;
     ``x`` holds every column's value, so the constant is never needed.
-    ``lo``/``hi`` are the bounds, None meaning unbounded on that side.
+    The point and the bounds are ints over one common denominator ``den``:
+    column j sits at x[j] / den, between lo[j] / den and hi[j] / den, None
+    meaning unbounded on that side.  den > 0, and den, the point and the
+    finite bounds have gcd 1.
     """
 
     def __init__(self, lo: list, hi: list, rows: list):
-        x = [ZERO if l is None and h is None else (h if l is None else l) for l, h in zip(lo, hi)]
-        self.x, self.lo, self.hi = x, lo, hi
+        """``lo``/``hi`` hold each free variable's bounds as (numerator,
+        positive denominator) pairs in lowest terms, or None; ``rows`` hold
+        (expr, rhs) for  expr . x <= rhs  over the free variables."""
+        den = lcm(*(b[1] for b in (*lo, *hi) if b is not None))
+        lo = [None if b is None else b[0] * (den // b[1]) for b in lo]
+        hi = [None if b is None else b[0] * (den // b[1]) for b in hi]
+        x = [0 if l is None and h is None else (h if l is None else l) for l, h in zip(lo, hi)]
+        self.x, self.lo, self.hi, self.den = x, lo, hi, den
         self.rows, self.dens, self.basis, self.artificials = [], [], [], []
         fixed = {j for j, l in enumerate(lo) if l is not None and l == hi[j]}
-        # the starting point over one common denominator
-        scale = lcm(*(q.denominator for q in x))
-        at = [q.numerator * (scale // q.denominator) for q in x]
         for expr, rhs in rows:
-            level = Fraction(rhs * scale - sum(c * at[j] for j, c in expr.items()), scale)
+            level = rhs * den - sum(c * x[j] for j, c in expr.items())
             row = {j: c for j, c in expr.items() if j not in fixed}
-            x.append(max(level, ZERO))
+            x.append(max(level, 0))
             if level < 0:
                 # the slack starts at zero and an artificial takes the shortfall
                 row = {j: -c for j, c in row.items()}
@@ -189,7 +203,7 @@ class _Tableau:
             self.basis.append(len(x) - 1)
             self.rows.append(row)
             self.dens.append(1)
-        lo += [ZERO] * (len(x) - len(lo))
+        lo += [0] * (len(x) - len(lo))
         hi += [None] * (len(x) - len(hi))
 
     def _fixed(self, j: int) -> bool:
@@ -205,7 +219,7 @@ class _Tableau:
         if any(self.x[a] for a in self.artificials):
             return False
         for a in self.artificials:
-            self.hi[a] = ZERO
+            self.hi[a] = 0
         self._drop_fixed(self.artificials)
         return True
 
@@ -241,12 +255,14 @@ class _Tableau:
                     break
             if enter < 0:
                 return True
-            # bound flip first; a row replaces it only on a strictly shorter step
-            step = None
+            # the step is num / q in units of 1 / den, q > 0, and q == 0 while
+            # there is none; bound flip first, and a row replaces it only on a
+            # strictly shorter step
+            num = q = 0
             if up and hi[enter] is not None:
-                step = hi[enter] - x[enter]
+                num, q = hi[enter] - x[enter], 1
             elif not up and lo[enter] is not None:
-                step = x[enter] - lo[enter]
+                num, q = x[enter] - lo[enter], 1
             leave = -1
             touched = []
             for r, row in enumerate(rows):
@@ -259,19 +275,52 @@ class _Tableau:
                 bound = hi[b] if (a < 0) == up else lo[b]
                 if bound is None:
                     continue
-                gap = bound - x[b]
-                room = Fraction(abs(gap.numerator) * dens[r], gap.denominator * abs(a))
-                if step is None or room < step or (room == step and leave >= 0 and b < basis[leave]):
-                    step, leave = room, r
-            if step is None:
+                room, per = abs(bound - x[b]) * dens[r], abs(a)
+                if not q or room * q < num * per or (
+                    room * q == num * per and leave >= 0 and b < basis[leave]
+                ):
+                    num, q, leave = room, per, r
+            if not q:
                 return False
-            if step:
-                delta = step if up else -step
-                x[enter] += delta
-                for r, a in touched:
-                    x[basis[r]] -= Fraction(a * delta.numerator, dens[r] * delta.denominator)
+            if num:
+                self._step(enter, num if up else -num, q, touched)
             if leave >= 0:
                 self._pivot(leave, enter, touched, costs)
+
+    def _step(self, enter: int, num: int, q: int, touched: list) -> None:
+        """Move column ``enter`` by num / q in units of 1 / den, q > 0, and
+        the basic column of each (row, entry) pair in ``touched`` with it.
+        den first grows by the least factor that keeps every moved value an
+        int; then the point, the bounds and den are divided by their gcd."""
+        x, dens, basis = self.x, self.dens, self.basis
+        g = gcd(num, q)
+        num, q = num // g, q // g
+        m = q
+        for r, a in touched:
+            d = q * dens[r]
+            m = lcm(m, d // gcd(d, a * num))
+        if m > 1:
+            self._rescale(m, 1)
+        delta = num * (m // q)
+        x[enter] += delta
+        for r, a in touched:
+            x[basis[r]] -= a * delta // dens[r]
+        # the gcd of all divides that of den and the moved values, mostly 1
+        if gcd(self.den, x[enter], *(x[basis[r]] for r, _ in touched)) > 1:
+            self._reduce()
+
+    def _rescale(self, m: int, g: int) -> None:
+        """Put the point and the bounds over den * m / g, for a g that
+        divides den * m and every scaled value."""
+        self.den = self.den * m // g
+        for values in (self.x, self.lo, self.hi):
+            values[:] = [None if v is None else v * m // g for v in values]
+
+    def _reduce(self) -> None:
+        """Divide the point, the bounds and den by their gcd."""
+        g = gcd(self.den, *self.x, *(v for v in (*self.lo, *self.hi) if v is not None))
+        if g > 1:
+            self._rescale(1, g)
 
     def _pivot(self, leave: int, enter: int, touched: list, costs: dict) -> None:
         rows, dens, basis = self.rows, self.dens, self.basis
@@ -299,6 +348,8 @@ class _Tableau:
         non-basic column whose reduced cost is non-zero at its value."""
         for j in costs:
             self.lo[j] = self.hi[j] = self.x[j]
+        # the bounds replaced may have been all that kept gcd 1
+        self._reduce()
         self._drop_fixed(costs)
 
 
@@ -341,6 +392,8 @@ def _decide(num_vars: int, rows: list) -> Optional[tuple]:
         return None
     free, ineqs, solved = reduced
     col = {v: p for p, v in enumerate(free)}
+    # bounds are (numerator, positive denominator) pairs in lowest terms,
+    # as every row is primitive, and are compared by cross-multiplication
     lo: list = [None] * len(free)
     hi: list = [None] * len(free)
     multi = []
@@ -351,15 +404,16 @@ def _decide(num_vars: int, rows: list) -> Optional[tuple]:
         elif row:
             (v, c), = row.items()
             p = col[v]
-            bound = Fraction(rhs, c)
+            # c * x <= rhs: an upper bound rhs / c for c > 0, else the lower
+            # bound -rhs / -c
             if c > 0:
-                if hi[p] is None or bound < hi[p]:
-                    hi[p] = bound
-            elif lo[p] is None or bound > lo[p]:
-                lo[p] = bound
+                if hi[p] is None or rhs * hi[p][1] < hi[p][0] * c:
+                    hi[p] = (rhs, c)
+            elif lo[p] is None or rhs * lo[p][1] < lo[p][0] * c:
+                lo[p] = (-rhs, -c)
         elif rhs < 0:
             return None
-    if any(l is not None and h is not None and l > h for l, h in zip(lo, hi)):
+    if any(l is not None and h is not None and l[0] * h[1] > h[0] * l[1] for l, h in zip(lo, hi)):
         return None
     tableau = _Tableau(lo, hi, multi)
     if not tableau.phase1():
@@ -398,7 +452,7 @@ def solve_feasibility(num_vars: int, constraints: Iterable) -> FeasibilityResult
         if not tableau.optimize(costs):
             raise UnboundedLexMin(f"minimizing variable {var + 1} is unbounded below")
         tableau.fix_optimal_face(costs)
-    x = tableau.x
+    x = [Fraction(v, tableau.den) for v in tableau.x[:len(col)]]
     witness = []
     for var in range(num_vars):
         if var in solved:

@@ -292,6 +292,18 @@ class TestMinCuts:
         assert "not found within k-max 3" in out
         assert loads(cert.read_text())["status"] == "infeasible"
 
+    def test_lines_say_what_their_number_is(self, tmp_path, capsys):
+        """Each k= line prints the certificate's systems_examined: all the
+        combinations when none is feasible, else the witness's canonical
+        rank."""
+        inst_path = write_instance(tmp_path / "i.json", gen_lower_bound_instance(4))
+        cert = tmp_path / "c.json"
+        assert main(["min-cuts", inst_path, "--k-max", "6", "-o", str(cert)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "k=5: infeasible (all 277200 combinations ruled out)" in lines
+        assert "k=6: feasible (witness at combination 617775 in canonical order)" in lines
+        assert loads(cert.read_text())["systems_examined"] == 617775
+
     def test_negative_k_max_exit_1(self, tmp_path, capsys):
         inst_path = write_instance(tmp_path / "i.json", gen_lower_bound_instance(2))
         assert main(["min-cuts", inst_path, "--k-max", "-1"]) == 1

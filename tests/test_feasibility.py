@@ -902,9 +902,15 @@ def _fraction_axpy(target: dict, pivot_col: int, f: F, new: dict) -> None:
 
 
 class _CheckedTableau(feasibility._Tableau):
-    """The integer simplex, checking that the reduced costs are ints and,
-    after every pivot and every column fixed, that each row is ints over a
-    positive denominator with gcd 1."""
+    """The integer simplex, checking that the reduced costs are ints, that
+    after every pivot and every column fixed each row is ints over a
+    positive denominator with gcd 1, and that from the start and after
+    every step, pivot and column fixed, the point and the finite bounds are
+    ints over a positive common denominator, with gcd 1 among them all."""
+
+    def __init__(self, lo, hi, rows):
+        super().__init__(lo, hi, rows)
+        self._check_point()
 
     def _check_rows(self):
         for row, den in zip(self.rows, self.dens):
@@ -912,30 +918,53 @@ class _CheckedTableau(feasibility._Tableau):
             assert all(type(c) is int and c for c in row.values()), row
             assert gcd(den, *row.values()) == 1, (den, row)
 
+    def _check_point(self):
+        bounds = [b for b in (*self.lo, *self.hi) if b is not None]
+        assert type(self.den) is int and self.den > 0, self.den
+        assert all(type(v) is int for v in (*self.x, *bounds)), (self.x, self.lo, self.hi)
+        assert gcd(self.den, *self.x, *bounds) == 1, (self.den, self.x, self.lo, self.hi)
+
     def reduced_costs(self, objective):
         costs = super().reduced_costs(objective)
         assert all(type(c) is int and c for c in costs.values()), costs
         return costs
 
+    def _step(self, enter, num, q, touched):
+        super()._step(enter, num, q, touched)
+        self._check_point()
+
     def _pivot(self, leave, enter, touched, costs):
         super()._pivot(leave, enter, touched, costs)
         self._check_rows()
+        self._check_point()
         assert all(type(c) is int and c for c in costs.values()), costs
 
     def _drop_fixed(self, columns):
         super()._drop_fixed(columns)
         self._check_rows()
+        self._check_point()
+
+
+class _FractionReference(_FractionTableau):
+    """The Fraction simplex on the integer simplex's input: its bounds come
+    as (numerator, denominator) pairs, and its point is read over den = 1."""
+
+    den = 1
+
+    def __init__(self, lo, hi, rows):
+        super().__init__(*([None if b is None else F(*b) for b in side] for side in (lo, hi)), rows)
 
 
 def _run_with(tableau, n, rows):
     """check_feasible's answer, solve_feasibility's result (or the message
     of the UnboundedLexMin it raised) and every pivot made, as (leaving row,
-    entering column), with ``tableau`` as the simplex."""
+    entering column, the point as Fractions), with ``tableau`` as the
+    simplex."""
     pivots = []
 
     class Recording(tableau):
         def _pivot(self, leave, enter, touched, costs):
-            pivots.append((leave, enter))
+            pivots.append((leave, enter, tuple(F(v, self.den) for v in self.x)))
             super()._pivot(leave, enter, touched, costs)
 
     with patch.object(feasibility, "_Tableau", Recording):
@@ -952,7 +981,7 @@ def _assert_same_as_fraction_simplex(n, rows):
     pivot count)."""
     _assert_same_reduction(n, rows)
     decision, result, pivots = _run_with(_CheckedTableau, n, rows)
-    assert (decision, result, pivots) == _run_with(_FractionTableau, n, rows)
+    assert (decision, result, pivots) == _run_with(_FractionReference, n, rows)
     if not decision:
         assert not result.feasible
     elif not isinstance(result, str):
@@ -1015,22 +1044,52 @@ def test_integer_simplex_matches_fraction_simplex_on_cut_systems(n):
     assert decisions == {True, False} and pivots > 100
 
 
-@settings(max_examples=150, deadline=None)
+def test_deciding_int_rows_builds_no_fraction(monkeypatch):
+    """The reduction, the bounds and the simplex run in ints: the cut
+    systems of a seeded pool, pivots included, are decided without one
+    Fraction."""
+    systems = [(k, rows) for inst in _certify_pool(3, 2) for k in range(1, 5)
+               for rows in _oracle_systems(inst, k)]
+    pivots = []
+
+    class Counting(feasibility._Tableau):
+        def _pivot(self, leave, enter, touched, costs):
+            pivots.append(enter)
+            super()._pivot(leave, enter, touched, costs)
+
+    def refuse(*args):
+        raise AssertionError(f"Fraction{args} built")
+
+    monkeypatch.setattr(feasibility, "_Tableau", Counting)
+    monkeypatch.setattr(feasibility, "Fraction", refuse)
+    decisions = {check_feasible(k, rows) for k, rows in systems}
+    assert decisions == {True, False} and len(pivots) > 10
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_integer_simplex_matches_fraction_simplex_on_drawn_systems(data):
     """One oracle or splitter system over a CellTable, with cut cells and
     owners drawn freely, or a general system with free and half-bounded
-    variables."""
-    shape = data.draw(st.sampled_from(["oracle", "splitter", "general"]))
-    if shape == "general":
+    variables, whose bounds may have unlike denominators up to 10**6."""
+    shape = data.draw(st.sampled_from(["oracle", "splitter", "general", "large"]))
+    if shape in ("general", "large"):
+        def bound():
+            if shape == "general":
+                return data.draw(density)
+            # the common denominator starts at the lcm of these and shrinks
+            # once the bounds that carry them are fixed away
+            den = data.draw(st.sampled_from(_BIG))
+            return F(data.draw(st.integers(min_value=-2 * den, max_value=2 * den)), den)
+
         n = data.draw(st.integers(min_value=1, max_value=4))
         rows = _random_system(data, n, 6)
         for v in range(n):
             side = data.draw(st.sampled_from(["both", "lower", "none"]))
             if side != "none":
-                rows.append((_unit(n, v), GE, data.draw(density)))
+                rows.append((_unit(n, v), GE, bound()))
             if side == "both":
-                rows.append((_unit(n, v), LE, data.draw(density) + 2))
+                rows.append((_unit(n, v), LE, bound() + 2))
         _assert_same_as_fraction_simplex(n, rows)
         return
     inst = random_instance(data.draw(st.integers(min_value=1, max_value=3)),
@@ -1047,3 +1106,72 @@ def test_integer_simplex_matches_fraction_simplex_on_drawn_systems(data):
                   for _ in range(k + 1)]
         rows = bounds._oracle_system(table, cells, owners)
     _assert_same_as_fraction_simplex(k, rows)
+
+
+# ---- ties and rescaling in the integer ratio test
+
+
+def _pivots(n, rows):
+    """The pivots made, as (leaving row, entering column), after checking
+    that both simplexes make them at the same points."""
+    _assert_same_as_fraction_simplex(n, rows)
+    return [(leave, enter) for leave, enter, _ in _run_with(_CheckedTableau, n, rows)[2]]
+
+
+@pytest.mark.parametrize("first, second", [
+    ((-2, 1, -1), (-4, 1, -2)),
+    ((-4, 1, -2), (-2, 1, -1)),
+])
+def test_rows_tied_in_unlike_terms_leave_by_lowest_column(first, second):
+    """x1 <= 1 starts at its bound, and minimizing it drains both slacks at
+    x1 = 1/2: the ratio test sees the steps 1/2 and 2/4, which tie, so the
+    row with the lower basic column, row 0, leaves in either order."""
+    rows = [((1, 0), LE, 1), ((0, 1), GE, 0),
+            ((first[0], first[1]), LE, first[2]), ((second[0], second[1]), LE, second[2])]
+    assert _pivots(2, rows)[0] == (0, 0)
+    assert solve_feasibility(2, rows).witness == (F(1, 2), F(0))
+
+
+@pytest.mark.parametrize("top, first_pivot", [
+    # the flip to x1 = 1/2 ties the row's step 2/2; the flip wins, and x2
+    # then replaces the artificial, which sits at zero
+    (F(1, 2), (0, 1)),
+    # the row's step 1/2 is strictly shorter than the flip to x1 = 1
+    (F(1), (0, 0)),
+])
+def test_bound_flip_wins_a_tied_step(top, first_pivot):
+    """Phase 1 raises x1 from 0 against 2 x1 + x2 >= 1, whose artificial
+    reaches zero at x1 = 1/2."""
+    rows = [((1, 0), GE, 0), ((1, 0), LE, top), ((0, 1), GE, 0), ((2, 1), GE, 1)]
+    assert _pivots(2, rows)[0] == first_pivot
+    assert solve_feasibility(2, rows).witness == (F(0), F(1))
+
+
+def test_common_denominator_grows_then_shrinks():
+    """Bounds over 999979 and 524287 put the start over their product; the
+    first step divides by 3, and fixing x2 at 0 drops the bound over
+    524287, so the point ends over 3 * 999979."""
+    rows = [((1, 0), LE, F(3, 999_979)), ((0, 1), LE, F(5, 524_287)),
+            ((0, 1), GE, 0), ((-3, 1), LE, 1)]
+    dens = []
+
+    class Tracking(_CheckedTableau):
+        def __init__(self, lo, hi, rows):
+            super().__init__(lo, hi, rows)
+            dens.append(self.den)
+
+        def _step(self, enter, num, q, touched):
+            super()._step(enter, num, q, touched)
+            dens.append(self.den)
+
+        def fix_optimal_face(self, costs):
+            super().fix_optimal_face(costs)
+            dens.append(self.den)
+
+    with patch.object(feasibility, "_Tableau", Tracking):
+        witness = solve_feasibility(2, rows).witness
+    assert witness == (F(-1, 3), F(0))
+    assert dens[0] == 999_979 * 524_287
+    assert max(dens) == 3 * dens[0]
+    assert dens[-1] == 3 * 999_979
+    _assert_same_as_fraction_simplex(2, rows)
