@@ -32,11 +32,11 @@ class InternalCheckFailed(EntitledCutsError, RuntimeError):
     """
 
 
-class NoSplitFound(EntitledCutsError, RuntimeError):
+class NoSplitFound(InternalCheckFailed):
     """The consensus-split enumeration exhausted without a feasible system.
 
     Existence is guaranteed for the full enumeration, so this is surfaced as
-    an implementation bug rather than swallowed.
+    an implementation bug rather than swallowed: a failed internal check.
     """
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional
 
 from .model import ONE, ZERO, Instance, Valuation
 
@@ -42,15 +41,9 @@ def random_entitlements(rng: random.Random, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(w, total) for w in weights)
 
 
-def random_instance(
-    n: int,
-    seed: int,
-    max_cells: int = 3,
-    denom_bound: int = 8,
-    entitlements: Optional[tuple[Fraction, ...]] = None,
-) -> Instance:
-    """Deterministic random instance; pass ``entitlements`` to pin the
-    entitlement vector while still drawing random valuations."""
+def random_instance(n: int, seed: int, max_cells: int = 3, denom_bound: int = 8) -> Instance:
+    """Deterministic random instance: n valuations, then the entitlements,
+    drawn from one stream seeded with ``seed``."""
     if n < 1:
         raise ValueError("need at least one agent")
     if max_cells < 1:
@@ -61,6 +54,4 @@ def random_instance(
         )
     rng = random.Random(seed)
     valuations = tuple(random_valuation(rng, max_cells, denom_bound) for _ in range(n))
-    if entitlements is None:
-        entitlements = random_entitlements(rng, n)
-    return Instance("interval", valuations, entitlements)
+    return Instance("interval", valuations, random_entitlements(rng, n))

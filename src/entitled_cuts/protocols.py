@@ -92,71 +92,72 @@ def recursive_divide(instance: Instance, budget: int = DEFAULT_BUDGET) -> Algori
 
 
 def connected_proportional(valuations: Sequence[Valuation], subcake: Interval) -> Allocation:
-    """Divide-and-conquer proportional division with connected pieces.
+    """Divide-and-conquer proportional division with connected pieces
+    (Even and Paz 1984).
 
     Each agent marks the point splitting the sub-cake in value ratio
     floor(n/2) : ceil(n/2) by their own measure; the cake is cut at the
     floor(n/2)-th smallest mark (ties by agent index) and the two groups
     recurse.  Every agent receives one interval worth at least 1/n of their
     value of the sub-cake, with exactly n-1 cuts on nondegenerate inputs.
-
-    Agents that share one Valuation object (the clones of one agent) always
-    make the same mark, so each round marks once per distinct object and
-    gives that mark to every agent holding it.
+    Agents that share one Valuation object each still mark: they are not
+    deduplicated.  The clone protocols run the same split over clone counts,
+    one mark per agent and round, so their work grows with n*log(D), not D.
     """
     n = len(valuations)
     if n < 1:
         raise ValueError("need at least one agent")
-    for v in {id(v): v for v in valuations}.values():
+    for v in valuations:
         if v.value_between(subcake.lo, subcake.hi) <= ZERO:
             raise ValueError("every agent must value the sub-cake positively")
-    assigned: dict[int, Interval] = {}
-    _even_split(list(range(n)), subcake.lo, subcake.hi, valuations, assigned)
-    return Allocation(tuple(Region([assigned[i]]) for i in range(n)))
+    pieces: dict[int, Region] = {}
+    _even_split([(i, 1) for i in range(n)], subcake.lo, subcake.hi, valuations, pieces)
+    return Allocation(tuple(pieces[i] for i in range(n)))
 
 
-def _even_split(agents, lo, hi, valuations, assigned):
-    if len(agents) == 1:
-        assigned[agents[0]] = Interval(lo, hi)
+def _even_split(groups, lo, hi, valuations, pieces):
+    """Even-Paz over clone groups: ``groups`` holds (agent, clone count)
+    pairs in agent order, and each group makes one mark per round.  The
+    first floor(n/2) of the n clones, in (mark, agent) order, go left, so
+    only the group straddling the split point is divided.  A sub-cake held
+    by a single group goes whole to its agent, joining the agent's piece."""
+    if len(groups) == 1:
+        agent = groups[0][0]
+        piece = Region([Interval(lo, hi)])
+        pieces[agent] = pieces[agent].union(piece) if agent in pieces else piece
         return
-    n = len(agents)
+    n = sum(count for _, count in groups)
     n_left = n // 2
-    # keyed on identity: Valuation equality would hash its Fraction tuples
-    mark_of = {}
     marks = []
-    for i in agents:
+    for i, count in groups:
         v = valuations[i]
-        if id(v) not in mark_of:
-            mark_of[id(v)] = mark_right(v, lo, v.value_between(lo, hi) * n_left / n)
-        marks.append((mark_of[id(v)], i))
+        marks.append((mark_right(v, lo, v.value_between(lo, hi) * n_left / n), i, count))
     marks.sort()
-    split_at = marks[n_left - 1][0]
-    left_ids = sorted(i for _, i in marks[:n_left])
-    right_ids = sorted(i for _, i in marks[n_left:])
-    _even_split(left_ids, lo, split_at, valuations, assigned)
-    _even_split(right_ids, split_at, hi, valuations, assigned)
-
-
-def _clone_and_merge(instance: Instance, copies: Sequence[int], algorithm: str,
-                     bound: int) -> AlgorithmReport:
-    """Replicate agent i into copies[i] clones, give every clone a connected
-    proportional piece of the cake, then merge each agent's clone pieces."""
-    owners = [i for i, count in enumerate(copies) for _ in range(count)]
-    clone_vals = [instance.valuations[i] for i in owners]
-    clone_alloc = connected_proportional(clone_vals, Interval(ZERO, ONE))
-    merged: dict[int, Region] = {}
-    for owner, piece in zip(owners, clone_alloc.pieces):
-        merged[owner] = merged.get(owner, Region()).union(piece)
-    return _report(instance, merged, algorithm, bound)
+    left, right = [], []
+    short = n_left  # clones the left side still lacks
+    for mark, i, count in marks:
+        take = min(count, short)
+        if take:
+            left.append((i, take))
+            short -= take
+            if not short:
+                split_at = mark
+        if count > take:
+            right.append((i, count - take))
+    _even_split(sorted(left), lo, split_at, valuations, pieces)
+    _even_split(sorted(right), split_at, hi, valuations, pieces)
 
 
 def clone_divide(instance: Instance) -> AlgorithmReport:
     """Replicate each agent by its entitlement numerator over the common
     denominator D, divide equally among the D clones, then merge each
-    agent's clone pieces.  Uses at most D-1 cuts."""
+    agent's clone pieces.  Uses at most D-1 cuts.  An agent's clones are
+    a count, so the work grows with n*log(D), not with D."""
     denominator = lcm(*(t.denominator for t in instance.entitlements))
     copies = [int(t * denominator) for t in instance.entitlements]
-    return _clone_and_merge(instance, copies, "clone", denominator - 1)
+    pieces: dict[int, Region] = {}
+    _even_split(list(enumerate(copies)), ZERO, ONE, instance.valuations, pieces)
+    return _report(instance, pieces, "clone", denominator - 1)
 
 
 def cut_and_choose(owner: Valuation, chooser: Valuation, piece: Region):
@@ -296,7 +297,7 @@ def _near_equal_pattern(instance: Instance) -> Optional[tuple[int, int]]:
 def near_equal_divide(instance: Instance) -> AlgorithmReport:
     """n-1 agents entitled to exactly 1/D each: at most 2(n-1) cuts.
 
-    The remaining (heavy) agent is replicated D-n+1 times and a connected
+    The remaining (heavy) agent gets a count of D-n+1 clones and a connected
     proportional division runs among the D participants; every light agent
     keeps a single interval, and the heavy agent's pieces merge.  Only the
     light pieces' endpoints survive as cuts."""
@@ -305,7 +306,9 @@ def near_equal_divide(instance: Instance) -> AlgorithmReport:
         raise PreconditionViolated("need at least n-1 entitlements equal to 1/D")
     heavy, denominator = pattern
     copies = [denominator - instance.n + 1 if i == heavy else 1 for i in range(instance.n)]
-    return _clone_and_merge(instance, copies, "near-equal", 2 * (instance.n - 1))
+    pieces: dict[int, Region] = {}
+    _even_split(list(enumerate(copies)), ZERO, ONE, instance.valuations, pieces)
+    return _report(instance, pieces, "near-equal", 2 * (instance.n - 1))
 
 
 DEFAULT_CLONE_CAP = 64

@@ -22,7 +22,7 @@ from entitled_cuts.cells import tuple_count, tuple_rank
 from entitled_cuts.errors import BudgetExceeded, NotFoundWithin
 from entitled_cuts.feasibility import GE, LE, check_feasible, solve_feasibility
 from entitled_cuts.generate import random_instance
-from entitled_cuts.model import ONE, ZERO, measure_of
+from entitled_cuts.model import ONE, ZERO, Instance, measure_of
 from entitled_cuts.verifier import verify_allocation
 
 from conftest import make_instance, pw
@@ -373,7 +373,8 @@ class TestPrunedPrefilterMatchesFractionScan:
         entitlements = (F(31, 40), F(3, 40), F(3, 40), F(3, 40))
         outcomes = set()
         for seed in range(8):
-            inst = random_instance(4, 4200 + seed, max_cells=4, entitlements=entitlements)
+            vals = random_instance(4, 4200 + seed, max_cells=4).valuations
+            inst = Instance("interval", vals, entitlements)
             for k in (3, 4):
                 cert = _assert_matches_reference(inst, k, reference_pruned=True)
                 outcomes.add(cert.feasible)

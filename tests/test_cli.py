@@ -204,6 +204,32 @@ class TestSolve:
         assert "internal check failed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_exhausted_split_enumeration_exit_2(self, tmp_path, monkeypatch, capsys, uniform):
+        # existence is guaranteed, so an enumeration that finds no split is a
+        # bug in the program, never invalid input
+        import entitled_cuts.split as split_mod
+
+        monkeypatch.setattr(split_mod, "check_feasible", lambda *a: False)
+        inst = make_instance([uniform, pw("0 1/2 1", "2 0")], ["1/3", "2/3"])
+        inst_path = write_instance(tmp_path / "i.json", inst)
+        out = tmp_path / "a.json"
+        assert main(["solve", inst_path, "--algorithm", "recursive", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("internal check failed: consensus-split enumeration exhausted")
+        assert not out.exists()
+
+    def test_billionth_entitlement(self, tmp_path, capsys, uniform):
+        # a billion clones are a count of clones: the near-equal protocol
+        # splits them in about log2(10^9) rounds, not 10^9 - 1
+        inst = make_instance(
+            [uniform, pw("0 1/2 1", "2 0")], ["1/1000000000", "999999999/1000000000"]
+        )
+        inst_path = write_instance(tmp_path / "i.json", inst)
+        assert main(["solve", inst_path, "-o", str(tmp_path / "a.json")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "algorithm: near-equal"
+        assert "cuts (1 of bound 2): 999999999/2000000000" in out
+
     def test_failed_internal_verification_exit_2(self, tmp_path, monkeypatch, uniform):
         import entitled_cuts.cli as cli_mod
         from entitled_cuts.verifier import VerificationReport

@@ -8,15 +8,18 @@ import entitled_cuts.protocols as protocols_mod
 from entitled_cuts.errors import InternalCheckFailed, PreconditionViolated
 from entitled_cuts.generate import random_instance, random_valuation
 from entitled_cuts.model import (
+    Allocation,
     Instance,
     Interval,
     Region,
     Valuation,
+    boundary_points,
     cut_count,
     mark_right,
     measure_of,
 )
 from entitled_cuts.protocols import (
+    AlgorithmReport,
     auto_solve,
     clone_divide,
     connected_proportional,
@@ -183,48 +186,84 @@ def _reference_even_split(agents, lo, hi, valuations, assigned):
     _reference_even_split(right_ids, split_at, hi, valuations, assigned)
 
 
-def _per_clone(run, *args):
-    """``run(*args)`` with connected_proportional marking once per agent."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocols_mod, "_even_split", _reference_even_split)
-        return run(*args)
+def _reference_pieces(valuations, counts, lo=F(0), hi=F(1)):
+    """The per-clone pipeline: an owner list with one entry per clone, one
+    Valuation per clone, a per-clone split, then each agent's clone pieces
+    merged."""
+    owners = [i for i, count in enumerate(counts) for _ in range(count)]
+    clone_vals = [valuations[i] for i in owners]
+    assigned = {}
+    _reference_even_split(list(range(len(owners))), lo, hi, clone_vals, assigned)
+    merged = {}
+    for clone, owner in enumerate(owners):
+        merged[owner] = merged.get(owner, Region()).union(Region([assigned[clone]]))
+    return merged
+
+
+def _reference_report(instance, copies, algorithm, bound):
+    merged = _reference_pieces(instance.valuations, copies)
+    allocation = Allocation(tuple(merged.get(i, Region()) for i in range(instance.n)))
+    return AlgorithmReport(allocation, boundary_points(allocation), algorithm, bound)
+
+
+def _counting_marks(monkeypatch):
+    calls = []
+    real = protocols_mod.mark_right
+    monkeypatch.setattr(
+        protocols_mod, "mark_right", lambda *args: calls.append(args) or real(*args)
+    )
+    return calls
 
 
 class TestMarksOncePerValuation:
-    """Agents sharing a Valuation object mark once per round; every
-    allocation must equal the per-clone reference's."""
+    """Clone groups: each agent's clones are a count, and each group marks
+    once per round.  Every result must equal the per-clone reference's,
+    which gives every clone its own entry, its own mark and its own piece."""
 
     WHOLE = Interval(F(0), F(1))
 
-    def assert_same(self, vals, subcake=WHOLE):
-        expected = _per_clone(connected_proportional, vals, subcake)
+    def assert_groups(self, vals, counts, subcake=WHOLE):
+        pieces = {}
+        protocols_mod._even_split(
+            list(enumerate(counts)), subcake.lo, subcake.hi, vals, pieces
+        )
+        assert pieces == _reference_pieces(vals, counts, subcake.lo, subcake.hi)
+
+    def assert_distinct(self, vals, subcake=WHOLE):
+        assigned = {}
+        _reference_even_split(list(range(len(vals))), subcake.lo, subcake.hi, vals, assigned)
+        expected = Allocation(tuple(Region([assigned[i]]) for i in range(len(vals))))
         assert connected_proportional(vals, subcake) == expected
 
     def test_clone_lists(self, uniform):
         eager = pw("0 1/2 1", "2 0")
         rng = random.Random(17)
         drawn = [random_valuation(rng, 3, 8) for _ in range(3)]
-        self.assert_same([uniform] * 4 + [eager] * 3)
-        self.assert_same([eager, uniform, eager, uniform, eager])
-        self.assert_same([drawn[0]] * 7)
-        self.assert_same([drawn[i % 3] for i in range(11)])
-        self.assert_same([drawn[2]] * 5 + [drawn[0]] * 2 + [drawn[1]] * 9)
+        self.assert_groups([uniform, eager], [4, 3])
+        self.assert_distinct([eager, uniform, eager, uniform, eager])
+        self.assert_groups([drawn[0]], [7])
+        self.assert_distinct([drawn[i % 3] for i in range(11)])
+        self.assert_groups([drawn[2], drawn[0], drawn[1]], [5, 2, 9])
+        self.assert_groups([drawn[1], drawn[2], drawn[0]], [1, 13, 2])
 
     def test_value_equal_distinct_objects(self):
         a, b = pw("0 1/3 1", "1 2"), pw("0 1/3 1", "1 2")
         assert a == b and a is not b
-        self.assert_same([a, b, a, b, b])
-        self.assert_same([a] * 3 + [b] * 3)
+        self.assert_distinct([a, b, a, b, b])
+        self.assert_distinct([a] * 3 + [b] * 3)
+        self.assert_groups([a, b], [3, 3])
 
     def test_zero_density_plateaus(self, uniform):
         # plateaus make leftmost marks tie across agents, so the
-        # (mark, index) order decides the groups
+        # (mark, agent) order decides which group straddles the split
         hump = pw("0 1/4 3/4 1", "0 2 0")
         right = pw("0 1/2 1", "0 1")
         left = pw("0 1/2 1", "2 0")
-        self.assert_same([hump] * 4 + [right] * 2 + [left] * 3)
-        self.assert_same([right, hump, left, uniform] * 3)
-        self.assert_same([hump] * 8)
+        self.assert_groups([hump, right, left], [4, 2, 3])
+        self.assert_distinct([right, hump, left, uniform] * 3)
+        self.assert_groups([right, hump, left, uniform], [3, 3, 3, 3])
+        self.assert_groups([hump], [8])
+        self.assert_groups([hump, hump, right], [5, 2, 6])
 
     def test_sub_interval(self, uniform):
         hump = pw("0 1/4 3/4 1", "0 2 0")
@@ -232,9 +271,10 @@ class TestMarksOncePerValuation:
         drawn = [random_valuation(rng, 3, 8) for _ in range(3)]
         for lo, hi in ((F(1, 4), F(3, 4)), (F(1, 3), F(5, 6))):
             sub = Interval(lo, hi)
-            self.assert_same([hump] * 3 + [uniform] * 4, sub)
+            self.assert_groups([hump, uniform], [3, 4], sub)
             vals = [v for v in drawn if v.value_between(lo, hi) > 0]
-            self.assert_same([vals[i % len(vals)] for i in range(9)], sub)
+            self.assert_distinct([vals[i % len(vals)] for i in range(9)], sub)
+            self.assert_groups(vals, [2 * i + 1 for i in range(len(vals))], sub)
 
     def test_positivity_checked_per_valuation(self, uniform):
         dead = pw("0 1/2 1", "1 0")
@@ -251,25 +291,59 @@ class TestMarksOncePerValuation:
             edges = [0] + sorted(rng.sample(range(1, d), n - 1)) + [d]
             shares = tuple(F(b - a, d) for a, b in zip(edges, edges[1:]))
             inst = Instance("interval", vals, shares)
-            assert clone_divide(inst) == _per_clone(clone_divide, inst)
+            denominator = lcm(*(t.denominator for t in shares))
+            copies = [int(t * denominator) for t in shares]
+            assert clone_divide(inst) == _reference_report(inst, copies, "clone", denominator - 1)
             heavy = rng.randrange(n)
-            shares = tuple(F(d - n + 1 if i == heavy else 1, d) for i in range(n))
-            inst = Instance("interval", vals, shares)
-            assert near_equal_divide(inst) == _per_clone(near_equal_divide, inst)
+            copies = [d - n + 1 if i == heavy else 1 for i in range(n)]
+            inst = Instance("interval", vals, tuple(F(c, d) for c in copies))
+            expected = _reference_report(inst, copies, "near-equal", 2 * (n - 1))
+            assert near_equal_divide(inst) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+    def test_distinct_agents_match_the_per_clone_split(self, n):
+        rng = random.Random(6500 + n)
+        for trial in range(6):
+            vals = [random_valuation(rng, 4, 8) for _ in range(n)]
+            lo, hi = sorted(rng.sample([F(k, 12) for k in range(13)], 2))
+            sub = Interval(lo, hi)
+            if all(v.value_between(lo, hi) > 0 for v in vals):
+                self.assert_distinct(vals, sub)
+            self.assert_distinct(vals)
 
     def test_clone_divide_work(self, monkeypatch, uniform):
-        # 64 clones take 63 splits; each split marks once per agent whose
-        # clones it holds, so 63 marks plus one more at each of the 6 splits
-        # holding both agents' clones.  Marking per clone makes 64 * 6 = 384.
-        calls = []
-        real = protocols_mod.mark_right
-        monkeypatch.setattr(
-            protocols_mod, "mark_right", lambda *args: calls.append(args) or real(*args)
-        )
+        # 21 + 43 clones: a round over two groups marks twice, and six
+        # rounds hold both agents' clones, over 64, 32, 16, 8, 4 and 2
+        # clones; every other sub-cake has one group and takes no mark.
+        # So 12 marks; the per-clone reference makes 64 * 6 = 384.
+        calls = _counting_marks(monkeypatch)
         inst = make_instance([uniform, pw("0 1/2 1", "2 0")], ["21/64", "43/64"])
         report = clone_divide(inst)
-        assert len(calls) == 69
+        assert len(calls) == 12
         assert report.cuts == (F(3, 8), F(13, 32), F(1, 2))
+
+    def test_a_billion_clones(self, monkeypatch, uniform):
+        # D = 10^9 clones: a round over g groups marks g times, and only a
+        # sub-cake shared by two or more agents takes a round, so the marks
+        # grow with n * log2(D), not with D
+        eager = pw("0 1/2 1", "2 0")
+        shy = pw("0 1/3 1", "0 3/2")
+        d = 10**9
+        calls = _counting_marks(monkeypatch)
+        inst = Instance("interval", (uniform, eager), (F(1, d), F(d - 1, d)))
+        report = near_equal_divide(inst)
+        assert verify_allocation(inst, report.allocation).passed
+        # the light clone always stays on the right with the heavy agent's
+        # remainder, one round per halving: ceil(log2(10^9)) = 30 rounds
+        assert len(calls) == 2 * 30
+        assert report.cuts == (F(999999999, 2000000000),)
+        calls.clear()
+        shares = (F(1, d), F(d // 3, d), F(d - 1 - d // 3, d))
+        inst = Instance("interval", (uniform, eager, shy), shares)
+        report = clone_divide(inst)
+        assert verify_allocation(inst, report.allocation).passed
+        assert len(calls) == 114
+        assert report.cuts == (F(1, 4), F(125000001, 500000000), F(104166667, 250000000))
 
 
 class TestCloneDivide:
