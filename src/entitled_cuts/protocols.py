@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Optional, Sequence
 
 from .errors import InternalCheckFailed, PreconditionViolated
@@ -66,29 +66,50 @@ def upper_bound_cuts(n: int) -> int:
 
 
 def _split_two_ways(agents: Sequence[int], weights: Sequence[Fraction], subcake: Region,
-                    valuations: Sequence[Valuation], out: dict, budget: int) -> None:
+                    valuations: Sequence[Valuation], out: dict, budget: int,
+                    cuts: set, limit: float) -> bool:
     """Consensus-split recursion: first floor(n/2) agents (by position) get a
-    region worth exactly their weight share to everyone, then recurse."""
+    region worth exactly their weight share to everyone, then recurse.
+
+    Every endpoint of a split's part inside (0, 1) is a cut of the final
+    allocation: one side goes to the part's group, the other to the
+    complement's group or lies outside the sub-cake, whose ends are earlier
+    cuts.  Each split adds these endpoints to ``cuts``; once ``cuts`` holds
+    more than ``limit`` points, the recursion stops and returns False."""
     if len(agents) == 1:
         out[agents[0]] = subcake
-        return
+        return True
     n_a = len(agents) // 2
     ratio = sum(weights[:n_a], ZERO) / sum(weights, ZERO)
     group_vals = tuple(valuations[i] for i in agents)
     result = exact_split(SplitRequest(group_vals, subcake, ratio), budget=budget)
-    _split_two_ways(agents[:n_a], weights[:n_a], result.part, valuations, out, budget)
-    _split_two_ways(agents[n_a:], weights[n_a:], result.complement, valuations, out, budget)
+    cuts.update(x for iv in result.part.intervals for x in (iv.lo, iv.hi) if ZERO < x < ONE)
+    if len(cuts) > limit:
+        return False
+    return (
+        _split_two_ways(agents[:n_a], weights[:n_a], result.part, valuations, out, budget,
+                        cuts, limit)
+        and _split_two_ways(agents[n_a:], weights[n_a:], result.complement, valuations, out,
+                            budget, cuts, limit)
+    )
+
+
+def _recursive(instance: Instance, budget: int, limit: float) -> Optional[AlgorithmReport]:
+    """The recursive report, or None once it provably has more than
+    ``limit`` cuts."""
+    pieces: dict[int, Region] = {}
+    if not _split_two_ways(
+        list(range(instance.n)), list(instance.entitlements), FULL_CAKE,
+        instance.valuations, pieces, budget, set(), limit,
+    ):
+        return None
+    return _report(instance, pieces, "recursive", upper_bound_cuts(instance.n))
 
 
 def recursive_divide(instance: Instance, budget: int = DEFAULT_BUDGET) -> AlgorithmReport:
     """Recursive consensus halving.  Every agent's final value is exactly
     entitlement * own total, because each level splits exactly."""
-    pieces: dict[int, Region] = {}
-    _split_two_ways(
-        list(range(instance.n)), list(instance.entitlements), FULL_CAKE,
-        instance.valuations, pieces, budget,
-    )
-    return _report(instance, pieces, "recursive", upper_bound_cuts(instance.n))
+    return _recursive(instance, budget, inf)
 
 
 def connected_proportional(valuations: Sequence[Valuation], subcake: Interval) -> Allocation:
@@ -208,7 +229,7 @@ def special3_half(instance: Instance, budget: int = DEFAULT_BUDGET) -> Algorithm
     stage: dict[int, Region] = {}
     _split_two_ways(
         others, [instance.entitlements[i] for i in others], FULL_CAKE,
-        instance.valuations, stage, budget,
+        instance.valuations, stage, budget, set(), inf,
     )
     pieces: dict[int, Region] = {half_idx: Region()}
     for i in others:
@@ -258,8 +279,14 @@ def special3_equal_pair(instance: Instance, budget: int = DEFAULT_BUDGET) -> Alg
     marker = instance.valuations[first]
     edges = [ZERO] + equal_marks(marker, d) + [ONE]
     odd_val = instance.valuations[odd]
-    windows = [(measure_of(odd_val, _window_region(edges, s, b)), s) for s in range(d)]
-    _, start = min(windows)
+    # the odd agent's value of [0, e_s]; a window that wraps past 1 is
+    # worth the end of the cake plus the start
+    cum = [odd_val.cumulative(e) for e in edges]
+    total = cum[d]
+    _, start = min(
+        (cum[s + b] - cum[s] if s + b <= d else cum[s + b - d] + total - cum[s], s)
+        for s in range(d)
+    )
     window = _window_region(edges, start, b)
     if measure_of(odd_val, window) * d > b * odd_val.total:
         raise InternalCheckFailed("cheapest window exceeds the pigeonhole bound")
@@ -273,7 +300,7 @@ def special3_equal_pair(instance: Instance, budget: int = DEFAULT_BUDGET) -> Alg
     rest: dict[int, Region] = {}
     _split_two_ways(
         [partner, odd], [Fraction(b, d - b), Fraction(d - 2 * b, d - b)],
-        remainder, instance.valuations, rest, budget,
+        remainder, instance.valuations, rest, budget, set(), inf,
     )
     pieces = {taker: window, partner: rest[partner], odd: rest[odd]}
     return _report(instance, pieces, "special3-equal-pair", 4)
@@ -318,7 +345,14 @@ def auto_solve(instance: Instance, budget: int = DEFAULT_BUDGET) -> AlgorithmRep
     """Pick a protocol: the near-equal pattern first, then the three-agent
     special cases, otherwise the better (fewer cuts) of cloning (when the
     common denominator is at most ``DEFAULT_CLONE_CAP``) and the recursive
-    divider, preferring the recursive result on ties."""
+    divider, preferring the recursive result on ties.
+
+    Cloning runs first, and the recursion stops as soon as its splits have
+    made more cuts than cloning's result, which then wins (branch and
+    bound).  The chosen report is the one the full comparison would pick.
+    A later split that would have failed, for example with
+    ``BudgetExceeded``, is never run once cloning has won, so that
+    instance returns cloning's report instead of raising."""
     if instance.n == 1:
         return recursive_divide(instance, budget)
     if _near_equal_pattern(instance) is not None:
@@ -328,8 +362,11 @@ def auto_solve(instance: Instance, budget: int = DEFAULT_BUDGET) -> AlgorithmRep
             return special3_half(instance, budget)
         if len(set(instance.entitlements)) < 3:
             return special3_equal_pair(instance, budget)
-    candidates = [recursive_divide(instance, budget)]
     denominator = lcm(*(t.denominator for t in instance.entitlements))
-    if denominator <= DEFAULT_CLONE_CAP:
-        candidates.append(clone_divide(instance))
-    return min(candidates, key=lambda rep: len(rep.cuts))
+    if denominator > DEFAULT_CLONE_CAP:
+        return recursive_divide(instance, budget)
+    clone = clone_divide(instance)
+    recursive = _recursive(instance, budget, len(clone.cuts))
+    if recursive is None:
+        return clone
+    return min((recursive, clone), key=lambda rep: len(rep.cuts))

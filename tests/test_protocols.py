@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 from fractions import Fraction as F
 from math import lcm
 
 import pytest
 
 import entitled_cuts.protocols as protocols_mod
-from entitled_cuts.errors import InternalCheckFailed, PreconditionViolated
+from entitled_cuts.errors import BudgetExceeded, InternalCheckFailed, PreconditionViolated
 from entitled_cuts.generate import random_instance, random_valuation
 from entitled_cuts.model import (
     Allocation,
@@ -19,7 +20,9 @@ from entitled_cuts.model import (
     measure_of,
 )
 from entitled_cuts.protocols import (
+    DEFAULT_CLONE_CAP,
     AlgorithmReport,
+    _near_equal_pattern,
     auto_solve,
     clone_divide,
     connected_proportional,
@@ -30,6 +33,7 @@ from entitled_cuts.protocols import (
     special3_half,
     upper_bound_cuts,
 )
+from entitled_cuts.split import DEFAULT_BUDGET
 from entitled_cuts.verifier import verify_allocation
 
 from conftest import make_instance, pw, run_optimized
@@ -537,6 +541,29 @@ class TestSpecial3EqualPair:
             best = min(measure_of(odd, _window_region(edges, s, b)) for s in range(d))
             assert best * d <= b * odd.total
 
+    def test_window_is_the_cheapest_measured_region(self):
+        # pricing windows from one table of the odd agent's cumulative
+        # values picks the window that measuring each region would pick,
+        # wrapping windows and ties to the smallest start included
+        from entitled_cuts.model import equal_marks
+        from entitled_cuts.protocols import _window_region
+
+        rng = random.Random(31)
+        hump = pw("0 1/4 3/4 1", "0 2 0")
+        for trial in range(24):
+            marker = random_valuation(rng, 3, 8)
+            odd = hump if trial % 4 == 0 else random_valuation(rng, 3, 8)
+            d = rng.randint(3, 12)
+            b = rng.randint(1, (d - 1) // 2)
+            pair = F(b, d)
+            b, d = pair.numerator, pair.denominator
+            inst = Instance("interval", (marker, random_valuation(rng, 3, 8), odd),
+                            (pair, pair, 1 - 2 * pair))
+            edges = [F(0)] + equal_marks(marker, d) + [F(1)]
+            _, start = min((measure_of(odd, _window_region(edges, s, b)), s) for s in range(d))
+            report = special3_equal_pair(inst)
+            assert _window_region(edges, start, b) in report.allocation.pieces[:2]
+
 
 class TestNearEqualDivide:
     def test_quarter_quarter_half(self, uniform):
@@ -602,3 +629,109 @@ class TestAutoSolve:
             report = auto_solve(inst)
             assert verify_allocation(inst, report.allocation).passed
             assert cut_count(report.allocation) == len(report.cuts)
+
+
+def _reference_auto_solve(instance: Instance, budget: int = DEFAULT_BUDGET) -> AlgorithmReport:
+    """The full comparison: both general protocols run to the end, and the
+    fewer cuts win, the recursive result on ties."""
+    if instance.n == 1:
+        return recursive_divide(instance, budget)
+    if _near_equal_pattern(instance) is not None:
+        return near_equal_divide(instance)
+    if instance.n == 3:
+        if any(t == Fraction(1, 2) for t in instance.entitlements):
+            return special3_half(instance, budget)
+        if len(set(instance.entitlements)) < 3:
+            return special3_equal_pair(instance, budget)
+    candidates = [recursive_divide(instance, budget)]
+    denominator = lcm(*(t.denominator for t in instance.entitlements))
+    if denominator <= DEFAULT_CLONE_CAP:
+        candidates.append(clone_divide(instance))
+    return min(candidates, key=lambda rep: len(rep.cuts))
+
+
+def _counting_splits(monkeypatch, fail_from=None):
+    """Record every split request the protocols make; from call number
+    ``fail_from`` on, raise BudgetExceeded instead of splitting."""
+    requests = []
+    real = protocols_mod.exact_split
+
+    def counted(request, *args, **kwargs):
+        requests.append(request)
+        if fail_from is not None and len(requests) >= fail_from:
+            raise BudgetExceeded(f"split {len(requests)} refused")
+        return real(request, *args, **kwargs)
+
+    monkeypatch.setattr(protocols_mod, "exact_split", counted)
+    return requests
+
+
+class TestAutoSolveStopsTheLosingRecursion:
+    """auto_solve runs cloning first and stops the recursion once its
+    splits have made more cuts than cloning's result.  The chosen report
+    must be the full comparison's on every instance."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_the_full_comparison_on_seeded_pools(self, n):
+        # drawn as `gen --random n --seed s` draws them
+        for seed in range(12):
+            inst = random_instance(n, seed)
+            assert auto_solve(inst) == _reference_auto_solve(inst)
+
+    def test_matches_the_full_comparison_on_pinned_cases(self):
+        rng = random.Random(77)
+        vals = tuple(random_valuation(rng, 3, 8) for _ in range(3))
+        # the common denominator 77 is over the clone cap: recursion only
+        over_cap = Instance("interval", vals, (F(1, 7), F(2, 11), F(52, 77)))
+        cases = {
+            # recursive 2 cuts against clone 3: a strict recursive win
+            "recursive win": (random_instance(2, 51, max_cells=5), "recursive"),
+            "tie, n=2": (random_instance(2, 8), "recursive"),
+            "tie, n=3": (random_instance(3, 8), "recursive"),
+            "over the cap": (over_cap, "recursive"),
+            "one agent": (random_instance(1, 3), "recursive"),
+            "clone win": (random_instance(6, 0), "clone"),
+            "near-equal": (random_instance(2, 0), "near-equal"),
+            "one half": (random_instance(3, 0), "special3-half"),
+            "equal pair": (random_instance(3, 2), "special3-equal-pair"),
+        }
+        assert lcm(*(t.denominator for t in over_cap.entitlements)) > DEFAULT_CLONE_CAP
+        for name, (inst, algorithm) in cases.items():
+            report = auto_solve(inst)
+            assert report == _reference_auto_solve(inst), name
+            assert report.algorithm == algorithm, name
+        win = cases["recursive win"][0]
+        assert len(auto_solve(win).cuts) < len(clone_divide(win).cuts)
+
+    def test_clone_win_stops_after_two_splits(self, monkeypatch):
+        # clone has 6 cuts; the recursion's first split makes 6 distinct
+        # cut points and its second 9, so the other three splits never run
+        inst = random_instance(6, 0)
+        requests = _counting_splits(monkeypatch)
+        report = auto_solve(inst)
+        assert report.algorithm == "clone" and len(report.cuts) == 6
+        assert len(requests) == 2
+        requests.clear()
+        assert _reference_auto_solve(inst) == report
+        assert len(requests) == 5
+
+    def test_recursive_win_makes_the_recursions_splits(self, monkeypatch):
+        for inst in (random_instance(2, 51, max_cells=5), random_instance(3, 8)):
+            requests = _counting_splits(monkeypatch)
+            report = auto_solve(inst)
+            assert report.algorithm == "recursive"
+            made = list(requests)
+            requests.clear()
+            assert recursive_divide(inst) == report
+            assert made == requests and made
+
+    def test_a_split_after_the_stop_is_never_made(self, monkeypatch):
+        # the third split would raise, but clone has won after the second
+        inst = random_instance(6, 0)
+        requests = _counting_splits(monkeypatch, fail_from=3)
+        assert auto_solve(inst) == clone_divide(inst)
+        assert len(requests) == 2
+        # the full comparison reaches that split and fails
+        with pytest.raises(BudgetExceeded):
+            _reference_auto_solve(inst)
+        assert len(requests) == 3
