@@ -232,11 +232,26 @@ def mark_right(valuation: Valuation, start: Fraction, target: Fraction) -> Fract
 
 def equal_marks(valuation: Valuation, parts: int) -> list[Fraction]:
     """Marks m_1 <= ... <= m_{parts-1} splitting the cake into ``parts``
-    pieces of exactly equal value; each mark is the leftmost valid one."""
+    pieces of exactly equal value; each mark is the leftmost valid one.
+
+    Each mark is ``mark_right`` from 0: the goals grow, so one pass over the
+    prefix table with a cell pointer that only advances finds, for each,
+    the first cell whose right end reaches it, which is what the bisection
+    finds."""
     if parts < 1:
         raise ValueError("parts must be >= 1")
+    prefix, bps, dens = valuation._prefix, valuation.breakpoints, valuation.densities
     total = valuation.total
-    return [mark_right(valuation, ZERO, total * j / parts) for j in range(1, parts)]
+    marks, j = [], 0
+    for p in range(1, parts):
+        goal = total * p / parts
+        while prefix[j + 1] < goal:
+            j += 1
+        mark = bps[j] + (goal - prefix[j]) / dens[j]
+        if not (ZERO < mark <= bps[j + 1]):
+            raise InternalCheckFailed(f"unreachable: mark {mark} outside (0, {bps[j + 1]}]")
+        marks.append(mark)
+    return marks
 
 
 @dataclass(frozen=True)

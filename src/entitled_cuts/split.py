@@ -10,6 +10,9 @@ for each structure it walks the assignments of the 2m arc endpoints to
 cells of the common breakpoint refinement of the sub-cake, in the cake's
 own coordinates, endpoint by endpoint, and asks the exact feasibility
 solver for the n value equations plus ordering and cell-box constraints.
+The walk tests the value equations alone as it goes: each prefix keeps the
+left null space of their columns so far, and a full tuple whose equations
+contradict each other never reaches the solver.
 The first feasible system in the canonical order (m ascending, then
 origin-outside before origin-inside, the origin being the pie's joined
 ends, then lexicographic cell assignments, then the lex-minimal witness)
@@ -25,7 +28,7 @@ from fractions import Fraction
 
 from .cells import DEFAULT_BUDGET, CellTable, Work, walk
 from .errors import EmptySubcake, InternalCheckFailed, NoSplitFound
-from .feasibility import EQ, check_feasible, solve_feasibility
+from .feasibility import _RHS, EQ, _eliminate, check_feasible, solve_feasibility
 from .model import FULL_CAKE, ONE, ZERO, Interval, Region, Valuation, as_rational, measure_of
 
 
@@ -103,7 +106,9 @@ def exact_split(req: SplitRequest, budget: int = DEFAULT_BUDGET) -> SplitResult:
             signs = _arc_signs(k, origin_inside)
             base = [row[-1] for row in table.int_prefix] if origin_inside else [0] * n
             root, extend = _reach(table, signs, base)
-            for cells, _ in walk(table.cells, k, root, extend, work.spend):
+            for cells, ((_, null),) in walk(table.cells, k, root, extend, work.spend):
+                if not _consistent(null):
+                    continue
                 work.spend(1, cells, k)
                 constraints = []
                 for i, target in enumerate(table.int_thresholds):
@@ -134,20 +139,25 @@ def exact_split(req: SplitRequest, budget: int = DEFAULT_BUDGET) -> SplitResult:
 
 def _reach(table: CellTable, signs, base):
     """The root and the ``extend`` of the walk over one arc structure's
-    endpoint cells.  A state holds each agent's range [low, high] of part
-    values, from ``base``.  An endpoint with sign + in cell c adds between
-    F(c) and F(c + 1), one with sign - the negatives (ordering ignored: a
-    relaxation), and one still to come, in a cell >= c, between F(c) and
-    F(end) or the negatives.  A prefix dies once a target is out of reach;
-    at a full tuple this is the interval prefilter of a plain scan.  For a
-    cut of sign + the low end's bound only grows with c, for one of sign -
-    the high end's only falls, so failing there ends the loop over c."""
+    endpoint cells.  A state holds one partial system: each agent's range
+    [low, high] of part values, from ``base``, and the left null space of
+    the value equations' columns so far (see ``_restrict``).  An endpoint
+    with sign + in cell c adds between F(c) and F(c + 1), one with sign -
+    the negatives (ordering ignored: a relaxation), and one still to come,
+    in a cell >= c, between F(c) and F(end) or the negatives.  A prefix dies
+    once a target is out of reach; at a full tuple this is the interval
+    prefilter of a plain scan.  For a cut of sign + the low end's bound only
+    grows with c, for one of sign - the high end's only falls, so failing
+    there ends the loop over c.  A full tuple whose null space leaves a
+    right-hand side (``_consistent``) has value equations that contradict
+    each other, and the caller skips it without an LP call."""
     later = [(signs[d + 1:].count(1), signs[d + 1:].count(-1)) for d in range(len(signs))]
 
     def extend(state, lo, c, depth):
         s, (plus, minus) = signs[depth], later[depth]
-        reach = []
-        for (low, high), row, target in zip(state[0], table.int_prefix, table.int_thresholds):
+        (ranges, null), = state
+        reach, column, const = [], [], []
+        for (low, high), row, target in zip(ranges, table.int_prefix, table.int_thresholds):
             left, right, end = row[c], row[c + 1], row[-1]
             low, high = (low + left, high + right) if s > 0 else (low - right, high - left)
             if low + plus * left - minus * end > target:
@@ -155,6 +165,62 @@ def _reach(table: CellTable, signs, base):
             if high + plus * end - minus * left < target:
                 return None, s > 0 and state
             reach.append((low, high))
-        return [reach], state  # one partial system per cut-cell prefix
+            column.append(s * (right - left))
+            const.append(s * left)
+        return [(reach, _restrict(null, column, const))], state  # one partial system per prefix
 
-    return [[(b, b) for b in base]], extend
+    offsets = [b - t for b, t in zip(base, table.int_thresholds)]
+    return [([(b, b) for b in base], _null_space(offsets))], extend
+
+
+# where a null-space vector holds its product with the column being added
+_COL = -2
+
+
+def _null_space(offsets):
+    """The left null space of n value equations over no cuts yet: one unit
+    vector per agent i, as a sparse dict, holding agent i's offset (its
+    constant minus its target) under ``_RHS`` when that is non-zero."""
+    return [{i: 1, _RHS: r} if r else {i: 1} for i, r in enumerate(offsets)]
+
+
+def _restrict(null, column, const):
+    """The value equations  sum_j column_j[i] * t_j = -offset[i]  are
+    consistent exactly when every vector y of the left null space of their
+    columns also has  y . offset = 0  (Rouche-Capelli).  Each vector keeps
+    y . offset under ``_RHS``.  Adding a cut adds ``column`` and adds
+    ``const`` to the offsets: the first vector with  y . column != 0  is the
+    pivot and is dropped, and every other one is made orthogonal to the
+    column by ``_eliminate``, the LP's own row update.  The space shrinks
+    by at most one vector per cut.  Returns new vectors; ``null`` is kept."""
+    out, pivot = [], None
+    for y in null:
+        alpha = beta = 0
+        for i, v in y.items():
+            if i != _RHS:
+                alpha += v * column[i]
+                beta += v * const[i]
+        if not (alpha or beta):
+            out.append(y)
+            continue
+        y = dict(y)
+        rhs = y.get(_RHS, 0) + beta
+        if rhs:
+            y[_RHS] = rhs
+        else:
+            y.pop(_RHS, None)
+        if not alpha:
+            out.append(y)
+        elif pivot is None:
+            pivot, pivot_alpha = y, alpha
+        else:
+            y[_COL] = alpha
+            _eliminate(y, _COL, pivot, pivot_alpha, 0)
+            out.append(y)
+    return out
+
+
+def _consistent(null) -> bool:
+    """Whether the value equations with left null space ``null`` (from
+    ``_restrict``) have a solution, bounds aside."""
+    return not any(_RHS in y for y in null)

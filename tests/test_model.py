@@ -1,3 +1,4 @@
+import random
 from bisect import bisect_right
 from fractions import Fraction as F
 
@@ -236,6 +237,29 @@ class TestEqualMarks:
         share = v.total / parts
         for lo, hi in zip(marks, marks[1:]):
             assert v.value_between(lo, hi) == share
+
+
+    def test_matches_marks_from_zero(self):
+        # the one forward pass gives exactly the marks of mark_right from 0,
+        # on seeded valuations with runs of zero-density cells
+        rng = random.Random(3001)
+        for trial in range(200):
+            inner = {F(rng.randint(1, 63), 64) for _ in range(rng.randint(0, 12))}
+            bps = (F(0), *sorted(inner), F(1))
+            dens = [F(rng.choice((0, 0, 0, 1, 2, 7)), rng.randint(1, 5)) for _ in bps[1:]]
+            if not any(dens):
+                dens[rng.randrange(len(dens))] = F(1)
+            v = Valuation(bps, tuple(dens))
+            for parts in (1, 2, 3, rng.randint(4, 40)):
+                expected = [mark_right(v, F(0), v.total * j / parts) for j in range(1, parts)]
+                assert equal_marks(v, parts) == expected, (trial, parts)
+
+    def test_mark_outside_its_cell_is_an_internal_check(self):
+        # a corrupted prefix table puts the 3/4 mark past the cake's end
+        v = Valuation.uniform()
+        object.__setattr__(v, "_prefix", (F(0), F(2)))
+        with pytest.raises(InternalCheckFailed, match="unreachable"):
+            equal_marks(v, 4)
 
 
 class TestCutCount:

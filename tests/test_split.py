@@ -9,7 +9,14 @@ import pytest
 from entitled_cuts import split
 from entitled_cuts.cells import tuple_count, walk
 from entitled_cuts.errors import BudgetExceeded, EmptySubcake
-from entitled_cuts.feasibility import EQ, GE, LE, check_feasible, solve_feasibility
+from entitled_cuts.feasibility import (
+    EQ,
+    GE,
+    LE,
+    _eliminate_equalities,
+    check_feasible,
+    solve_feasibility,
+)
 from entitled_cuts.generate import random_instance, random_valuation
 from entitled_cuts.model import FULL_CAKE, ONE, ZERO, Interval, Region, measure_of
 from entitled_cuts.split import (
@@ -128,28 +135,33 @@ class TestExactSplit:
                 budget = int(at[3])
         assert res == unbudgeted
         assert reached == sorted(reached) and set(reached) == {1, 2}
-        # the exact work: a walk that prunes less runs out of this budget
-        assert budget == 20
+        # the exact work: a walk that prunes less, or an LP call for a tuple
+        # whose value equations contradict each other, runs out of this budget
+        assert budget == 15
         with pytest.raises(BudgetExceeded, match=f"at m=2: {budget} units of work done"):
             exact_split(req, budget=budget - 1)
 
     def test_six_agent_top_split_work(self, monkeypatch):
         # the top split of a six-agent instance on 18 refinement cells: a
         # plain scan of every tuple would project 19,249,926 systems, while
-        # the walk does exactly this work, 1,457 units of it LP calls.  A
-        # walk that prunes less runs out of the budget
+        # the walk reaches 1,457 tuples and does exactly this work, 98 units
+        # of it LP calls: the other tuples' value equations contradict each
+        # other.  A walk that prunes less runs out of the budget
         inst = random_instance(6, 2, max_cells=6, denom_bound=64)
         # the first three agents' share, as recursive_divide asks for it
         req = SplitRequest(inst.valuations, FULL_CAKE, sum(inst.entitlements[:3], F(0)))
         assert req.table.cells == 18
-        checks = []
+        checks, leaves = [], []
         monkeypatch.setattr(
             split, "check_feasible", lambda k, rows: checks.append(k) or check_feasible(k, rows)
         )
-        exact_split(req, budget=3763)
-        assert len(checks) == 1457
-        with pytest.raises(BudgetExceeded, match=r"at m=\d: 3763 units of work done"):
-            exact_split(req, budget=3762)
+        monkeypatch.setattr(
+            split, "walk", lambda *args: (leaves.append(leaf) or leaf for leaf in walk(*args))
+        )
+        exact_split(req, budget=2404)
+        assert len(leaves) == 1457 and len(checks) == 98
+        with pytest.raises(BudgetExceeded, match=r"at m=\d: 2404 units of work done"):
+            exact_split(req, budget=2403)
 
     def test_subcake_split_is_exact_for_everyone(self, uniform):
         skewed = pw("0 1/2 1", "2 0")
@@ -266,7 +278,8 @@ def _reference_split(req):
     cut in flat coordinates, and the part assembled on [0, L] and mapped
     back.  It shares with the library only the sign patterns and the LP.  Returns the
     part and complement of the first feasible system in canonical order,
-    and how many systems passed the prefilter up to and including it."""
+    and how many systems passed the prefilter and had consistent value
+    equations, up to and including it."""
     n = len(req.valuations)
     length, offsets, flat = _flatten(req.subcake, req.valuations)
     edges = sorted({b for bps, _ in flat for b in bps})
@@ -302,6 +315,8 @@ def _reference_split(req):
                 constraints = _reference_system(
                     cells, signs, base, edges, prefix, cell_density, targets
                 )
+                if not _equations_consistent(constraints[:n]):
+                    continue
                 checked += 1
                 if check_feasible(k, constraints):
                     witness = solve_feasibility(k, constraints).witness
@@ -309,6 +324,27 @@ def _reference_split(req):
                     part = _lift(flat_part, req.subcake, offsets)
                     return part, req.subcake.difference(part), checked
     raise AssertionError("reference scan found no split")
+
+
+def _equations_consistent(rows) -> bool:
+    """Whether the equations (coeffs, EQ, rhs) have a solution: Gauss-Jordan
+    elimination over Fractions, and no row left as 0 = non-zero."""
+    rows = [[F(q) for q in (*coeffs, rhs)] for coeffs, _, rhs in rows]
+    width = len(rows[0]) - 1 if rows else 0
+    rank = 0
+    for col in range(width):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank]
+        lead[:] = [q / lead[col] for q in lead]
+        for r, row in enumerate(rows):
+            if r != rank and row[col]:
+                f = row[col]
+                row[:] = [q - f * p for q, p in zip(row, lead)]
+        rank += 1
+    return not any(row[-1] for row in rows[rank:])
 
 
 def _reference_system(cells, signs, base, edges, prefix, cell_density, targets):
@@ -428,6 +464,62 @@ class TestWalkMatchesPrefilterScan:
         assert passing > 0 and max(shapes) >= 2
         # one unit per prefix kept, and prefixes do get pruned
         assert set(kept) == {1} and len(kept) < prefixes
+
+
+class TestNullSpaceMatchesElimination:
+    """The walk's consistency test of the value equations, the left null
+    space carried cut by cut, decides exactly as the LP's equality
+    elimination and as a Fraction rank test, on integer systems shaped like
+    the splitter's."""
+
+    def test_seeded_systems(self):
+        rng = random.Random(1857)
+        seen = set()
+        for trial in range(600):
+            n, k = rng.randint(1, 6), rng.randint(2, 10)
+            cells = rng.randint(1, 5)
+            # a cell no agent values gives a zero column
+            dead = {c for c in range(cells) if rng.random() < 0.2}
+            prefix = []
+            for _ in range(n):
+                row = [0]
+                for c in range(cells):
+                    zero = c in dead or rng.random() < 0.3
+                    row.append(row[-1] + (0 if zero else rng.randint(1, 9)))
+                prefix.append(row)
+            # few cells, so cuts share a cell and repeat a column
+            tup = sorted(rng.randrange(cells) for _ in range(k))
+            signs = [rng.choice((1, -1)) for _ in range(k)]
+            base = [rng.randint(-20, 20) for _ in range(n)]
+            columns = [[s * (row[c + 1] - row[c]) for row in prefix] for s, c in zip(signs, tup)]
+            consts = [[s * row[c] for row in prefix] for s, c in zip(signs, tup)]
+            const = [b + sum(q[i] for q in consts) for i, b in enumerate(base)]
+            if trial % 2:
+                # consistent by construction: the value at an integer point
+                t = [rng.randint(-3, 3) for _ in range(k)]
+                targets = [const[i] + sum(a[i] * tj for a, tj in zip(columns, t))
+                           for i in range(n)]
+            else:
+                targets = [rng.randint(-20, 20) for _ in range(n)]
+            rows = [([a[i] for a in columns], EQ, targets[i] - const[i]) for i in range(n)]
+
+            null = split._null_space([b - t for b, t in zip(base, targets)])
+            for column, step in zip(columns, consts):
+                before = [dict(y) for y in null]
+                restricted = split._restrict(null, column, step)
+                assert null == before  # the parent's state is kept for its siblings
+                assert len(before) - 1 <= len(restricted) <= len(before)
+                null = restricted
+            decision = split._consistent(null)
+            assert decision == (_eliminate_equalities(k, rows) is not None), trial
+            assert decision == _equations_consistent(rows), trial
+            seen.add((decision, k < n, any(not any(a) for a in columns)))
+        # both outcomes, with fewer cuts than agents and with more, and with
+        # a zero column
+        assert {(True, True), (False, True), (True, False), (False, False)} <= {
+            (d, few) for d, few, _ in seen
+        }
+        assert {(True, True), (False, True)} <= {(d, zero) for d, _, zero in seen}
 
 
 class TestPostConditions:
