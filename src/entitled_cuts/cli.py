@@ -179,10 +179,16 @@ def _parse_range(text: str) -> range:
 
 def cmd_bench(args) -> int:
     budget = _env_budget()
+    # every argument is checked before the header, so a failed run writes no CSV
+    ns = _parse_range(args.n_range)
+    if ns and ns[0] < 1:
+        raise FormatError("bench needs n >= 1")
+    if args.max_cells < 1:
+        raise FormatError(f"--max-cells must be at least 1, got {args.max_cells}")
+    if args.denom_bound < 2:
+        raise FormatError(f"--denom-bound must be at least 2, got {args.denom_bound}")
     print("n,seed,algorithm,cuts,paper_bound,proportional,runtime_ms")
-    for n in _parse_range(args.n_range):
-        if n < 1:
-            raise FormatError("bench needs n >= 1")
+    for n in ns:
         for seed in range(args.seeds):
             instance = random_instance(n, seed, args.max_cells, args.denom_bound)
             for name in ("recursive", "clone"):

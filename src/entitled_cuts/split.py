@@ -5,20 +5,24 @@ exactly `ratio` times their value of the sub-cake, using at most n-1 arcs
 on the sub-cake's pie: its components end to end, with its two ends
 identified.
 
-The search enumerates candidate arc structures by increasing arc count m;
-for each structure it walks the assignments of the 2m arc endpoints to
-cells of the common breakpoint refinement of the sub-cake, in the cake's
-own coordinates, endpoint by endpoint, and asks the exact feasibility
-solver for the n value equations plus ordering and cell-box constraints.
-The walk tests the value equations alone as it goes: each prefix keeps the
-left null space of their columns so far, and a full tuple whose equations
-contradict each other never reaches the solver.
-The first feasible system in the canonical order (m ascending, then
-origin-outside before origin-inside, the origin being the pie's joined
-ends, then lexicographic cell assignments, then the lex-minimal witness)
-wins, so results are fully deterministic.  The refinement tables, the
-walk, the work budget and the integer rows of each system, in cell
-coordinates, come from ``cells``, which the cut oracle shares.
+The search enumerates candidate arc structures by increasing arc count m.
+Every structure is one region [x1, x2] u [x3, x4] u ... of m arcs that
+misses the origin, the pie's joined ends.  A part that holds the origin is
+the complement of such a region, one worth each agent's total less its
+target, and uses the same cuts; so for each m a second walk searches those
+regions and returns their complements.  A walk assigns the 2m arc
+endpoints to cells of the common breakpoint refinement of the sub-cake, in
+the cake's own coordinates, endpoint by endpoint, and asks the exact
+feasibility solver for the n value equations plus ordering and cell-box
+constraints.  The walk tests the value equations alone as it goes: each
+prefix keeps the left null space of their columns so far, and a full tuple
+whose equations contradict each other never reaches the solver.
+The first feasible system in the canonical order (m ascending, then parts
+that miss the origin before parts that hold it, then lexicographic cell
+assignments, then the lex-minimal witness) wins, so results are fully
+deterministic.  The refinement tables, the walk, the work budget and the
+integer rows of each system, in cell coordinates, come from ``cells``,
+which the cut oracle shares.
 """
 
 from __future__ import annotations
@@ -61,15 +65,6 @@ class SplitResult:
     complement: Region
 
 
-def _arc_signs(count: int, origin_inside: bool):
-    # Part value is sum of s_j * F(x_j) plus (total if origin_inside), with
-    # F the running value over the sub-cake from its start to its end.
-    # Outside: part = [x1,x2] u [x3,x4] u ...                  -> -,+,-,+,...
-    # Inside:  part = [start,x1] u [x2,x3] u ... u [x2m,end]   -> +,-,+,-,...
-    first = 1 if origin_inside else -1
-    return [first if j % 2 == 0 else -first for j in range(count)]
-
-
 def pie_arc_count(part: Region, cake: Region = FULL_CAKE) -> int:
     """Number of arcs a region occupies on the pie of ``cake``: its
     components end to end, with the two ends identified.  Runs of the part
@@ -87,45 +82,46 @@ def exact_split(req: SplitRequest, budget: int = DEFAULT_BUDGET) -> SplitResult:
     """Split the sub-cake so every agent values the part at exactly
     ratio * (their value of the sub-cake).
 
-    Deterministic: the first feasible arc structure in canonical order is
-    returned with its lex-minimal endpoint witness.  Raises BudgetExceeded
-    once its work, cut-cell prefixes kept plus LP calls, passes ``budget``,
-    and NoSplitFound if the enumeration is exhausted (an implementation
-    bug: existence is guaranteed at n-1 arcs).
+    Each arc count m is searched twice, for a region of m arcs that misses
+    the origin: one worth the targets, which is the part, then one worth
+    the rest, whose complement is the part.  Deterministic: the first
+    feasible arc structure in canonical order is returned with its
+    lex-minimal endpoint witness.  Raises BudgetExceeded once its work,
+    cut-cell prefixes kept plus LP calls, passes ``budget``, and
+    NoSplitFound if the enumeration is exhausted (an implementation bug:
+    existence is guaranteed at n-1 arcs).
     """
     n = len(req.valuations)
     cake, table = req.subcake, req.table
     totals, targets = table.totals, table.thresholds
+    rests = [row[-1] - t for row, t in zip(table.int_prefix, table.int_thresholds)]
     work = Work(budget, table.cells, "split", "cut-cell prefixes kept plus LP calls", "m=1")
 
-    m_max = max(1, n - 1)
-    for m in range(1, m_max + 1):
+    for m in range(1, max(1, n - 1) + 1):
         k = 2 * m
+        signs = [-1, 1] * m  # a region's value is  sum_j signs[j] * F(x_j)
         work.at = f"m={m}"
-        for origin_inside in (False, True):
-            signs = _arc_signs(k, origin_inside)
-            base = [row[-1] for row in table.int_prefix] if origin_inside else [0] * n
-            root, extend = _reach(table, signs, base)
+        for holds_origin, goals in ((False, table.int_thresholds), (True, rests)):
+            root, extend = _reach(table, signs, goals)
             for cells, ((_, null),) in walk(table.cells, k, root, extend, work.spend):
                 if not _consistent(null):
                     continue
                 work.spend(1, cells, k)
                 constraints = []
-                for i, target in enumerate(table.int_thresholds):
-                    coeffs, const = table.value_row(i, cells, signs, base[i])
-                    constraints.append((coeffs, EQ, target - const))
+                for i, goal in enumerate(goals):
+                    coeffs, const = table.value_row(i, cells, signs, 0)
+                    constraints.append((coeffs, EQ, goal - const))
                 constraints += table.placement_rows(cells)
                 if check_feasible(k, constraints):
                     t = solve_feasibility(k, constraints).witness
                     xs = table.to_cuts(cells, t)
-                    if origin_inside:
-                        xs = (cake.intervals[0].lo, *xs, cake.intervals[-1].hi)
-                    # [x1, x2] u [x3, x4] u ..., with the sub-cake's ends
-                    # when the origin is inside; its gaps drop out
+                    # [x1, x2] u [x3, x4] u ..., whose gaps drop out
                     part = cake.intersect(Region(map(Interval, xs[::2], xs[1::2])))
+                    complement = cake.difference(part)
+                    if holds_origin:
+                        part, complement = complement, part
                     if pie_arc_count(part, cake) > m:
                         raise InternalCheckFailed(f"split part uses more than {m} arcs")
-                    complement = cake.difference(part)
                     for v, target, total in zip(req.valuations, targets, totals):
                         if (measure_of(v, part) != target
                                 or measure_of(v, complement) != total - target):
@@ -137,40 +133,40 @@ def exact_split(req: SplitRequest, budget: int = DEFAULT_BUDGET) -> SplitResult:
     )
 
 
-def _reach(table: CellTable, signs, base):
+def _reach(table: CellTable, signs, goals):
     """The root and the ``extend`` of the walk over one arc structure's
-    endpoint cells.  A state holds one partial system: each agent's range
-    [low, high] of part values, from ``base``, and the left null space of
-    the value equations' columns so far (see ``_restrict``).  An endpoint
-    with sign + in cell c adds between F(c) and F(c + 1), one with sign -
-    the negatives (ordering ignored: a relaxation), and one still to come,
-    in a cell >= c, between F(c) and F(end) or the negatives.  A prefix dies
-    once a target is out of reach; at a full tuple this is the interval
-    prefilter of a plain scan.  For a cut of sign + the low end's bound only
-    grows with c, for one of sign - the high end's only falls, so failing
-    there ends the loop over c.  A full tuple whose null space leaves a
-    right-hand side (``_consistent``) has value equations that contradict
-    each other, and the caller skips it without an LP call."""
+    endpoint cells, for regions worth ``goals``.  A state holds one partial
+    system: each agent's range [low, high] of region values, from 0, and
+    the left null space of the value equations' columns so far (see
+    ``_restrict``).  An endpoint with sign + in cell c adds between F(c)
+    and F(c + 1), one with sign - the negatives (ordering ignored: a
+    relaxation), and one still to come, in a cell >= c, between F(c) and
+    F(end) or the negatives.  A prefix dies once a goal is out of reach; at
+    a full tuple this is the interval prefilter of a plain scan.  For a cut
+    of sign + the low end's bound only grows with c, for one of sign - the
+    high end's only falls, so failing there ends the loop over c.  A full
+    tuple whose null space leaves a right-hand side (``_consistent``) has
+    value equations that contradict each other, and the caller skips it
+    without an LP call."""
     later = [(signs[d + 1:].count(1), signs[d + 1:].count(-1)) for d in range(len(signs))]
 
     def extend(state, lo, c, depth):
         s, (plus, minus) = signs[depth], later[depth]
         (ranges, null), = state
         reach, column, const = [], [], []
-        for (low, high), row, target in zip(ranges, table.int_prefix, table.int_thresholds):
+        for (low, high), row, goal in zip(ranges, table.int_prefix, goals):
             left, right, end = row[c], row[c + 1], row[-1]
             low, high = (low + left, high + right) if s > 0 else (low - right, high - left)
-            if low + plus * left - minus * end > target:
+            if low + plus * left - minus * end > goal:
                 return None, s < 0 and state
-            if high + plus * end - minus * left < target:
+            if high + plus * end - minus * left < goal:
                 return None, s > 0 and state
             reach.append((low, high))
             column.append(s * (right - left))
             const.append(s * left)
         return [(reach, _restrict(null, column, const))], state  # one partial system per prefix
 
-    offsets = [b - t for b, t in zip(base, table.int_thresholds)]
-    return [([(b, b) for b in base], _null_space(offsets))], extend
+    return [([(0, 0)] * len(goals), _null_space([-g for g in goals]))], extend
 
 
 # where a null-space vector holds its product with the column being added

@@ -66,8 +66,13 @@ def verify_allocation(instance: Instance, allocation: Allocation) -> Verificatio
         for iv in region.intervals
     )
     disjoint_ok = True
-    for (a, i), (b, j) in zip(tagged, tagged[1:]):
-        if b.lo < a.hi:
+    # every later interval that starts before a ends overlaps it, so a long
+    # interval is reported against each piece it covers, not only the next
+    for x, (a, i) in enumerate(tagged):
+        y = x + 1
+        while y < len(tagged) and tagged[y][0].lo < a.hi:
+            b, j = tagged[y]
+            y += 1
             disjoint_ok = False
             messages.append(
                 f"pieces of agents {i + 1} and {j + 1} overlap on [{b.lo}, {min(a.hi, b.hi)}]"

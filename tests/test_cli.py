@@ -369,6 +369,20 @@ class TestBench:
     def test_malformed_range(self, capsys):
         assert main(["bench", "--n-range", "2-3", "--seeds", "1"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--n-range", "2-3"],
+        ["--n-range", "0..2"],
+        ["--n-range", "2..3", "--max-cells", "0"],
+        ["--n-range", "2..3", "--denom-bound", "1"],
+    ])
+    def test_bad_arguments_write_no_csv(self, argv, capsys):
+        # checked before the header: `bench ... > bench.csv` must not leave
+        # a file that reads as an empty-range result
+        assert main(["bench", *argv, "--seeds", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 # --- malformed documents ---------------------------------------------------
 

@@ -7,7 +7,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entitled_cuts import bounds, feasibility, split
+from entitled_cuts import bounds, feasibility
 from entitled_cuts.cells import CellTable
 from entitled_cuts.errors import InternalCheckFailed, UnboundedLexMin
 from entitled_cuts.feasibility import (
@@ -1006,7 +1006,8 @@ def _splitter_system(table, cells, origin_inside):
     """The splitter's system for cut cells ``cells``: every agent's value of
     the part equals its threshold."""
     k = len(cells)
-    signs = split._arc_signs(k, origin_inside)
+    first = 1 if origin_inside else -1
+    signs = [first if j % 2 == 0 else -first for j in range(k)]
     rows = []
     for i, target in enumerate(table.int_thresholds):
         base = table.int_prefix[i][-1] if origin_inside else 0

@@ -41,6 +41,20 @@ def test_overlap_detected(uniform):
     assert not report.passed
 
 
+def test_every_overlap_of_a_long_piece_reported(uniform):
+    # agent 1's piece covers both others; agent 3's is not its neighbour in
+    # sorted order, yet that pair gets its own note too
+    inst = make_instance([uniform] * 3, ["1/3", "1/3", "1/3"])
+    report = verify_allocation(inst, Allocation((
+        region((0, 1)), region((F(1, 10), F(1, 5))), region((F(3, 10), F(2, 5))),
+    )))
+    assert not report.disjoint_ok and not report.passed
+    assert [m for m in report.messages if "overlap" in m] == [
+        "pieces of agents 1 and 2 overlap on [1/10, 1/5]",
+        "pieces of agents 1 and 3 overlap on [3/10, 2/5]",
+    ]
+
+
 def test_gap_detected(uniform):
     inst = make_instance([uniform, uniform], ["1/2", "1/2"])
     report = verify_allocation(
