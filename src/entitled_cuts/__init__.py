@@ -14,7 +14,6 @@ from .bounds import (
     CutBudgetCertificate,
     feasible_with_k_cuts,
     gen_lower_bound_instance,
-    instance_digest,
     min_cuts,
 )
 from .errors import (
@@ -38,7 +37,6 @@ from .model import (
     Allocation,
     Instance,
     Interval,
-    Rational,
     Region,
     Valuation,
     boundary_points,
@@ -78,7 +76,6 @@ __all__ = [
     "NoSplitFound",
     "NotFoundWithin",
     "PreconditionViolated",
-    "Rational",
     "Region",
     "SplitRequest",
     "SplitResult",
@@ -98,7 +95,6 @@ __all__ = [
     "feasible_with_k_cuts",
     "format_rational",
     "gen_lower_bound_instance",
-    "instance_digest",
     "mark_right",
     "measure_of",
     "min_cuts",

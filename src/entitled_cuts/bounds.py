@@ -24,7 +24,6 @@ actually done: owner prefixes kept plus solver calls.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -70,22 +69,11 @@ def gen_lower_bound_instance(n: int) -> Instance:
         )
     entitlements = [Fraction(10 * n - 9, 10 * n)]
     entitlements += [Fraction(9, 10 * n * (n - 1))] * (n - 1)
-    return Instance("interval", tuple(valuations), tuple(entitlements))
-
-
-def instance_digest(instance: Instance) -> str:
-    """Stable short digest of an instance's exact content."""
-    parts = [instance.topology]
-    for v, t in zip(instance.valuations, instance.entitlements):
-        parts.append(",".join(str(b) for b in v.breakpoints))
-        parts.append(",".join(str(d) for d in v.densities))
-        parts.append(str(t))
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
+    return Instance(tuple(valuations), tuple(entitlements))
 
 
 @dataclass(frozen=True)
 class CutBudgetCertificate:
-    instance_digest: str
     k: int
     feasible: bool
     allocation: Optional[Allocation]
@@ -149,11 +137,10 @@ def feasible_with_k_cuts(
     """
     if k < 0:
         raise ValueError("cut budget must be nonnegative")
-    digest = instance_digest(instance)
     if not _map_count(instance.n, k + 1):  # no map to rank, so no table to build
-        return CutBudgetCertificate(digest, k, False, None, 0)
+        return CutBudgetCertificate(k, False, None, 0)
     table = CellTable(instance.valuations, instance.entitlements, FULL_CAKE)
-    return _certificate(table, digest, k, budget)
+    return _certificate(table, k, budget)
 
 
 def certificates(
@@ -168,28 +155,28 @@ def certificates(
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     table = CellTable(instance.valuations, instance.entitlements, FULL_CAKE)
-    return _certificates(table, instance_digest(instance), k_max, budget)
+    return _certificates(table, k_max, budget)
 
 
-def _certificates(table: CellTable, digest: str, k_max: int, budget: int):
+def _certificates(table: CellTable, k_max: int, budget: int):
     for k in range(k_max + 1):
-        cert = _certificate(table, digest, k, budget)
+        cert = _certificate(table, k, budget)
         yield cert
         if cert.feasible:
             return
 
 
-def _certificate(table: CellTable, digest: str, k: int, budget: int) -> CutBudgetCertificate:
+def _certificate(table: CellTable, k: int, budget: int) -> CutBudgetCertificate:
     n = len(table.totals)
     maps = _map_count(n, k + 1)
     if not maps:  # fewer pieces than agents
-        return CutBudgetCertificate(digest, k, False, None, 0)
+        return CutBudgetCertificate(k, False, None, 0)
     found = _first_feasible(table, k, budget)
     if found is None:
-        return CutBudgetCertificate(digest, k, False, None, tuple_count(table.cells, k) * maps)
+        return CutBudgetCertificate(k, False, None, tuple_count(table.cells, k) * maps)
     cells, assign, cuts = found
     examined = tuple_rank(table.cells, cells) * maps + _map_rank(n, assign) + 1
-    return CutBudgetCertificate(digest, k, True, _allocation_from_cuts(n, cuts, assign), examined)
+    return CutBudgetCertificate(k, True, _allocation_from_cuts(n, cuts, assign), examined)
 
 
 def _first_feasible(table: CellTable, k: int, budget: int):

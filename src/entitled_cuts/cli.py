@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
         )
     print(f"disjoint: {'ok' if report.disjoint_ok else 'FAIL'}")
     print(f"covers cake: {'ok' if report.cover_ok else 'FAIL'}")
-    print(f"cuts: {report.cut_count}")
+    print(f"cuts: {len(report.cuts)}")
     for msg in report.messages:
         print(f"note: {msg}")
     print("PASS" if report.passed else "FAIL")
@@ -183,6 +183,8 @@ def cmd_bench(args) -> int:
     ns = _parse_range(args.n_range)
     if ns and ns[0] < 1:
         raise FormatError("bench needs n >= 1")
+    if args.seeds < 0:
+        raise FormatError(f"--seeds must be nonnegative, got {args.seeds}")
     if args.max_cells < 1:
         raise FormatError(f"--max-cells must be at least 1, got {args.max_cells}")
     if args.denom_bound < 2:

@@ -54,4 +54,4 @@ def random_instance(n: int, seed: int, max_cells: int = 3, denom_bound: int = 8)
         )
     rng = random.Random(seed)
     valuations = tuple(random_valuation(rng, max_cells, denom_bound) for _ in range(n))
-    return Instance("interval", valuations, random_entitlements(rng, n))
+    return Instance(valuations, random_entitlements(rng, n))

@@ -15,8 +15,6 @@ from typing import Iterable
 
 from .errors import InternalCheckFailed, TargetExceedsRemainder
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -256,20 +254,15 @@ def equal_marks(valuation: Valuation, parts: int) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class Instance:
-    """A cake division problem: topology, one valuation per agent, and
+    """A division of the cake [0, 1]: one valuation per agent, and
     positive entitlements summing to exactly 1."""
 
-    topology: str
     valuations: tuple[Valuation, ...]
     entitlements: tuple[Fraction, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "valuations", tuple(self.valuations))
         object.__setattr__(self, "entitlements", tuple(as_rational(t) for t in self.entitlements))
-        # the cake is the interval [0, 1]: no protocol, cut count or oracle
-        # treats it as a circle, so a "pie" would be counted as an interval
-        if self.topology != "interval":
-            raise ValueError(f"topology must be 'interval', got {self.topology!r}")
         if len(self.valuations) < 1:
             raise ValueError("need at least one agent")
         if len(self.valuations) != len(self.entitlements):

@@ -9,7 +9,8 @@ and the cut bound that applies to the algorithm on that instance:
   common denominator D and divide equally; at most D-1 cuts.
 - special3_half, special3_equal_pair: 3-agent protocols with at most 4 cuts
   when one entitlement is 1/2 or two entitlements are equal.
-- near_equal_divide: at most 2(n-1) cuts when n-1 entitlements equal 1/D.
+- near_equal_divide: cloning when n-1 entitlements equal 1/D, so each light
+  agent holds one clone: at most 2(n-1) cuts.
 - auto_solve: dispatches among the above.
 
 Tie-breaking is everywhere by smallest agent index / leftmost coordinate,
@@ -18,7 +19,7 @@ so all outputs are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import inf, lcm
 from typing import Optional, Sequence
@@ -225,15 +226,15 @@ def special3_half(instance: Instance, budget: int = DEFAULT_BUDGET) -> Algorithm
     if half_idx is None:
         raise PreconditionViolated("no entitlement equals 1/2")
     chooser = instance.valuations[half_idx]
-    others = [i for i in range(3) if i != half_idx]
-    stage: dict[int, Region] = {}
-    _split_two_ways(
-        others, [instance.entitlements[i] for i in others], FULL_CAKE,
-        instance.valuations, stage, budget, set(), inf,
+    first, second = (i for i in range(3) if i != half_idx)
+    split = exact_split(
+        SplitRequest((instance.valuations[first], instance.valuations[second]), FULL_CAKE,
+                     2 * instance.entitlements[first]),
+        budget=budget,
     )
     pieces: dict[int, Region] = {half_idx: Region()}
-    for i in others:
-        kept, taken = cut_and_choose(instance.valuations[i], chooser, stage[i])
+    for i, stage in ((first, split.part), (second, split.complement)):
+        kept, taken = cut_and_choose(instance.valuations[i], chooser, stage)
         pieces[i] = kept
         pieces[half_idx] = pieces[half_idx].union(taken)
     return _report(instance, pieces, "special3-half", 4)
@@ -296,46 +297,33 @@ def special3_equal_pair(instance: Instance, budget: int = DEFAULT_BUDGET) -> Alg
         taker, partner = first, second
     else:
         taker, partner = second, first
-    remainder = FULL_CAKE.difference(window)
-    rest: dict[int, Region] = {}
-    _split_two_ways(
-        [partner, odd], [Fraction(b, d - b), Fraction(d - 2 * b, d - b)],
-        remainder, instance.valuations, rest, budget, set(), inf,
+    rest = exact_split(
+        SplitRequest((instance.valuations[partner], odd_val), FULL_CAKE.difference(window),
+                     Fraction(b, d - b)),
+        budget=budget,
     )
-    pieces = {taker: window, partner: rest[partner], odd: rest[odd]}
+    pieces = {taker: window, partner: rest.part, odd: rest.complement}
     return _report(instance, pieces, "special3-equal-pair", 4)
 
 
-def _near_equal_pattern(instance: Instance) -> Optional[tuple[int, int]]:
-    """(heavy agent index, D) when at least n-1 entitlements equal 1/D."""
-    if instance.n < 2:
-        return None
-    n = instance.n
-    for value in sorted(set(instance.entitlements)):
-        if value.numerator != 1:
-            continue
-        holders = [i for i, t in enumerate(instance.entitlements) if t == value]
-        if len(holders) >= n - 1:
-            heavy = next((i for i in range(n) if i not in holders), n - 1)
-            return heavy, value.denominator
-    return None
+def _near_equal(instance: Instance) -> bool:
+    """Whether at least n-1 of n >= 2 entitlements equal one 1/D."""
+    shares = instance.entitlements
+    return instance.n >= 2 and any(
+        t.numerator == 1 and shares.count(t) >= instance.n - 1 for t in shares
+    )
 
 
 def near_equal_divide(instance: Instance) -> AlgorithmReport:
     """n-1 agents entitled to exactly 1/D each: at most 2(n-1) cuts.
 
-    The remaining (heavy) agent gets a count of D-n+1 clones and a connected
-    proportional division runs among the D participants; every light agent
-    keeps a single interval, and the heavy agent's pieces merge.  Only the
-    light pieces' endpoints survive as cuts."""
-    pattern = _near_equal_pattern(instance)
-    if pattern is None:
+    This is cloning: the common denominator is D, so each light agent
+    holds one clone and the heavy agent the other D-n+1.  Every light agent
+    keeps a single interval, and the heavy agent's pieces merge, so only
+    the light pieces' endpoints are cuts."""
+    if not _near_equal(instance):
         raise PreconditionViolated("need at least n-1 entitlements equal to 1/D")
-    heavy, denominator = pattern
-    copies = [denominator - instance.n + 1 if i == heavy else 1 for i in range(instance.n)]
-    pieces: dict[int, Region] = {}
-    _even_split(list(enumerate(copies)), ZERO, ONE, instance.valuations, pieces)
-    return _report(instance, pieces, "near-equal", 2 * (instance.n - 1))
+    return replace(clone_divide(instance), algorithm="near-equal", bound=2 * (instance.n - 1))
 
 
 DEFAULT_CLONE_CAP = 64
@@ -355,7 +343,7 @@ def auto_solve(instance: Instance, budget: int = DEFAULT_BUDGET) -> AlgorithmRep
     instance returns cloning's report instead of raising."""
     if instance.n == 1:
         return recursive_divide(instance, budget)
-    if _near_equal_pattern(instance) is not None:
+    if _near_equal(instance):
         return near_equal_divide(instance)
     if instance.n == 3:
         if any(t == Fraction(1, 2) for t in instance.entitlements):

@@ -55,7 +55,7 @@ def _rational_list(values, label):
 
 def instance_to_document(instance: Instance) -> dict:
     return {
-        "topology": instance.topology,
+        "topology": "interval",
         "agents": [
             {
                 "name": f"agent{i}",
@@ -71,7 +71,6 @@ def instance_to_document(instance: Instance) -> dict:
 def parse_instance_document(doc) -> Instance:
     if not isinstance(doc, dict):
         raise FormatError("instance document must be a JSON object")
-    topology = doc.get("topology")
     agents = doc.get("agents")
     if not isinstance(agents, list) or not agents:
         raise FormatError("'agents' must be a non-empty list")
@@ -87,8 +86,13 @@ def parse_instance_document(doc) -> Instance:
         except ValueError as exc:
             raise FormatError(f"invalid valuation: {exc}") from None
         entitlements.append(_rational_field(agent, "entitlement"))
+    # the cake is the interval [0, 1]: no protocol, cut count or oracle
+    # treats it as a circle, so a "pie" would be counted as an interval
+    topology = doc.get("topology")
+    if topology != "interval":
+        raise FormatError(f"invalid instance: topology must be 'interval', got {topology!r}")
     try:
-        return Instance(topology, tuple(valuations), tuple(entitlements))
+        return Instance(tuple(valuations), tuple(entitlements))
     except ValueError as exc:
         raise FormatError(f"invalid instance: {exc}") from None
 

@@ -35,7 +35,6 @@ class VerificationReport:
     disjoint_ok: bool
     cover_ok: bool
     cuts: tuple[Fraction, ...]
-    cut_count: int
     passed: bool
     messages: tuple[str, ...]
 
@@ -90,6 +89,6 @@ def verify_allocation(instance: Instance, allocation: Allocation) -> Verificatio
         a.ok for a in agents
     )
     return VerificationReport(
-        tuple(agents), structure_ok, disjoint_ok, cover_ok, cuts, len(cuts), passed,
+        tuple(agents), structure_ok, disjoint_ok, cover_ok, cuts, passed,
         tuple(messages),
     )

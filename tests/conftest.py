@@ -22,7 +22,6 @@ def pw(breakpoints: str, densities: str) -> Valuation:
 
 def make_instance(valuations, entitlements) -> Instance:
     return Instance(
-        "interval",
         tuple(valuations),
         tuple(Fraction(t) for t in entitlements),
     )

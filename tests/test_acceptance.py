@@ -61,7 +61,7 @@ def special_half_pool():
         vals = tuple(random_valuation(rng, 2, 8) for _ in range(3))
         q = rng.randint(3, 9)
         p = rng.randint(1, q - 1)
-        out.append(Instance("interval", vals, (F(1, 2), F(p, 2 * q), F(q - p, 2 * q))))
+        out.append(Instance(vals, (F(1, 2), F(p, 2 * q), F(q - p, 2 * q))))
     return out
 
 
@@ -72,7 +72,7 @@ def equal_pair_pool():
         vals = tuple(random_valuation(rng, 2, 8) for _ in range(3))
         d = rng.randint(3, 9)
         b = rng.randint(1, (d - 1) // 2)
-        out.append(Instance("interval", vals, (F(b, d), F(b, d), 1 - 2 * F(b, d))))
+        out.append(Instance(vals, (F(b, d), F(b, d), 1 - 2 * F(b, d))))
     return out
 
 
@@ -83,7 +83,7 @@ def near_equal_pool(n):
         vals = tuple(random_valuation(rng, 2, 8) for _ in range(n))
         d = rng.randint(n, 9)
         entitlements = (F(1, d),) * (n - 1) + (F(d - n + 1, d),)
-        out.append(Instance("interval", vals, entitlements))
+        out.append(Instance(vals, entitlements))
     return out
 
 
@@ -97,7 +97,7 @@ def clone_pool():
             continue
         total = sum(weights)
         vals = tuple(random_valuation(rng, 2, 8) for _ in range(n))
-        out.append(Instance("interval", vals, tuple(F(w, total) for w in weights)))
+        out.append(Instance(vals, tuple(F(w, total) for w in weights)))
     return out
 
 
@@ -184,9 +184,7 @@ def test_criterion_5_cloning_bound():
         report = clone_divide(inst)
         assert len(report.cuts) <= denominator - 1
         assert verify_allocation(inst, report.allocation).passed
-    pair = Instance(
-        "interval", (Valuation.uniform(), Valuation.uniform()), (F(2, 5), F(3, 5))
-    )
+    pair = Instance((Valuation.uniform(), Valuation.uniform()), (F(2, 5), F(3, 5)))
     report = clone_divide(pair)
     assert report.cuts == (F(2, 5),)
     print("\nACCEPTANCE 5 PASS: cloning within D-1 cuts (D <= 24); 2/5-3/5 merges to 1 cut")
@@ -221,7 +219,7 @@ def test_criterion_7_open_instance_probe(tmp_path, capsys):
     for profile in range(5):
         while True:
             vals = tuple(random_valuation(rng, 2, 6) for _ in range(3))
-            inst = Instance("interval", vals, (F(1, 7), F(2, 7), F(4, 7)))
+            inst = Instance(vals, (F(1, 7), F(2, 7), F(4, 7)))
             if refinement_cells(inst) <= 4:
                 break
         path = tmp_path / f"probe{profile}.json"

@@ -60,6 +60,30 @@ class TestSerialization:
         with pytest.raises(FormatError):
             parse_instance_document(doc)
 
+    def test_topology_checked(self, uniform):
+        doc = instance_to_document(make_instance([uniform], [1]))
+        doc["topology"] = "moebius"
+        with pytest.raises(FormatError, match="topology must be 'interval', got 'moebius'"):
+            parse_instance_document(doc)
+        del doc["topology"]
+        with pytest.raises(FormatError, match="topology must be 'interval', got None"):
+            parse_instance_document(doc)
+
+    def test_pie_topology_rejected(self, uniform):
+        # a pie was counted as an interval: halves reported 1 cut, not 2
+        doc = instance_to_document(make_instance([uniform, uniform], ["1/2", "1/2"]))
+        assert doc["topology"] == "interval"
+        doc["topology"] = "pie"
+        with pytest.raises(FormatError, match="^invalid instance: topology must be 'interval'"):
+            parse_instance_document(doc)
+
+    def test_bad_agent_reported_before_topology(self, uniform):
+        doc = instance_to_document(make_instance([uniform, uniform], ["1/2", "1/2"]))
+        doc["topology"] = "pie"
+        doc["agents"][1]["breakpoints"] = ["0", "1/2"]
+        with pytest.raises(FormatError, match="invalid valuation"):
+            parse_instance_document(doc)
+
     def test_allocation_round_trip(self, tmp_path, uniform):
         inst_path = write_instance(tmp_path / "i.json", make_instance([uniform], [1]))
         out = tmp_path / "a.json"
@@ -235,7 +259,7 @@ class TestSolve:
         from entitled_cuts.verifier import VerificationReport
 
         inst_path = write_instance(tmp_path / "i.json", make_instance([uniform], [1]))
-        broken = VerificationReport((), True, True, True, (), 0, False, ("forced",))
+        broken = VerificationReport((), True, True, True, (), False, ("forced",))
         monkeypatch.setattr(cli_mod, "verify_allocation", lambda *a: broken)
         assert main(["solve", inst_path, "-o", str(tmp_path / "a.json")]) == 2
 
@@ -370,15 +394,16 @@ class TestBench:
         assert main(["bench", "--n-range", "2-3", "--seeds", "1"]) == 1
 
     @pytest.mark.parametrize("argv", [
-        ["--n-range", "2-3"],
-        ["--n-range", "0..2"],
-        ["--n-range", "2..3", "--max-cells", "0"],
-        ["--n-range", "2..3", "--denom-bound", "1"],
+        ["--n-range", "2-3", "--seeds", "1"],
+        ["--n-range", "0..2", "--seeds", "1"],
+        ["--n-range", "2..3", "--seeds", "1", "--max-cells", "0"],
+        ["--n-range", "2..3", "--seeds", "1", "--denom-bound", "1"],
+        ["--n-range", "2..3", "--seeds", "-1"],
     ])
     def test_bad_arguments_write_no_csv(self, argv, capsys):
         # checked before the header: `bench ... > bench.csv` must not leave
         # a file that reads as an empty-range result
-        assert main(["bench", *argv, "--seeds", "1"]) == 1
+        assert main(["bench", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")

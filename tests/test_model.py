@@ -287,18 +287,8 @@ class TestCutCount:
 class TestInstance:
     def test_entitlements_must_sum_to_one(self, uniform):
         with pytest.raises(ValueError):
-            Instance("interval", (uniform, uniform), (F(1), F(1)))
+            Instance((uniform, uniform), (F(1), F(1)))
 
     def test_entitlements_must_be_positive(self, uniform):
         with pytest.raises(ValueError):
-            Instance("interval", (uniform, uniform), (F(0), F(1)))
-
-    def test_topology_checked(self, uniform):
-        with pytest.raises(ValueError):
-            Instance("moebius", (uniform,), (F(1),))
-
-    def test_pie_topology_rejected(self, uniform):
-        # a pie was counted as an interval: halves reported 1 cut, not 2
-        with pytest.raises(ValueError, match="topology must be 'interval'"):
-            Instance("pie", (uniform,), (F(1),))
-        assert Instance("interval", (uniform,), (F(1),)).topology == "interval"
+            Instance((uniform, uniform), (F(0), F(1)))

@@ -22,7 +22,7 @@ from entitled_cuts.model import (
 from entitled_cuts.protocols import (
     DEFAULT_CLONE_CAP,
     AlgorithmReport,
-    _near_equal_pattern,
+    _near_equal,
     auto_solve,
     clone_divide,
     connected_proportional,
@@ -99,7 +99,7 @@ class TestRecursiveDivide:
         scaled_vals = list(inst.valuations)
         v = scaled_vals[1]
         scaled_vals[1] = Valuation(v.breakpoints, tuple(d * 7 for d in v.densities))
-        scaled = Instance(inst.topology, tuple(scaled_vals), inst.entitlements)
+        scaled = Instance(tuple(scaled_vals), inst.entitlements)
         assert recursive_divide(inst).allocation == recursive_divide(scaled).allocation
 
 
@@ -123,12 +123,12 @@ def test_scale_invariance_across_protocols():
     }
     for name, runner in runners.items():
         vals = tuple(random_valuation(rng, 3, 8) for _ in range(3))
-        inst = Instance("interval", vals, entitlements[name])
+        inst = Instance(vals, entitlements[name])
         scaled_vals = list(vals)
         scaled_vals[2] = Valuation(
             vals[2].breakpoints, tuple(d * 9 for d in vals[2].densities)
         )
-        scaled = Instance("interval", tuple(scaled_vals), entitlements[name])
+        scaled = Instance(tuple(scaled_vals), entitlements[name])
         assert runner(inst).allocation == runner(scaled).allocation, name
 
 
@@ -294,13 +294,13 @@ class TestMarksOncePerValuation:
             d = rng.randint(n, 64)
             edges = [0] + sorted(rng.sample(range(1, d), n - 1)) + [d]
             shares = tuple(F(b - a, d) for a, b in zip(edges, edges[1:]))
-            inst = Instance("interval", vals, shares)
+            inst = Instance(vals, shares)
             denominator = lcm(*(t.denominator for t in shares))
             copies = [int(t * denominator) for t in shares]
             assert clone_divide(inst) == _reference_report(inst, copies, "clone", denominator - 1)
             heavy = rng.randrange(n)
             copies = [d - n + 1 if i == heavy else 1 for i in range(n)]
-            inst = Instance("interval", vals, tuple(F(c, d) for c in copies))
+            inst = Instance(vals, tuple(F(c, d) for c in copies))
             expected = _reference_report(inst, copies, "near-equal", 2 * (n - 1))
             assert near_equal_divide(inst) == expected
 
@@ -334,7 +334,7 @@ class TestMarksOncePerValuation:
         shy = pw("0 1/3 1", "0 3/2")
         d = 10**9
         calls = _counting_marks(monkeypatch)
-        inst = Instance("interval", (uniform, eager), (F(1, d), F(d - 1, d)))
+        inst = Instance((uniform, eager), (F(1, d), F(d - 1, d)))
         report = near_equal_divide(inst)
         assert verify_allocation(inst, report.allocation).passed
         # the light clone always stays on the right with the heavy agent's
@@ -343,7 +343,7 @@ class TestMarksOncePerValuation:
         assert report.cuts == (F(999999999, 2000000000),)
         calls.clear()
         shares = (F(1, d), F(d // 3, d), F(d - 1 - d // 3, d))
-        inst = Instance("interval", (uniform, eager, shy), shares)
+        inst = Instance((uniform, eager, shy), shares)
         report = clone_divide(inst)
         assert verify_allocation(inst, report.allocation).passed
         assert len(calls) == 114
@@ -432,7 +432,7 @@ class TestSpecial3Half:
             vals = tuple(random_valuation(rng, 3, 8) for _ in range(3))
             q = rng.randint(3, 9)
             p = rng.randint(1, q - 1)
-            inst = Instance("interval", vals, (F(1, 2), F(p, 2 * q), F(q - p, 2 * q)))
+            inst = Instance(vals, (F(1, 2), F(p, 2 * q), F(q - p, 2 * q)))
             report = special3_half(inst)
             assert len(report.cuts) <= 4
             assert_proportional(inst, report.allocation)
@@ -442,9 +442,7 @@ class TestSpecial3Half:
         # the two-agent stage can hand an agent a two-interval piece; sharing
         # it with the chooser must still cost one cut, not one per interval
         mid = pw("0 1/3 2/3 1", "0 3 0")
-        inst = Instance(
-            "interval", (uniform, uniform, mid), (F(1, 2), F(1, 5), F(3, 10))
-        )
+        inst = Instance((uniform, uniform, mid), (F(1, 2), F(1, 5), F(3, 10)))
         report = special3_half(inst)
         assert len(report.cuts) <= 4
         assert_proportional(inst, report.allocation)
@@ -455,7 +453,7 @@ class TestSpecial3Half:
         # single running-value mark is still well defined
         v2 = pw("0 1/2 1", "3/8 5/7")
         v3 = pw("0 1 ", "3/7")
-        inst = Instance("interval", (uniform, v2, v3), (F(1, 2), F(1, 14), F(3, 7)))
+        inst = Instance((uniform, v2, v3), (F(1, 2), F(1, 14), F(3, 7)))
         report = special3_half(inst)
         assert len(report.cuts) <= 4
         assert_proportional(inst, report.allocation)
@@ -508,7 +506,7 @@ class TestSpecial3EqualPair:
         # agent 2 (second of the pair) hoards the window that agent 3 shuns
         hoarder = pw("0 1/3 1", "3 0")
         shunner = pw("0 1/3 1", "0 3/2")
-        inst = Instance("interval", (uniform, hoarder, shunner), (F(1, 3), F(1, 3), F(1, 3)))
+        inst = Instance((uniform, hoarder, shunner), (F(1, 3), F(1, 3), F(1, 3)))
         report = special3_equal_pair(inst)
         assert len(report.cuts) <= 4
         assert_proportional(inst, report.allocation)
@@ -520,7 +518,7 @@ class TestSpecial3EqualPair:
             d = rng.randint(3, 9)
             b = rng.randint(1, (d - 1) // 2)
             pair = F(b, d)
-            inst = Instance("interval", vals, (pair, pair, 1 - 2 * pair))
+            inst = Instance(vals, (pair, pair, 1 - 2 * pair))
             report = special3_equal_pair(inst)
             assert len(report.cuts) <= 4
             assert_proportional(inst, report.allocation)
@@ -557,7 +555,7 @@ class TestSpecial3EqualPair:
             b = rng.randint(1, (d - 1) // 2)
             pair = F(b, d)
             b, d = pair.numerator, pair.denominator
-            inst = Instance("interval", (marker, random_valuation(rng, 3, 8), odd),
+            inst = Instance((marker, random_valuation(rng, 3, 8), odd),
                             (pair, pair, 1 - 2 * pair))
             edges = [F(0)] + equal_marks(marker, d) + [F(1)]
             _, start = min((measure_of(odd, _window_region(edges, s, b)), s) for s in range(d))
@@ -586,7 +584,7 @@ class TestNearEqualDivide:
         for trial in range(5):
             vals = tuple(random_valuation(rng, 3, 8) for _ in range(n))
             entitlements = (F(1, d),) * (n - 1) + (F(d - n + 1, d),)
-            inst = Instance("interval", vals, entitlements)
+            inst = Instance(vals, entitlements)
             report = near_equal_divide(inst)
             assert len(report.cuts) <= 2 * (n - 1)
             assert_proportional(inst, report.allocation)
@@ -636,7 +634,7 @@ def _reference_auto_solve(instance: Instance, budget: int = DEFAULT_BUDGET) -> A
     fewer cuts win, the recursive result on ties."""
     if instance.n == 1:
         return recursive_divide(instance, budget)
-    if _near_equal_pattern(instance) is not None:
+    if _near_equal(instance):
         return near_equal_divide(instance)
     if instance.n == 3:
         if any(t == Fraction(1, 2) for t in instance.entitlements):
@@ -682,7 +680,7 @@ class TestAutoSolveStopsTheLosingRecursion:
         rng = random.Random(77)
         vals = tuple(random_valuation(rng, 3, 8) for _ in range(3))
         # the common denominator 77 is over the clone cap: recursion only
-        over_cap = Instance("interval", vals, (F(1, 7), F(2, 11), F(52, 77)))
+        over_cap = Instance(vals, (F(1, 7), F(2, 11), F(52, 77)))
         cases = {
             # recursive 2 cuts against clone 3: a strict recursive win
             "recursive win": (random_instance(2, 51, max_cells=5), "recursive"),

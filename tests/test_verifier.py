@@ -16,7 +16,7 @@ def region(*pairs):
 def test_single_agent_passes(uniform):
     inst = make_instance([uniform], [1])
     report = verify_allocation(inst, Allocation((region((0, 1)),)))
-    assert report.passed and report.cut_count == 0
+    assert report.passed and len(report.cuts) == 0
 
 
 def test_shortchanged_agent_flagged(uniform):
