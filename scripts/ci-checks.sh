@@ -1,0 +1,87 @@
+#!/usr/bin/env bash
+# The CLI and benchmark checks of the CI workflow, in one script, so that a
+# change can run exactly what CI runs before it lands:
+#
+#   scripts/ci-checks.sh [WORK_DIR]
+#
+# It runs from the repository root, wherever it is called from, and writes
+# the instance, allocation and output files it checks to WORK_DIR (default:
+# a new temporary directory).  Each grep fails the script on a mismatch.
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+work=${1:-$(mktemp -d)}
+mkdir -p "$work"
+
+cli() {
+  PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m entitled_cuts.cli "$@"
+}
+
+# the paper's 2n-2 lower bound at n = 6, through the CLI under the default
+# oracle budget (n = 5 is in the test suite)
+echo "== Lower bound at n = 6 (min cuts = 10)"
+cli gen --lower-bound 6 -o "$work/lb6.json"
+cli min-cuts "$work/lb6.json" --k-max 10 | tee "$work/lb6.out"
+grep -Fx "k=9: infeasible (all 462326024160 combinations ruled out)" "$work/lb6.out"
+grep -Fx "k=10: feasible (witness at combination 1815004448777 in canonical order)" "$work/lb6.out"
+grep -Fx "min cuts = 10" "$work/lb6.out"
+
+# six agents whose top split a plain scan of every cut-cell tuple would
+# project at 19.2M systems: the prefix walk solves it under the default
+# budget, and the allocation verifies; auto returns cloning's allocation,
+# so the recursion is solved and verified on its own too
+echo "== Six-agent solve under the default budget"
+cli gen --random 6 --seed 2 --max-cells 6 --denom-bound 64 -o "$work/r6.json"
+cli solve "$work/r6.json" -o "$work/r6.allocation.json"
+cli verify "$work/r6.json" "$work/r6.allocation.json" | tee "$work/r6.out"
+grep -Fx "PASS" "$work/r6.out"
+cli solve "$work/r6.json" --algorithm recursive -o "$work/r6.recursive.json" \
+  | tee "$work/r6.recursive.solve.out"
+grep "^cuts (16 of bound 22): " "$work/r6.recursive.solve.out"
+cli verify "$work/r6.json" "$work/r6.recursive.json" | tee "$work/r6.recursive.out"
+grep -Fx "PASS" "$work/r6.recursive.out"
+
+# a speedup must keep the output bytes: every benchmark workload still
+# prints the digest of the files it writes
+echo "== Output bytes unchanged"
+for expected in \
+  divide:9ee8fdc55a23bc5291b39f9068711901a5fa3b2f18a845b6fddf8a622d09c278 \
+  certify:769518a277eccda9db17e43cb84a451c726b80e71056d59f50824d559f151ccf \
+  lower_bound:0309f8af1580a5d48397aa1cc4f754fcab74e7508300a96daadfa8f276b8e9aa
+do
+  workload=${expected%%:*}
+  python perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+    | tee "$work/$workload.out"
+  grep -Fx "output digest ${expected#*:}" "$work/$workload.out"
+done
+
+# a speedup must keep the work the same, not only the bytes: one traced
+# certify pass makes exactly these LP calls, oracle systems, protocol cuts
+# and model calls, and one traced divide pass these LP calls, protocol cuts
+# and model calls
+echo "== LP call counts unchanged"
+python perfbench/run.py --workload certify --seed 1 --seconds 2 --trace 1 \
+  | tee "$work/certify-trace.out"
+for expected in \
+  "split.lp_calls 301 count" \
+  "feasibility.check_calls 2526 count" \
+  "feasibility.solve_calls 525 count" \
+  "bounds.systems_examined 8548 count" \
+  "protocols.cuts 502 count" \
+  "model.calls 19755 count"
+do
+  grep -Fx "$expected" "$work/certify-trace.out"
+done
+python perfbench/run.py --workload divide --seed 1 --seconds 2 --trace 1 \
+  | tee "$work/divide-trace.out"
+for expected in \
+  "split.lp_calls 1099 count" \
+  "feasibility.check_calls 744 count" \
+  "feasibility.solve_calls 355 count" \
+  "protocols.cuts 785 count" \
+  "model.calls 33576 count"
+do
+  grep -Fx "$expected" "$work/divide-trace.out"
+done
+
+echo "all CI checks passed"

@@ -40,7 +40,6 @@ from .model import (
     Region,
     Valuation,
     boundary_points,
-    cut_count,
     equal_marks,
     format_rational,
     mark_right,
@@ -51,7 +50,6 @@ from .protocols import (
     AlgorithmReport,
     auto_solve,
     clone_divide,
-    connected_proportional,
     cut_and_choose,
     near_equal_divide,
     recursive_divide,
@@ -87,9 +85,7 @@ __all__ = [
     "boundary_points",
     "check_feasible",
     "clone_divide",
-    "connected_proportional",
     "cut_and_choose",
-    "cut_count",
     "equal_marks",
     "exact_split",
     "feasible_with_k_cuts",

@@ -66,10 +66,6 @@ class Interval:
         if not (ZERO <= self.lo <= self.hi <= ONE):
             raise ValueError(f"interval needs 0 <= lo <= hi <= 1, got [{self.lo}, {self.hi}]")
 
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True, init=False)
 class Region:
@@ -96,10 +92,6 @@ class Region:
     @property
     def is_empty(self) -> bool:
         return not self.intervals
-
-    @property
-    def length(self) -> Fraction:
-        return sum((iv.length for iv in self.intervals), ZERO)
 
     def union(self, other: "Region") -> "Region":
         return Region(self.intervals + other.intervals)
@@ -187,10 +179,6 @@ class Valuation:
 
     def value_between(self, lo: Fraction, hi: Fraction) -> Fraction:
         return self.cumulative(hi) - self.cumulative(lo)
-
-    @classmethod
-    def uniform(cls) -> "Valuation":
-        return cls((ZERO, ONE), (ONE,))
 
 
 def measure_of(valuation: Valuation, region: Region) -> Fraction:
@@ -302,8 +290,3 @@ def boundary_points(allocation: Allocation) -> tuple[Fraction, ...]:
     points.discard(ZERO)
     points.discard(ONE)
     return tuple(sorted(points))
-
-
-def cut_count(allocation: Allocation) -> int:
-    """Number of cuts needed to realize the allocation on an interval cake."""
-    return len(boundary_points(allocation))

@@ -6,7 +6,8 @@ and the cut bound that applies to the algorithm on that instance:
 - recursive_divide: consensus-halving recursion, at most
   2n*log2(nhat) - 2*nhat + 2 cuts, every agent exactly proportional.
 - clone_divide: replicate agent i into numerator-many unit clones over the
-  common denominator D and divide equally; at most D-1 cuts.
+  common denominator D and divide equally; at most D-1 cuts.  With every
+  entitlement 1/n this is Even-Paz: one interval per agent, n-1 cuts.
 - special3_half, special3_equal_pair: 3-agent protocols with at most 4 cuts
   when one entitlement is 1/2 or two entitlements are equal.
 - near_equal_divide: cloning when n-1 entitlements equal 1/D, so each light
@@ -48,6 +49,11 @@ class AlgorithmReport:
     cuts: tuple[Fraction, ...]
     algorithm: str
     bound: int
+
+    def __post_init__(self):
+        if len(self.cuts) > self.bound:
+            raise InternalCheckFailed(
+                f"{self.algorithm}: {len(self.cuts)} cuts exceed the bound {self.bound}")
 
 
 def _report(instance: Instance, pieces_by_agent: dict, algorithm: str, bound: int) -> AlgorithmReport:
@@ -113,36 +119,16 @@ def recursive_divide(instance: Instance, budget: int = DEFAULT_BUDGET) -> Algori
     return _recursive(instance, budget, inf)
 
 
-def connected_proportional(valuations: Sequence[Valuation], subcake: Interval) -> Allocation:
-    """Divide-and-conquer proportional division with connected pieces
-    (Even and Paz 1984).
-
-    Each agent marks the point splitting the sub-cake in value ratio
-    floor(n/2) : ceil(n/2) by their own measure; the cake is cut at the
-    floor(n/2)-th smallest mark (ties by agent index) and the two groups
-    recurse.  Every agent receives one interval worth at least 1/n of their
-    value of the sub-cake, with exactly n-1 cuts on nondegenerate inputs.
-    Agents that share one Valuation object each still mark: they are not
-    deduplicated.  The clone protocols run the same split over clone counts,
-    one mark per agent and round, so their work grows with n*log(D), not D.
-    """
-    n = len(valuations)
-    if n < 1:
-        raise ValueError("need at least one agent")
-    for v in valuations:
-        if v.value_between(subcake.lo, subcake.hi) <= ZERO:
-            raise ValueError("every agent must value the sub-cake positively")
-    pieces: dict[int, Region] = {}
-    _even_split([(i, 1) for i in range(n)], subcake.lo, subcake.hi, valuations, pieces)
-    return Allocation(tuple(pieces[i] for i in range(n)))
-
-
 def _even_split(groups, lo, hi, valuations, pieces):
-    """Even-Paz over clone groups: ``groups`` holds (agent, clone count)
-    pairs in agent order, and each group makes one mark per round.  The
-    first floor(n/2) of the n clones, in (mark, agent) order, go left, so
-    only the group straddling the split point is divided.  A sub-cake held
-    by a single group goes whole to its agent, joining the agent's piece."""
+    """Even-Paz divide and conquer (Even and Paz 1984) of [lo, hi] over
+    clone groups: ``groups`` holds (agent, clone count) pairs in agent
+    order, n clones in all, and each group marks once per round where its
+    agent values [lo, mark] at floor(n/2)/n of [lo, hi].  The first
+    floor(n/2) clones, in (mark, agent) order, go left, so only the group
+    straddling the split point is divided.  Each clone gets one interval
+    worth at least 1/n of the sub-cake to its agent, and at most n-1 cuts
+    are made.  A sub-cake held by a single group goes whole to its agent,
+    joining the agent's piece."""
     if len(groups) == 1:
         agent = groups[0][0]
         piece = Region([Interval(lo, hi)])

@@ -29,19 +29,24 @@ def make_instance(valuations, entitlements) -> Instance:
 
 @pytest.fixture
 def uniform() -> Valuation:
-    return Valuation.uniform()
+    return Valuation((Fraction(0), Fraction(1)), (Fraction(1),))
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports the package under
+    test, wherever its current directory is."""
+    package_root = Path(entitled_cuts.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    return env
 
 
 def run_optimized(script: str, cwd) -> list[str]:
     """Run ``script`` in a child interpreter under ``python -O``, which
-    strips every assert, and return the words it printed.  The child
-    imports the package under test, wherever the current directory is."""
-    package_root = Path(entitled_cuts.__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    strips every assert, and return the words it printed."""
     proc = subprocess.run(
         [sys.executable, "-O", "-c", textwrap.dedent(script)],
-        capture_output=True, text=True, cwd=cwd, env=env, timeout=60,
+        capture_output=True, text=True, cwd=cwd, env=child_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()

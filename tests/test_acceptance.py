@@ -17,7 +17,7 @@ import pytest
 import entitled_cuts
 from entitled_cuts.bounds import feasible_with_k_cuts, gen_lower_bound_instance, min_cuts
 from entitled_cuts.generate import random_instance, random_valuation
-from entitled_cuts.model import FULL_CAKE, Instance, Valuation, measure_of
+from entitled_cuts.model import FULL_CAKE, Instance, measure_of
 from entitled_cuts.protocols import (
     clone_divide,
     near_equal_divide,
@@ -175,7 +175,7 @@ def test_criterion_4_special_cases():
     print("\nACCEPTANCE 4 PASS: 20 instances per special case within 4 / 2(n-1) cuts")
 
 
-def test_criterion_5_cloning_bound():
+def test_criterion_5_cloning_bound(uniform):
     from math import lcm
 
     for inst in clone_pool():
@@ -184,7 +184,7 @@ def test_criterion_5_cloning_bound():
         report = clone_divide(inst)
         assert len(report.cuts) <= denominator - 1
         assert verify_allocation(inst, report.allocation).passed
-    pair = Instance((Valuation.uniform(), Valuation.uniform()), (F(2, 5), F(3, 5)))
+    pair = Instance((uniform, uniform), (F(2, 5), F(3, 5)))
     report = clone_divide(pair)
     assert report.cuts == (F(2, 5),)
     print("\nACCEPTANCE 5 PASS: cloning within D-1 cuts (D <= 24); 2/5-3/5 merges to 1 cut")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from entitled_cuts.bounds import gen_lower_bound_instance
 from entitled_cuts.cli import main
 from entitled_cuts.generate import random_instance
+from entitled_cuts.model import FULL_CAKE
 from entitled_cuts.serialize import (
     FormatError,
     dumps,
@@ -90,7 +91,7 @@ class TestSerialization:
         assert main(["solve", inst_path, "-o", str(out)]) == 0
         allocation, algorithm = parse_allocation_document(loads(out.read_text()))
         assert algorithm == "recursive"
-        assert allocation.pieces[0].length == 1
+        assert allocation.pieces[0] == FULL_CAKE
 
     @pytest.mark.parametrize("pieces", [
         [[False, [["0", "1"]]]],  # bool is an int subclass in Python, not on the wire
@@ -262,6 +263,17 @@ class TestSolve:
         broken = VerificationReport((), True, True, True, (), False, ("forced",))
         monkeypatch.setattr(cli_mod, "verify_allocation", lambda *a: broken)
         assert main(["solve", inst_path, "-o", str(tmp_path / "a.json")]) == 2
+
+    def test_cuts_over_the_bound_exit_2(self, tmp_path, monkeypatch, capsys, uniform):
+        import entitled_cuts.protocols as protocols_mod
+
+        monkeypatch.setattr(protocols_mod, "upper_bound_cuts", lambda n: 0)
+        inst = make_instance([uniform, uniform], ["1/3", "2/3"])
+        inst_path = write_instance(tmp_path / "i.json", inst)
+        out = tmp_path / "a.json"
+        assert main(["solve", inst_path, "--algorithm", "recursive", "-o", str(out)]) == 2
+        assert "recursive: 1 cuts exceed the bound 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerify:

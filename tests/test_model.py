@@ -13,7 +13,6 @@ from entitled_cuts.model import (
     Region,
     Valuation,
     boundary_points,
-    cut_count,
     equal_marks,
     format_rational,
     mark_right,
@@ -179,7 +178,7 @@ class TestMarkRight:
         # a corrupted prefix table claims more value than the cells hold, so
         # the remainder check passes and the scan runs out: a bug, which the
         # CLI reports with exit 2, not a traceback
-        v = Valuation.uniform()
+        v = Valuation((F(0), F(1)), (F(1),))
         object.__setattr__(v, "_prefix", (F(0), F(2)))
         with pytest.raises(InternalCheckFailed, match="unreachable"):
             mark_right(v, F(0), F(3, 2))
@@ -256,7 +255,7 @@ class TestEqualMarks:
 
     def test_mark_outside_its_cell_is_an_internal_check(self):
         # a corrupted prefix table puts the 3/4 mark past the cake's end
-        v = Valuation.uniform()
+        v = Valuation((F(0), F(1)), (F(1),))
         object.__setattr__(v, "_prefix", (F(0), F(2)))
         with pytest.raises(InternalCheckFailed, match="unreachable"):
             equal_marks(v, 4)
@@ -264,15 +263,15 @@ class TestEqualMarks:
 
 class TestCutCount:
     def test_whole_cake_is_free(self):
-        assert cut_count(Allocation((region((0, 1)),))) == 0
+        assert boundary_points(Allocation((region((0, 1)),))) == ()
 
     def test_single_boundary(self):
-        assert cut_count(Allocation((region((0, F(1, 2))), region((F(1, 2), 1))))) == 1
+        halves = Allocation((region((0, F(1, 2))), region((F(1, 2), 1))))
+        assert boundary_points(halves) == (F(1, 2),)
 
     def test_interleaved_pieces(self):
         a = region((0, F(1, 4)), (F(1, 2), F(3, 4)))
         b = region((F(1, 4), F(1, 2)), (F(3, 4), 1))
-        assert cut_count(Allocation((a, b))) == 3
         assert boundary_points(Allocation((a, b))) == (F(1, 4), F(1, 2), F(3, 4))
 
     @given(st.lists(rationals, min_size=0, max_size=6))
@@ -281,7 +280,7 @@ class TestCutCount:
         edges = [F(0)] + points + [F(1)]
         pieces = [region((lo, hi)) for lo, hi in zip(edges, edges[1:])]
         allocation = Allocation(tuple(pieces))
-        assert cut_count(allocation) == len(pieces) - 1
+        assert boundary_points(allocation) == tuple(points)
 
 
 class TestInstance:

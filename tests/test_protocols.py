@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from fractions import Fraction as F
 from math import lcm
@@ -15,7 +16,6 @@ from entitled_cuts.model import (
     Region,
     Valuation,
     boundary_points,
-    cut_count,
     mark_right,
     measure_of,
 )
@@ -25,7 +25,6 @@ from entitled_cuts.protocols import (
     _near_equal,
     auto_solve,
     clone_divide,
-    connected_proportional,
     cut_and_choose,
     near_equal_divide,
     recursive_divide,
@@ -60,6 +59,42 @@ def test_upper_bound_sequence():
 def test_upper_bound_rejects_nonpositive():
     with pytest.raises(ValueError):
         upper_bound_cuts(0)
+
+
+class TestCutBoundChecked:
+    """A report with more cuts than its paper bound is a failed internal
+    check, not a result."""
+
+    def test_recursive_over_its_bound_raises(self, monkeypatch, uniform):
+        monkeypatch.setattr(protocols_mod, "upper_bound_cuts", lambda n: 0)
+        inst = make_instance([uniform, uniform], ["1/3", "2/3"])
+        with pytest.raises(InternalCheckFailed, match="recursive: 1 cuts exceed the bound 0"):
+            recursive_divide(inst)
+
+    def test_replace_checks_the_final_bound(self, uniform):
+        report = near_equal_divide(make_instance([uniform] * 3, ["1/4", "1/4", "1/2"]))
+        assert (len(report.cuts), report.bound) == (2, 4)
+        with pytest.raises(InternalCheckFailed, match="near-equal: 2 cuts exceed the bound 1"):
+            replace(report, bound=1)
+
+    def test_check_survives_optimize_flag(self, tmp_path):
+        script = """
+            import sys
+            from fractions import Fraction
+            import entitled_cuts.protocols as protocols
+            from entitled_cuts.errors import InternalCheckFailed
+            from entitled_cuts.model import Instance, Valuation
+
+            print("optimize", sys.flags.optimize)
+            protocols.upper_bound_cuts = lambda n: 0
+            uniform = Valuation((0, 1), (1,))
+            inst = Instance((uniform, uniform), (Fraction(1, 3), Fraction(2, 3)))
+            try:
+                protocols.recursive_divide(inst)
+            except InternalCheckFailed:
+                print("raised InternalCheckFailed")
+        """
+        assert run_optimized(script, tmp_path) == ["optimize", "1", "raised", "InternalCheckFailed"]
 
 
 class TestRecursiveDivide:
@@ -132,13 +167,20 @@ def test_scale_invariance_across_protocols():
         assert runner(inst).allocation == runner(scaled).allocation, name
 
 
+def equal_shares(valuations):
+    """The allocation cloning gives when every entitlement is 1/n: one
+    clone per agent, so the Even-Paz split."""
+    n = len(valuations)
+    return clone_divide(make_instance(valuations, [F(1, n)] * n)).allocation
+
+
 class TestConnectedProportional:
     def test_single_agent(self, uniform):
-        alloc = connected_proportional([uniform], Interval(F(0), F(1)))
+        alloc = equal_shares([uniform])
         assert alloc.pieces[0] == region((0, 1))
 
     def test_identical_uniform_quarters(self, uniform):
-        alloc = connected_proportional([uniform] * 4, Interval(F(0), F(1)))
+        alloc = equal_shares([uniform] * 4)
         assert [p.intervals[0] for p in alloc.pieces] == [
             Interval(F(0), F(1, 4)), Interval(F(1, 4), F(1, 2)),
             Interval(F(1, 2), F(3, 4)), Interval(F(3, 4), F(1)),
@@ -146,7 +188,7 @@ class TestConnectedProportional:
 
     def test_two_agents_lower_mark_wins(self, uniform):
         eager = pw("0 1/2 1", "2 0")  # marks 1/4; uniform marks 1/2
-        alloc = connected_proportional([uniform, eager], Interval(F(0), F(1)))
+        alloc = equal_shares([uniform, eager])
         assert alloc.pieces[1] == region((0, F(1, 4)))
         assert alloc.pieces[0] == region((F(1, 4), 1))
         assert measure_of(eager, alloc.pieces[1]) == F(1, 2)
@@ -156,15 +198,15 @@ class TestConnectedProportional:
     def test_each_gets_connected_fair_share(self, n):
         rng = random.Random(n * 11)
         vals = [random_valuation(rng, 3, 8) for _ in range(n)]
-        alloc = connected_proportional(vals, Interval(F(0), F(1)))
-        assert cut_count(alloc) <= n - 1
+        alloc = equal_shares(vals)
+        assert len(boundary_points(alloc)) <= n - 1
         for v, piece in zip(vals, alloc.pieces):
             assert len(piece.intervals) == 1
             assert measure_of(v, piece) * n >= v.total
 
     def test_identical_agents_get_equal_own_value(self):
         v = pw("0 1/4 1", "3 1")
-        alloc = connected_proportional([v] * 3, Interval(F(0), F(1)))
+        alloc = equal_shares([v] * 3)
         values = [measure_of(v, piece) for piece in alloc.pieces]
         assert len(set(values)) == 1
 
@@ -236,8 +278,11 @@ class TestMarksOncePerValuation:
     def assert_distinct(self, vals, subcake=WHOLE):
         assigned = {}
         _reference_even_split(list(range(len(vals))), subcake.lo, subcake.hi, vals, assigned)
-        expected = Allocation(tuple(Region([assigned[i]]) for i in range(len(vals))))
-        assert connected_proportional(vals, subcake) == expected
+        pieces = {}
+        protocols_mod._even_split(
+            [(i, 1) for i in range(len(vals))], subcake.lo, subcake.hi, vals, pieces
+        )
+        assert pieces == {i: Region([iv]) for i, iv in assigned.items()}
 
     def test_clone_lists(self, uniform):
         eager = pw("0 1/2 1", "2 0")
@@ -279,12 +324,6 @@ class TestMarksOncePerValuation:
             vals = [v for v in drawn if v.value_between(lo, hi) > 0]
             self.assert_distinct([vals[i % len(vals)] for i in range(9)], sub)
             self.assert_groups(vals, [2 * i + 1 for i in range(len(vals))], sub)
-
-    def test_positivity_checked_per_valuation(self, uniform):
-        dead = pw("0 1/2 1", "1 0")
-        for vals in ([uniform] * 3 + [dead] * 2, [dead] * 4):
-            with pytest.raises(ValueError, match="positively"):
-                connected_proportional(vals, Interval(F(1, 2), F(1)))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_clone_protocols_on_seeded_pools(self, n):
@@ -472,8 +511,8 @@ class TestSpecial3Half:
             real = protocols.measure_of
             protocols.measure_of = lambda v, r: 3 * real(v, r)
             try:
-                protocols.cut_and_choose(
-                    Valuation.uniform(), Valuation.uniform(), FULL_CAKE)
+                uniform = Valuation((0, 1), (1,))
+                protocols.cut_and_choose(uniform, uniform, FULL_CAKE)
             except InternalCheckFailed:
                 print("raised InternalCheckFailed")
         """
@@ -626,7 +665,7 @@ class TestAutoSolve:
             inst = random_instance(3, 880 + seed)
             report = auto_solve(inst)
             assert verify_allocation(inst, report.allocation).passed
-            assert cut_count(report.allocation) == len(report.cuts)
+            assert boundary_points(report.allocation) == report.cuts
 
 
 def _reference_auto_solve(instance: Instance, budget: int = DEFAULT_BUDGET) -> AlgorithmReport:

@@ -217,7 +217,7 @@ def _flatten(subcake, valuations):
     offsets, length = [], ZERO
     for comp in subcake.intervals:
         offsets.append(length)
-        length += comp.length
+        length += comp.hi - comp.lo
     flat = []
     for v in valuations:
         bps, dens = [ZERO], []
@@ -247,7 +247,7 @@ def _lift(flat_part, subcake, offsets):
     out = []
     for iv in flat_part.intervals:
         for comp, off in zip(subcake.intervals, offsets):
-            lo, hi = max(iv.lo, off), min(iv.hi, off + comp.length)
+            lo, hi = max(iv.lo, off), min(iv.hi, off + (comp.hi - comp.lo))
             if lo < hi:
                 out.append(Interval(comp.lo + (lo - off), comp.lo + (hi - off)))
     return Region(out)
@@ -576,7 +576,8 @@ class TestPostConditions:
                                (Fraction(2), Fraction(0)))
             try:
                 split.exact_split(split.SplitRequest(
-                    (Valuation.uniform(), skewed), FULL_CAKE, Fraction(1, 2)))
+                    (Valuation((Fraction(0), Fraction(1)), (Fraction(1),)), skewed),
+                    FULL_CAKE, Fraction(1, 2)))
             except InternalCheckFailed:
                 print("raised InternalCheckFailed")
         """
