@@ -57,7 +57,7 @@ from .protocols import (
     special3_half,
     upper_bound_cuts,
 )
-from .split import SplitRequest, SplitResult, exact_split, pie_arc_count
+from .split import exact_split, pie_arc_count
 from .verifier import VerificationReport, verify_allocation
 
 __all__ = [
@@ -75,8 +75,6 @@ __all__ = [
     "NotFoundWithin",
     "PreconditionViolated",
     "Region",
-    "SplitRequest",
-    "SplitResult",
     "TargetExceedsRemainder",
     "UnboundedLexMin",
     "Valuation",

@@ -67,12 +67,15 @@ def _env_budget() -> int:
     return value
 
 
-def _load_instance(path: str) -> Instance:
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}")
-    return parse_instance_document(loads(text))
+
+
+def _load_instance(path: str) -> Instance:
+    return parse_instance_document(loads(_read(path)))
 
 
 def _write(text: str, path) -> None:
@@ -122,11 +125,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     instance = _load_instance(args.instance)
-    try:
-        text = Path(args.allocation).read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {args.allocation}: {exc}")
-    allocation, algorithm = parse_allocation_document(loads(text))
+    allocation, algorithm = parse_allocation_document(loads(_read(args.allocation)))
     report = verify_allocation(instance, allocation)
     for check in report.agents:
         status = "ok" if check.ok else "FAIL"

@@ -40,7 +40,7 @@ from .model import (
     mark_right,
     measure_of,
 )
-from .split import DEFAULT_BUDGET, SplitRequest, exact_split
+from .split import DEFAULT_BUDGET, exact_split
 
 
 @dataclass(frozen=True)
@@ -89,15 +89,14 @@ def _split_two_ways(agents: Sequence[int], weights: Sequence[Fraction], subcake:
     n_a = len(agents) // 2
     ratio = sum(weights[:n_a], ZERO) / sum(weights, ZERO)
     group_vals = tuple(valuations[i] for i in agents)
-    result = exact_split(SplitRequest(group_vals, subcake, ratio), budget=budget)
-    cuts.update(x for iv in result.part.intervals for x in (iv.lo, iv.hi) if ZERO < x < ONE)
+    part, complement = exact_split(group_vals, subcake, ratio, budget=budget)
+    cuts.update(x for iv in part.intervals for x in (iv.lo, iv.hi) if ZERO < x < ONE)
     if len(cuts) > limit:
         return False
     return (
-        _split_two_ways(agents[:n_a], weights[:n_a], result.part, valuations, out, budget,
-                        cuts, limit)
-        and _split_two_ways(agents[n_a:], weights[n_a:], result.complement, valuations, out,
-                            budget, cuts, limit)
+        _split_two_ways(agents[:n_a], weights[:n_a], part, valuations, out, budget, cuts, limit)
+        and _split_two_ways(agents[n_a:], weights[n_a:], complement, valuations, out, budget,
+                            cuts, limit)
     )
 
 
@@ -213,13 +212,12 @@ def special3_half(instance: Instance, budget: int = DEFAULT_BUDGET) -> Algorithm
         raise PreconditionViolated("no entitlement equals 1/2")
     chooser = instance.valuations[half_idx]
     first, second = (i for i in range(3) if i != half_idx)
-    split = exact_split(
-        SplitRequest((instance.valuations[first], instance.valuations[second]), FULL_CAKE,
-                     2 * instance.entitlements[first]),
-        budget=budget,
+    part, complement = exact_split(
+        (instance.valuations[first], instance.valuations[second]), FULL_CAKE,
+        2 * instance.entitlements[first], budget=budget,
     )
     pieces: dict[int, Region] = {half_idx: Region()}
-    for i, stage in ((first, split.part), (second, split.complement)):
+    for i, stage in ((first, part), (second, complement)):
         kept, taken = cut_and_choose(instance.valuations[i], chooser, stage)
         pieces[i] = kept
         pieces[half_idx] = pieces[half_idx].union(taken)
@@ -283,12 +281,11 @@ def special3_equal_pair(instance: Instance, budget: int = DEFAULT_BUDGET) -> Alg
         taker, partner = first, second
     else:
         taker, partner = second, first
-    rest = exact_split(
-        SplitRequest((instance.valuations[partner], odd_val), FULL_CAKE.difference(window),
-                     Fraction(b, d - b)),
-        budget=budget,
+    part, complement = exact_split(
+        (instance.valuations[partner], odd_val), FULL_CAKE.difference(window),
+        Fraction(b, d - b), budget=budget,
     )
-    pieces = {taker: window, partner: rest.part, odd: rest.complement}
+    pieces = {taker: window, partner: part, odd: complement}
     return _report(instance, pieces, "special3-equal-pair", 4)
 
 
@@ -327,8 +324,6 @@ def auto_solve(instance: Instance, budget: int = DEFAULT_BUDGET) -> AlgorithmRep
     A later split that would have failed, for example with
     ``BudgetExceeded``, is never run once cloning has won, so that
     instance returns cloning's report instead of raising."""
-    if instance.n == 1:
-        return recursive_divide(instance, budget)
     if _near_equal(instance):
         return near_equal_divide(instance)
     if instance.n == 3:

@@ -27,42 +27,13 @@ which the cut oracle shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 from .cells import DEFAULT_BUDGET, CellTable, Work, walk
 from .errors import EmptySubcake, InternalCheckFailed, NoSplitFound
 from .feasibility import _RHS, EQ, _eliminate, check_feasible, solve_feasibility
 from .model import FULL_CAKE, ONE, ZERO, Interval, Region, Valuation, as_rational, measure_of
-
-
-@dataclass(frozen=True)
-class SplitRequest:
-    valuations: tuple[Valuation, ...]
-    subcake: Region
-    ratio: Fraction
-    # the sub-cake's cell table, whose totals are each agent's value of it
-    table: CellTable = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "valuations", tuple(self.valuations))
-        object.__setattr__(self, "ratio", as_rational(self.ratio))
-        if not self.valuations:
-            raise ValueError("need at least one valuation")
-        if self.subcake.is_empty:
-            raise EmptySubcake("split requested on an empty sub-cake")
-        if not (ZERO < self.ratio < ONE):
-            raise ValueError(f"ratio must lie strictly between 0 and 1, got {self.ratio}")
-        table = CellTable(self.valuations, [self.ratio] * len(self.valuations), self.subcake)
-        if min(table.totals) <= ZERO:
-            raise ValueError("every agent must value the sub-cake positively")
-        object.__setattr__(self, "table", table)
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    part: Region
-    complement: Region
 
 
 def pie_arc_count(part: Region, cake: Region = FULL_CAKE) -> int:
@@ -78,7 +49,8 @@ def pie_arc_count(part: Region, cake: Region = FULL_CAKE) -> int:
     return runs
 
 
-def exact_split(req: SplitRequest, budget: int = DEFAULT_BUDGET) -> SplitResult:
+def exact_split(valuations: Sequence[Valuation], subcake: Region, ratio: Fraction,
+                budget: int = DEFAULT_BUDGET) -> tuple[Region, Region]:
     """Split the sub-cake so every agent values the part at exactly
     ratio * (their value of the sub-cake).
 
@@ -89,11 +61,20 @@ def exact_split(req: SplitRequest, budget: int = DEFAULT_BUDGET) -> SplitResult:
     lex-minimal endpoint witness.  Raises BudgetExceeded once its work,
     cut-cell prefixes kept plus LP calls, passes ``budget``, and
     NoSplitFound if the enumeration is exhausted (an implementation bug:
-    existence is guaranteed at n-1 arcs).
+    existence is guaranteed at n-1 arcs).  Returns (part, complement).
     """
-    n = len(req.valuations)
-    cake, table = req.subcake, req.table
+    valuations, ratio = tuple(valuations), as_rational(ratio)
+    if not valuations:
+        raise ValueError("need at least one valuation")
+    if subcake.is_empty:
+        raise EmptySubcake("split requested on an empty sub-cake")
+    if not (ZERO < ratio < ONE):
+        raise ValueError(f"ratio must lie strictly between 0 and 1, got {ratio}")
+    n = len(valuations)
+    table = CellTable(valuations, [ratio] * n, subcake)
     totals, targets = table.totals, table.thresholds
+    if min(totals) <= ZERO:
+        raise ValueError("every agent must value the sub-cake positively")
     rests = [row[-1] - t for row, t in zip(table.int_prefix, table.int_thresholds)]
     work = Work(budget, table.cells, "split", "cut-cell prefixes kept plus LP calls", "m=1")
 
@@ -116,17 +97,17 @@ def exact_split(req: SplitRequest, budget: int = DEFAULT_BUDGET) -> SplitResult:
                     t = solve_feasibility(k, constraints).witness
                     xs = table.to_cuts(cells, t)
                     # [x1, x2] u [x3, x4] u ..., whose gaps drop out
-                    part = cake.intersect(Region(map(Interval, xs[::2], xs[1::2])))
-                    complement = cake.difference(part)
+                    part = subcake.intersect(Region(map(Interval, xs[::2], xs[1::2])))
+                    complement = subcake.difference(part)
                     if holds_origin:
                         part, complement = complement, part
-                    if pie_arc_count(part, cake) > m:
+                    if pie_arc_count(part, subcake) > m:
                         raise InternalCheckFailed(f"split part uses more than {m} arcs")
-                    for v, target, total in zip(req.valuations, targets, totals):
+                    for v, target, total in zip(valuations, targets, totals):
                         if (measure_of(v, part) != target
                                 or measure_of(v, complement) != total - target):
                             raise InternalCheckFailed("split part is not exact for every agent")
-                    return SplitResult(part, complement)
+                    return part, complement
     raise NoSplitFound(
         "consensus-split enumeration exhausted; this indicates a bug because "
         "existence is guaranteed"

@@ -26,7 +26,7 @@ from entitled_cuts.protocols import (
     special3_half,
     upper_bound_cuts,
 )
-from entitled_cuts.split import SplitRequest, exact_split, pie_arc_count
+from entitled_cuts.split import exact_split, pie_arc_count
 from entitled_cuts.verifier import verify_allocation
 
 import random
@@ -150,10 +150,10 @@ def test_criterion_3_splitter_exactness():
         vals = tuple(random_valuation(rng, 3 if n <= 3 else 2, 8) for _ in range(n))
         denom = rng.randint(2, 9)
         ratio = F(rng.randint(1, denom - 1), denom)
-        result = exact_split(SplitRequest(vals, FULL_CAKE, ratio))
+        part, _ = exact_split(vals, FULL_CAKE, ratio)
         for v in vals:
-            assert measure_of(v, result.part) == ratio * v.total
-        assert pie_arc_count(result.part) <= n - 1
+            assert measure_of(v, part) == ratio * v.total
+        assert pie_arc_count(part) <= n - 1
         pairs += 1
     print(f"\nACCEPTANCE 3 PASS: {pairs} split requests exact with <= n-1 pie arcs")
 

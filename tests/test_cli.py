@@ -312,6 +312,12 @@ class TestVerify:
         broken.write_text("{not json")
         assert main(["verify", inst_path, str(broken)]) == 1
 
+    def test_missing_allocation_exit_1(self, tmp_path, capsys, uniform):
+        inst_path = write_instance(tmp_path / "i.json", make_instance([uniform], [1]))
+        missing = tmp_path / "nope.json"
+        assert main(["verify", inst_path, str(missing)]) == 1
+        assert f"cannot read {missing}" in capsys.readouterr().err
+
 
 class TestMinCuts:
     def test_lower_bound_two(self, tmp_path, capsys):

@@ -688,16 +688,16 @@ def _reference_auto_solve(instance: Instance, budget: int = DEFAULT_BUDGET) -> A
 
 
 def _counting_splits(monkeypatch, fail_from=None):
-    """Record every split request the protocols make; from call number
-    ``fail_from`` on, raise BudgetExceeded instead of splitting."""
+    """Record the arguments of every split the protocols make; from call
+    number ``fail_from`` on, raise BudgetExceeded instead of splitting."""
     requests = []
     real = protocols_mod.exact_split
 
-    def counted(request, *args, **kwargs):
-        requests.append(request)
+    def counted(*args, **kwargs):
+        requests.append((args, kwargs))
         if fail_from is not None and len(requests) >= fail_from:
             raise BudgetExceeded(f"split {len(requests)} refused")
-        return real(request, *args, **kwargs)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(protocols_mod, "exact_split", counted)
     return requests

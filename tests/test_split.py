@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from entitled_cuts import split
-from entitled_cuts.cells import tuple_count, walk
+from entitled_cuts.cells import CellTable, tuple_count, walk
 from entitled_cuts.errors import BudgetExceeded, EmptySubcake
 from entitled_cuts.feasibility import (
     EQ,
@@ -19,7 +19,7 @@ from entitled_cuts.feasibility import (
 )
 from entitled_cuts.generate import random_instance, random_valuation
 from entitled_cuts.model import FULL_CAKE, ONE, ZERO, Interval, Region, measure_of
-from entitled_cuts.split import SplitRequest, exact_split, pie_arc_count
+from entitled_cuts.split import exact_split, pie_arc_count
 
 from conftest import pw, run_optimized
 
@@ -34,21 +34,21 @@ class TestSubcakeGeometry:
 
     def test_empty_subcake_rejected(self, uniform):
         with pytest.raises(EmptySubcake):
-            SplitRequest((uniform,), Region(), F(1, 2))
+            exact_split((uniform,), Region(), F(1, 2))
 
     def test_cut_on_a_component_boundary(self, uniform):
         sub = region((0, F(1, 4)), (F(1, 2), 1))
-        res = exact_split(SplitRequest((uniform,), sub, F(1, 3)))
-        assert res.part == region((0, F(1, 4)))
-        assert res.complement == region((F(1, 2), 1))
+        part, complement = exact_split((uniform,), sub, F(1, 3))
+        assert part == region((0, F(1, 4)))
+        assert complement == region((F(1, 2), 1))
 
     def test_arc_across_a_gap_is_one_arc(self, uniform):
         sub = region((0, F(1, 4)), (F(1, 2), 1))
-        res = exact_split(SplitRequest((uniform, pw("0 1/2 1", "2 0")), sub, F(1, 2)))
-        assert res.part == region((F(1, 8), F(1, 4)), (F(1, 2), F(3, 4)))
-        assert res.complement == region((0, F(1, 8)), (F(3, 4), 1))
-        assert pie_arc_count(res.part, sub) == 1
-        assert pie_arc_count(res.part) == 2
+        part, complement = exact_split((uniform, pw("0 1/2 1", "2 0")), sub, F(1, 2))
+        assert part == region((F(1, 8), F(1, 4)), (F(1, 2), F(3, 4)))
+        assert complement == region((0, F(1, 8)), (F(3, 4), 1))
+        assert pie_arc_count(part, sub) == 1
+        assert pie_arc_count(part) == 2
 
     def test_wrap_across_the_subcake_ends_is_one_arc(self):
         sub = region((F(1, 8), F(1, 4)), (F(1, 2), F(7, 8)))
@@ -65,20 +65,20 @@ class TestSubcakeGeometry:
 
 class TestExactSplit:
     def test_single_agent_takes_prefix(self, uniform):
-        res = exact_split(SplitRequest((uniform,), FULL_CAKE, F(1, 2)))
-        assert res.part == region((0, F(1, 2)))
-        assert res.complement == region((F(1, 2), 1))
+        part, complement = exact_split((uniform,), FULL_CAKE, F(1, 2))
+        assert part == region((0, F(1, 2)))
+        assert complement == region((F(1, 2), 1))
 
     def test_two_agent_consensus_half(self, uniform):
         skewed = pw("0 1/2 1", "2 0")
-        res = exact_split(SplitRequest((uniform, skewed), FULL_CAKE, F(1, 2)))
-        assert res.part == region((F(1, 4), F(3, 4)))
-        assert measure_of(uniform, res.part) == F(1, 2)
-        assert measure_of(skewed, res.part) == F(1, 2)
+        part, _ = exact_split((uniform, skewed), FULL_CAKE, F(1, 2))
+        assert part == region((F(1, 4), F(3, 4)))
+        assert measure_of(uniform, part) == F(1, 2)
+        assert measure_of(skewed, part) == F(1, 2)
 
     def test_determinism(self, uniform):
-        req = SplitRequest((uniform, pw("0 1/3 1", "2 1")), FULL_CAKE, F(2, 5))
-        assert exact_split(req) == exact_split(req)
+        args = ((uniform, pw("0 1/3 1", "2 1")), FULL_CAKE, F(2, 5))
+        assert exact_split(*args) == exact_split(*args)
 
     def test_request_reads_its_totals_from_the_table(self, uniform, monkeypatch):
         # the positivity check uses the table's totals; measure_of stays
@@ -86,23 +86,27 @@ class TestExactSplit:
         calls = []
         monkeypatch.setattr(split, "measure_of", lambda v, r: calls.append(r) or measure_of(v, r))
         sub = region((0, F(1, 4)), (F(1, 2), 1))
-        req = SplitRequest((uniform, pw("0 1/2 1", "2 0")), sub, F(1, 2))
-        assert calls == []
-        assert req.table.totals == [F(3, 4), F(1, 2)]
+        vals = (uniform, pw("0 1/2 1", "2 0"))
+        assert CellTable(vals, [F(1, 2)] * 2, sub).totals == [F(3, 4), F(1, 2)]
         with pytest.raises(ValueError, match="positively"):
-            SplitRequest((uniform, pw("0 1/2 1", "2 0")), region((F(1, 2), 1)), F(1, 2))
+            exact_split(vals, region((F(1, 2), 1)), F(1, 2))
         assert calls == []
+        part, complement = exact_split(vals, sub, F(1, 2))
+        assert calls == [part, complement] * 2
 
     def test_ratio_must_be_interior(self, uniform):
         with pytest.raises(ValueError):
-            SplitRequest((uniform,), FULL_CAKE, F(1))
+            exact_split((uniform,), FULL_CAKE, F(1))
         with pytest.raises(ValueError):
-            SplitRequest((uniform,), FULL_CAKE, F(0))
+            exact_split((uniform,), FULL_CAKE, F(0))
+
+    def test_needs_a_valuation(self):
+        with pytest.raises(ValueError, match="^need at least one valuation$"):
+            exact_split((), FULL_CAKE, F(1, 2))
 
     def test_budget_guard(self, uniform):
-        req = SplitRequest((uniform, pw("0 1/3 2/3 1", "1 2 3")), FULL_CAKE, F(1, 2))
         with pytest.raises(BudgetExceeded):
-            exact_split(req, budget=1)
+            exact_split((uniform, pw("0 1/3 2/3 1", "1 2 3")), FULL_CAKE, F(1, 2), budget=1)
 
     def test_budget_bounds_the_work_done(self):
         # a split stops once its work, cut-cell prefixes kept plus LP calls
@@ -110,13 +114,13 @@ class TestExactSplit:
         # raised to the work reached each time, the budget eventually covers
         # the whole search, which then returns the unbudgeted result
         vals = (pw("0 1/4 1", "3 5/4"), pw("0 1/2 1", "0 1"), pw("0 1/2 1", "1/3 2"))
-        req = SplitRequest(vals, FULL_CAKE, F(1, 2))
-        unbudgeted = exact_split(req)
-        assert pie_arc_count(unbudgeted.part) == 2  # the search reaches m = 2
+        unbudgeted = exact_split(vals, FULL_CAKE, F(1, 2))
+        assert pie_arc_count(unbudgeted[0]) == 2  # the search reaches m = 2
+        cells = CellTable(vals, [F(1, 2)] * 3, FULL_CAKE).cells
         budget, reached = 0, []
         while True:
             try:
-                res = exact_split(req, budget=budget)
+                res = exact_split(vals, FULL_CAKE, F(1, 2), budget=budget)
                 break
             except BudgetExceeded as exc:
                 at = re.fullmatch(
@@ -125,7 +129,7 @@ class TestExactSplit:
                     str(exc),
                 )
                 assert int(at[1]) == budget and int(at[3]) == budget + 1
-                assert int(at[4]) < int(at[5]) == tuple_count(req.table.cells, 2 * int(at[2]))
+                assert int(at[4]) < int(at[5]) == tuple_count(cells, 2 * int(at[2]))
                 reached.append(int(at[2]))
                 budget = int(at[3])
         assert res == unbudgeted
@@ -134,7 +138,7 @@ class TestExactSplit:
         # whose value equations contradict each other, runs out of this budget
         assert budget == 15
         with pytest.raises(BudgetExceeded, match=f"at m=2: {budget} units of work done"):
-            exact_split(req, budget=budget - 1)
+            exact_split(vals, FULL_CAKE, F(1, 2), budget=budget - 1)
 
     def test_six_agent_top_split_work(self, monkeypatch):
         # the top split of a six-agent instance on 18 refinement cells: a
@@ -144,8 +148,8 @@ class TestExactSplit:
         # other.  A walk that prunes less runs out of the budget
         inst = random_instance(6, 2, max_cells=6, denom_bound=64)
         # the first three agents' share, as recursive_divide asks for it
-        req = SplitRequest(inst.valuations, FULL_CAKE, sum(inst.entitlements[:3], F(0)))
-        assert req.table.cells == 18
+        ratio = sum(inst.entitlements[:3], F(0))
+        assert CellTable(inst.valuations, [ratio] * 6, FULL_CAKE).cells == 18
         checks, leaves = [], []
         monkeypatch.setattr(
             split, "check_feasible", lambda k, rows: checks.append(k) or check_feasible(k, rows)
@@ -153,18 +157,18 @@ class TestExactSplit:
         monkeypatch.setattr(
             split, "walk", lambda *args: (leaves.append(leaf) or leaf for leaf in walk(*args))
         )
-        exact_split(req, budget=2404)
+        exact_split(inst.valuations, FULL_CAKE, ratio, budget=2404)
         assert len(leaves) == 1457 and len(checks) == 98
         with pytest.raises(BudgetExceeded, match=r"at m=\d: 2404 units of work done"):
-            exact_split(req, budget=2403)
+            exact_split(inst.valuations, FULL_CAKE, ratio, budget=2403)
 
     def test_subcake_split_is_exact_for_everyone(self, uniform):
         skewed = pw("0 1/2 1", "2 0")
         sub = region((0, F(1, 4)), (F(1, 2), 1))
-        res = exact_split(SplitRequest((uniform, skewed), sub, F(1, 2)))
-        assert res.part.union(res.complement) == sub
+        part, complement = exact_split((uniform, skewed), sub, F(1, 2))
+        assert part.union(complement) == sub
         for v in (uniform, skewed):
-            assert measure_of(v, res.part) * 2 == measure_of(v, sub)
+            assert measure_of(v, part) * 2 == measure_of(v, sub)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_random_requests_split_exactly(self, n):
@@ -172,12 +176,12 @@ class TestExactSplit:
         for trial in range(6):
             vals = tuple(random_valuation(rng, 3 if n <= 3 else 2, 8) for _ in range(n))
             ratio = F(rng.randint(1, 7), 8)
-            res = exact_split(SplitRequest(vals, FULL_CAKE, ratio))
+            part, complement = exact_split(vals, FULL_CAKE, ratio)
             for v in vals:
-                assert measure_of(v, res.part) == ratio * v.total
-                assert measure_of(v, res.complement) == (1 - ratio) * v.total
+                assert measure_of(v, part) == ratio * v.total
+                assert measure_of(v, complement) == (1 - ratio) * v.total
             if n >= 2:
-                assert pie_arc_count(res.part) <= n - 1
+                assert pie_arc_count(part) <= n - 1
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_part_endpoints_are_fractions(self, n):
@@ -186,8 +190,8 @@ class TestExactSplit:
         for trial in range(4):
             vals = tuple(random_valuation(rng, 3, 8) for _ in range(n))
             subcake = FULL_CAKE if trial % 2 == 0 else region((0, F(3, 8)), (F(1, 2), 1))
-            res = exact_split(SplitRequest(vals, subcake, F(rng.randint(1, 7), 8)))
-            for iv in res.part.intervals + res.complement.intervals:
+            part, complement = exact_split(vals, subcake, F(rng.randint(1, 7), 8))
+            for iv in part.intervals + complement.intervals:
                 assert type(iv.lo) is F and type(iv.hi) is F, iv
 
     def test_wrap_part_counts_as_one_arc(self):
@@ -204,10 +208,10 @@ class TestExactSplit:
             pw("0 5/6 1", "0 5/4"),
             pw("0 1/2 1", "2/3 1/5"),
         )
-        res = exact_split(SplitRequest(vals, FULL_CAKE, F(1, 4)))
+        part, _ = exact_split(vals, FULL_CAKE, F(1, 4))
         for v in vals:
-            assert measure_of(v, res.part) * 4 == v.total
-        assert pie_arc_count(res.part) <= 3
+            assert measure_of(v, part) * 4 == v.total
+        assert pie_arc_count(part) <= 3
 
 
 def _flatten(subcake, valuations):
@@ -275,7 +279,7 @@ def _flat_arcs(xs, origin_inside, length):
     return [Interval(lo, hi) for lo, hi in pairs if lo < hi]
 
 
-def _reference_split(req):
+def _reference_split(valuations, subcake, ratio):
     """The splitter as a plain scan in Fraction arithmetic on the sub-cake
     flattened onto [0, L]: per-agent prefix and density tables, the
     interval prefilter on Fraction prefix values, each system built cut by
@@ -286,15 +290,15 @@ def _reference_split(req):
     complement of the first feasible system in canonical order, how many
     systems passed the prefilter and had consistent value equations, up to
     and including it, and whether the part holds the origin."""
-    n = len(req.valuations)
-    length, offsets, flat = _flatten(req.subcake, req.valuations)
+    n = len(valuations)
+    length, offsets, flat = _flatten(subcake, valuations)
     edges = sorted({b for bps, _ in flat for b in bps})
     n_cells = len(edges) - 1
     prefix = [[_flat_value(bps, dens, e) for e in edges] for bps, dens in flat]
     cell_density = [[dens[bisect_right(bps, edges[c]) - 1] for c in range(n_cells)]
                     for bps, dens in flat]
     totals = [p[-1] for p in prefix]
-    targets = [req.ratio * t for t in totals]
+    targets = [ratio * t for t in totals]
     checked = 0
     for m in range(1, max(1, n - 1) + 1):
         k = 2 * m
@@ -327,8 +331,8 @@ def _reference_split(req):
                 if check_feasible(k, constraints):
                     witness = solve_feasibility(k, constraints).witness
                     flat_part = Region(_flat_arcs(witness, origin_inside, length))
-                    part = _lift(flat_part, req.subcake, offsets)
-                    return part, req.subcake.difference(part), checked, origin_inside
+                    part = _lift(flat_part, subcake, offsets)
+                    return part, subcake.difference(part), checked, origin_inside
     raise AssertionError("reference scan found no split")
 
 
@@ -404,15 +408,15 @@ class TestMatchesReferenceScan:
             vals = tuple(random_valuation(rng, 3 if n <= 3 else 2, 8) for _ in range(n))
             subcake = FULL_CAKE if cases % 2 == 0 else _random_subcake(rng, 3)
             ratio = F(rng.randint(1, 7), 8)
+            checks.clear()
             try:
-                req = SplitRequest(vals, subcake, ratio)
+                part, complement = exact_split(vals, subcake, ratio)
             except ValueError:  # an empty sub-cake, or one some agent values at 0
                 continue
-            checks.clear()
-            res = exact_split(req)
-            assert (res.part, res.complement, len(checks)) == _reference_split(req)[:3], (n, cases)
+            expected = _reference_split(vals, subcake, ratio)[:3]
+            assert (part, complement, len(checks)) == expected, (n, cases)
             shapes.add(len(subcake.intervals))
-            arcs.add(pie_arc_count(res.part))
+            arcs.add(pie_arc_count(part))
             cases += 1
         assert max(shapes) >= 2  # multi-component sub-cakes were exercised
         assert n == 2 or max(arcs) >= 2  # so was more than the first arc count
@@ -436,13 +440,13 @@ class TestPartsThatHoldTheOrigin:
         rng = random.Random(seed)
         vals = tuple(random_valuation(rng, 3 if n <= 3 else 2, 8) for _ in range(n))
         subcake = FULL_CAKE if rng.random() < 0.5 else _random_subcake(rng, 3)
-        req = SplitRequest(vals, subcake, F(rng.randint(1, 7), 8))
-        *expected, inside = _reference_split(req)
+        ratio = F(rng.randint(1, 7), 8)
+        *expected, inside = _reference_split(vals, subcake, ratio)
         assert inside
-        res = exact_split(req)
-        assert [res.part, res.complement, len(checks)] == expected
+        part, complement = exact_split(vals, subcake, ratio)
+        assert [part, complement, len(checks)] == expected
         assert len(subcake.intervals) == components
-        assert pie_arc_count(res.part, subcake) == arcs
+        assert pie_arc_count(part, subcake) == arcs
 
 
 def _within_reach(table, cells, signs, base) -> bool:
@@ -476,9 +480,8 @@ class TestWalkMatchesPrefilterScan:
             n = rng.randint(2, 4)
             vals = tuple(random_valuation(rng, 3 if n <= 3 else 2, 8) for _ in range(n))
             subcake = FULL_CAKE if cases % 2 == 0 else _random_subcake(rng, 3)
-            try:
-                table = SplitRequest(vals, subcake, F(rng.randint(1, 7), 8)).table
-            except ValueError:  # an empty sub-cake, or one some agent values at 0
+            table = CellTable(vals, [F(rng.randint(1, 7), 8)] * n, subcake)
+            if min(table.totals) <= 0:  # an empty sub-cake, or one some agent values at 0
                 continue
             for inside in (False, True):
                 # the library searches a part that holds the origin as the
@@ -575,9 +578,9 @@ class TestPostConditions:
             skewed = Valuation((Fraction(0), Fraction(1, 2), Fraction(1)),
                                (Fraction(2), Fraction(0)))
             try:
-                split.exact_split(split.SplitRequest(
+                split.exact_split(
                     (Valuation((Fraction(0), Fraction(1)), (Fraction(1),)), skewed),
-                    FULL_CAKE, Fraction(1, 2)))
+                    FULL_CAKE, Fraction(1, 2))
             except InternalCheckFailed:
                 print("raised InternalCheckFailed")
         """
