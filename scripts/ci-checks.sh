@@ -17,14 +17,14 @@ cli() {
   PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m entitled_cuts.cli "$@"
 }
 
-# the paper's 2n-2 lower bound at n = 6, through the CLI under the default
-# oracle budget (n = 5 is in the test suite)
-echo "== Lower bound at n = 6 (min cuts = 10)"
-cli gen --lower-bound 6 -o "$work/lb6.json"
-cli min-cuts "$work/lb6.json" --k-max 10 | tee "$work/lb6.out"
-grep -Fx "k=9: infeasible (all 462326024160 combinations ruled out)" "$work/lb6.out"
-grep -Fx "k=10: feasible (witness at combination 1815004448777 in canonical order)" "$work/lb6.out"
-grep -Fx "min cuts = 10" "$work/lb6.out"
+# the paper's 2n-2 lower bound at n = 8, through the CLI under the default
+# oracle budget (n = 5 and n = 6 are in the test suite)
+echo "== Lower bound at n = 8 (min cuts = 14)"
+cli gen --lower-bound 8 -o "$work/lb8.json"
+cli min-cuts "$work/lb8.json" --k-max 14 | tee "$work/lb8.out"
+grep -Fx "k=13: infeasible (all 4622352909318144000 combinations ruled out)" "$work/lb8.out"
+grep -Fx "k=14: feasible (witness at combination 25911587181984444307 in canonical order)" "$work/lb8.out"
+grep -Fx "min cuts = 14" "$work/lb8.out"
 
 # six agents whose top split a plain scan of every cut-cell tuple would
 # project at 19.2M systems: the prefix walk solves it under the default

@@ -12,14 +12,15 @@ instances.
 The oracle never lists the combinations.  It walks cut-cell prefixes
 depth first (``cells.walk``), and for each it keeps the owner prefixes of
 the pieces the placed cuts fix that could still end in a feasible system,
-judged by each agent's prefix table scaled to integers (see
-``_first_feasible``).  At a full tuple the test is the interval prefilter
-of a plain scan, so the systems that reach the solver are, in order, a
-subsequence of the plain scan's, and the first feasible one is the same.
-``systems_examined`` is the position of that combination in canonical
-order, or the number of all combinations, computed by counting and ranking
-tuples and maps rather than by visiting them.  The budget bounds the work
-actually done: owner prefixes kept plus solver calls.
+judged by each agent's prefix table scaled to integers, with the owner
+prefixes of equal state sharing one node (see ``_first_feasible``).  At a
+full tuple the test is the interval prefilter of a plain scan, so the
+systems that reach the solver are, in order, a subsequence of the plain
+scan's, and the first feasible one is the same.  ``systems_examined`` is
+the position of that combination in canonical order, or the number of all
+combinations, computed by counting and ranking tuples and maps rather than
+by visiting them.  The budget bounds the work actually done: owner states
+kept plus solver calls.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def feasible_with_k_cuts(
     lex-minimal cut positions.  ``systems_examined`` is that combination's
     position in canonical order, counting from 1, or the number of all
     combinations when none is feasible.  Raises BudgetExceeded as soon as
-    the work done, owner prefixes kept plus LP calls, exceeds ``budget``,
+    the work done, owner states kept plus LP calls, exceeds ``budget``,
     rather than ever returning an undecided status.
     """
     if k < 0:
@@ -189,7 +190,7 @@ def _first_feasible(table: CellTable, k: int, budget: int):
     edge indices [c_p, c_{p+1} + 1] (c_0 = 0), so its gain
     F_i(edges[c_{p+1} + 1]) - F_i(edges[c_p]) bounds what agent i can get
     from it.  Each cell prefix keeps the frontier of owner prefixes for its
-    fixed pieces, ascending, each with every agent's slack: the gains of
+    fixed pieces, each with every agent's slack: the gains of
     the pieces it owns, plus F_i(1) - F_i(edges[c_j]), minus its threshold.
     The pieces still to come lie in [edges[c_j], 1], so the second term
     bounds what the agent can own of them, and an owner prefix with a
@@ -220,6 +221,19 @@ def _first_feasible(table: CellTable, k: int, budget: int):
     no system the prefilter passes, so the systems it sends are, in order,
     a subsequence of the plain scan's, and the first feasible one is the
     plain scan's.
+
+    Whether a test keeps an owner prefix, and the slack, last owner and
+    needy agents of each child it makes, depend on the cells and on three
+    things only: the prefix's slack, its last owner and its needy agents,
+    its state.  So owner prefixes of equal state have the same
+    descendants, and each cell prefix keeps one node per state, with a
+    link (parent, owner) for every owner prefix that reached it: the nodes
+    of a frontier-based search (Knuth, TAOCP 4A, section 7.1.4).  Each
+    state is tested and extended once, and every decision is the one each
+    of its owner prefixes would get on its own.  At a full tuple the maps
+    are read back along the links and sorted: they are the maps that pass
+    the prefilter, in canonical order, so the LP sees the same systems in
+    the same order, and the work counts states, not owner prefixes.
     """
     n = len(table.int_thresholds)
     pieces = k + 1
@@ -232,21 +246,23 @@ def _first_feasible(table: CellTable, k: int, budget: int):
     allowed = [
         tuple(a for a in range(n) if a != last or n == 1) for last in range(n)
     ] + [tuple(range(n))]
-    work = Work(budget, ncells, "oracle", "owner prefixes kept plus LP calls", f"k={k}")
+    work = Work(budget, ncells, "oracle", "owner states kept plus LP calls", f"k={k}")
 
     def extend(frontier, lo: int, c: int, depth: int) -> tuple:
-        """The owner prefixes that extend ``frontier`` with an owner of
+        """The owner states that extend ``frontier`` with an owner of
         piece ``depth``, which spans edges [lo, c + 1], and the part of
-        ``frontier`` that may still extend at a later cell.  An owner
-        prefix is (slack, last owner, needy agents as a bitmask, owners)."""
+        ``frontier`` that may still extend at a later cell.  An owner state
+        is (slack, last owner, needy agents as a bitmask, links, owner
+        prefixes); the prefixes are listed only when ``_owner_maps`` reads
+        them."""
         drop = list(map(sub, at[c], at[lo]))  # what the remaining term loses
         gain = list(map(sub, at[c + 1], at[lo]))
         rest = list(map(sub, at[-1], at[c]))  # the child's remaining term
         left = pieces - depth - 1  # pieces after this one
         barred = left == 1 and n > 1  # this piece's owner may not own the last
-        out, alive = [], []
+        made, alive = {}, []
         for node in frontier:
-            slack, last, needy, assign = node
+            slack, last, needy, _, _ = node
             base = list(map(sub, slack, drop))
             low = min(base)
             if low < 0:
@@ -267,15 +283,21 @@ def _first_feasible(table: CellTable, k: int, budget: int):
                 if still.bit_count() <= left and not (barred and still >> a & 1):
                     child = base[:]
                     child[a] = value
-                    out.append((child, a, still, assign + (a,)))
-        return out, alive
+                    key = (*child, a, still)
+                    state = made.get(key)
+                    if state is None:
+                        made[key] = (child, a, still, [(node, a)], [])
+                    else:
+                        state[3].append((node, a))
+        return list(made.values()), alive
 
     # every threshold is positive, so every agent starts needy
-    root = (list(map(sub, at[-1], table.int_thresholds)), n, (1 << n) - 1, ())
+    root = (list(map(sub, at[-1], table.int_thresholds)), n, (1 << n) - 1, [], [()])
     for cells, frontier in walk(ncells, k, [root], extend, work.spend):
         # the last piece gains the whole remaining term, so its owner's
         # slack stands and every other agent's falls by the term
-        for _, _, _, assign in extend(frontier, cells[-1] if k else 0, ncells, k)[0]:
+        leaves = extend(frontier, cells[-1] if k else 0, ncells, k)[0]
+        for assign in sorted(m for leaf in leaves for m in _owner_maps(leaf)):
             if k == 0:  # no cut variables: the bound is the exact value
                 return (), assign, ()
             work.spend(1, cells, k)
@@ -284,6 +306,17 @@ def _first_feasible(table: CellTable, k: int, budget: int):
                 t = solve_feasibility(k, constraints).witness
                 return cells, assign, table.to_cuts(cells, t)
     return None
+
+
+def _owner_maps(state) -> list:
+    """The owner prefixes of ``state``: those of each link's (parent,
+    owner) followed by that owner.  They are listed on first use and kept
+    on the state while the walk keeps it, so an ancestor shared by many
+    states, or by the states of many tuples, lists its prefixes once."""
+    maps = state[4]
+    if not maps:
+        maps += [p + (a,) for parent, a in state[3] for p in _owner_maps(parent)]
+    return maps
 
 
 def _oracle_system(table, cells, assign):

@@ -2,6 +2,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, product
+from operator import sub
 from unittest.mock import patch
 
 import pytest
@@ -17,7 +18,7 @@ from entitled_cuts.bounds import (
     gen_lower_bound_instance,
     min_cuts,
 )
-from entitled_cuts.cells import tuple_count, tuple_rank
+from entitled_cuts.cells import Work, tuple_count, tuple_rank, walk
 from entitled_cuts.errors import BudgetExceeded, NotFoundWithin
 from entitled_cuts.feasibility import GE, LE, check_feasible, solve_feasibility
 from entitled_cuts.generate import random_instance
@@ -294,9 +295,10 @@ def _reference_system(n, k, cells, assign, edges, prefix, cell_density, threshol
     return constraints
 
 
-def _walk(inst, k):
+def _walk(inst, k, first_feasible=None):
     """The library's certificate and the combinations its walk hands the
-    LP, in order, as (cut cells, owners)."""
+    LP, in order, as (cut cells, owners); with ``first_feasible``, those of
+    that walk in place of the library's."""
     sent, checks = [], []
     build, check = bounds._oracle_system, bounds.check_feasible
 
@@ -309,10 +311,79 @@ def _walk(inst, k):
         return check(*args)
 
     with patch.object(bounds, "_oracle_system", recording_build), \
-            patch.object(bounds, "check_feasible", counting_check):
+            patch.object(bounds, "check_feasible", counting_check), \
+            patch.object(bounds, "_first_feasible", first_feasible or bounds._first_feasible):
         cert = feasible_with_k_cuts(inst, k)
     assert len(checks) == len(sent)
     return cert, sent
+
+
+def _reference_first_feasible(table, k, budget):
+    """The oracle walk with one node per owner prefix, the reference for
+    the library's walk, which merges owner prefixes of equal state: the
+    same tests, applied to every owner prefix on its own, and the maps
+    that pass at a full tuple handed to the LP in the order the walk makes
+    them.  Its work unit is owner prefixes kept plus LP calls."""
+    n = len(table.int_thresholds)
+    pieces = k + 1
+    ncells = table.cells
+    at = [tuple(row[e] for row in table.int_prefix) for e in range(ncells + 1)]
+    at.append(at[-1])
+    allowed = [
+        tuple(a for a in range(n) if a != last or n == 1) for last in range(n)
+    ] + [tuple(range(n))]
+    work = Work(budget, ncells, "oracle", "owner prefixes kept plus LP calls", f"k={k}")
+
+    def extend(frontier, lo, c, depth):
+        # an owner prefix is (slack, last owner, needy agents as a bitmask, owners)
+        drop = list(map(sub, at[c], at[lo]))
+        gain = list(map(sub, at[c + 1], at[lo]))
+        rest = list(map(sub, at[-1], at[c]))
+        left = pieces - depth - 1
+        barred = left == 1 and n > 1
+        out, alive = [], []
+        for node in frontier:
+            slack, last, needy, assign = node
+            base = list(map(sub, slack, drop))
+            low = min(base)
+            if low < 0:
+                a = base.index(low)
+                base[a] = 0
+                if min(base) < 0 or a not in allowed[last]:
+                    continue
+                base[a] = low
+                owners = (a,)
+            else:
+                owners = allowed[last]
+            alive.append(node)
+            for a in owners:
+                value = base[a] + gain[a]
+                still = needy & ~(1 << a) if value >= rest[a] else needy
+                if still.bit_count() <= left and not (barred and still >> a & 1):
+                    child = base[:]
+                    child[a] = value
+                    out.append((child, a, still, assign + (a,)))
+        return out, alive
+
+    root = (list(map(sub, at[-1], table.int_thresholds)), n, (1 << n) - 1, ())
+    for cells, frontier in walk(ncells, k, [root], extend, work.spend):
+        for _, _, _, assign in extend(frontier, cells[-1] if k else 0, ncells, k)[0]:
+            if k == 0:
+                return (), assign, ()
+            work.spend(1, cells, k)
+            constraints = bounds._oracle_system(table, cells, assign)
+            if bounds.check_feasible(k, constraints):
+                t = solve_feasibility(k, constraints).witness
+                return cells, assign, table.to_cuts(cells, t)
+    return None
+
+
+def _assert_matches_per_prefix_walk(inst, k):
+    """The certificate, and the systems handed to the LP in order, equal
+    those of the walk with one node per owner prefix."""
+    cert, sent = _walk(inst, k)
+    assert (cert, sent) == _walk(inst, k, _reference_first_feasible), (inst, k)
+    return cert
 
 
 def _assert_matches_reference(inst, k, reference_pruned):
@@ -402,12 +473,13 @@ class TestPrunedPrefilterMatchesFractionScan:
         assert report.passed and len(report.cuts) <= 6
 
     def test_four_agent_work(self):
-        # owner prefixes kept plus LP calls on the n = 4 family, exactly:
-        # a walk that prunes less runs out of these budgets.  At k = 3 the
+        # owner states kept plus LP calls on the n = 4 family, exactly: a
+        # walk that prunes or merges less runs out of these budgets (one
+        # node per owner prefix does 0, 9, 90 and 507 units).  At k = 3 the
         # needy-agent bound drops every owner of the first piece, so the
         # walk does no work
         inst = gen_lower_bound_instance(4)
-        for k, work in ((3, 0), (4, 9), (5, 90), (6, 507)):
+        for k, work in ((3, 0), (4, 9), (5, 65), (6, 115)):
             assert feasible_with_k_cuts(inst, k, budget=work).feasible == (k == 6)
             if work:
                 with pytest.raises(BudgetExceeded, match=f"at k={k}: {work} units of work done"):
@@ -433,6 +505,18 @@ class TestPrunedPrefilterMatchesFractionScan:
         report = verify_allocation(inst, cert.allocation)
         assert report.passed and len(report.cuts) <= 8
 
+    def test_six_agent_proof(self):
+        # the 2n - 2 bound at n = 6 under the default budget, decided over
+        # one table as min-cuts decides it
+        inst = gen_lower_bound_instance(6)
+        certs = list(certificates(inst, 10))
+        assert [c.k for c in certs] == list(range(11))
+        below, cert = certs[-2:]
+        assert not below.feasible and below.systems_examined == 462326024160
+        assert cert.feasible and cert.systems_examined == 1815004448777
+        report = verify_allocation(inst, cert.allocation)
+        assert report.passed and len(report.cuts) <= 10
+
     def test_budget_bounds_the_work_done(self):
         # a run stops once its work passes the budget and says how far it
         # got; raised to the work reached each time, the budget eventually
@@ -457,3 +541,36 @@ class TestPrunedPrefilterMatchesFractionScan:
             assert len(ranks) > 1 and ranks == sorted(ranks)
             with pytest.raises(BudgetExceeded, match=f": {budget} units of work done"):
                 feasible_with_k_cuts(inst, k, budget=budget - 1)
+
+
+class TestMergedStatesMatchPerPrefixWalk:
+    """Owner prefixes of equal state share one node, so each state is
+    extended once; the walk with one node per owner prefix is the
+    reference.  Both must hand the LP the same systems in the same order
+    and return the same certificate."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_lower_bound_family(self, n):
+        inst = gen_lower_bound_instance(n)
+        for k in range(2 * n - 1):
+            cert = _assert_matches_per_prefix_walk(inst, k)
+            assert cert.feasible == (k == 2 * n - 2), (n, k)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_pools(self, n):
+        outcomes = set()
+        for seed in range(12):
+            inst = random_instance(n, 4100 + seed)
+            for k in range(4):
+                outcomes.add(_assert_matches_per_prefix_walk(inst, k).feasible)
+        assert outcomes == {True, False}
+
+    def test_random_pools_four_agents(self):
+        entitlements = (F(31, 40), F(3, 40), F(3, 40), F(3, 40))
+        outcomes = set()
+        for seed in range(8):
+            vals = random_instance(4, 4200 + seed, max_cells=4).valuations
+            inst = Instance(vals, entitlements)
+            for k in (3, 4):
+                outcomes.add(_assert_matches_per_prefix_walk(inst, k).feasible)
+        assert outcomes == {True, False}
