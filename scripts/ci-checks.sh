@@ -41,9 +41,14 @@ grep "^cuts (16 of bound 22): " "$work/r6.recursive.solve.out"
 cli verify "$work/r6.json" "$work/r6.recursive.json" | tee "$work/r6.recursive.out"
 grep -Fx "PASS" "$work/r6.recursive.out"
 
-# a speedup must keep the output bytes: every benchmark workload still
-# prints the digest of the files it writes
+# a speedup must keep the output bytes: the n = 8 certificate and the
+# recursive six-agent allocation are the witnesses the LP returned, and
+# every benchmark workload still prints the digest of the files it writes
 echo "== Output bytes unchanged"
+(cd "$work" && sha256sum -c) <<'SUMS'
+86307dea4d7aa203e8415fc2f70a2c2f98a7a70669272d69b13589746ff709a8  lb8.certificate.json
+e4d66060d4cc439c0e75c673d669367d947c32dc81527b9bc091fbb327e3ebf6  r6.recursive.json
+SUMS
 for expected in \
   divide:9ee8fdc55a23bc5291b39f9068711901a5fa3b2f18a845b6fddf8a622d09c278 \
   certify:769518a277eccda9db17e43cb84a451c726b80e71056d59f50824d559f151ccf \

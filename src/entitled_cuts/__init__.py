@@ -25,13 +25,8 @@ from .errors import (
     NotFoundWithin,
     PreconditionViolated,
     TargetExceedsRemainder,
-    UnboundedLexMin,
 )
-from .feasibility import (
-    FeasibilityResult,
-    check_feasible,
-    solve_feasibility,
-)
+from .feasibility import check_feasible, solve_feasibility
 from .generate import random_instance
 from .model import (
     Allocation,
@@ -67,7 +62,6 @@ __all__ = [
     "CutBudgetCertificate",
     "EmptySubcake",
     "EntitledCutsError",
-    "FeasibilityResult",
     "Instance",
     "InternalCheckFailed",
     "Interval",
@@ -76,7 +70,6 @@ __all__ = [
     "PreconditionViolated",
     "Region",
     "TargetExceedsRemainder",
-    "UnboundedLexMin",
     "Valuation",
     "VerificationReport",
     "auto_solve",

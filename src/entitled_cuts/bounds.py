@@ -303,7 +303,7 @@ def _first_feasible(table: CellTable, k: int, budget: int):
             work.spend(1, cells, k)
             constraints = _oracle_system(table, cells, assign)
             if check_feasible(k, constraints):
-                t = solve_feasibility(k, constraints).witness
+                t = solve_feasibility(k, constraints)
                 return cells, assign, table.to_cuts(cells, t)
     return None
 
@@ -335,7 +335,7 @@ def _oracle_system(table, cells, assign):
         total = table.int_prefix[i][-1] if assign[k] == i else 0
         coeffs, const = table.value_row(i, cells, signs, total)
         constraints.append((coeffs, GE, threshold - const))
-    return constraints + table.placement_rows(cells)
+    return constraints + table.ordering_rows(cells)
 
 
 def _allocation_from_cuts(n: int, cuts: Sequence[Fraction], assign: Sequence[int]) -> Allocation:

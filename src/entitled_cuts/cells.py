@@ -24,7 +24,9 @@ P[c]) its scaled value of the region up to the cut is
     P[c] + (P[c+1] - P[c]) * t.
 
 Once each cut's cell is fixed, any signed sum of these values at the cuts
-is an integer row over the t's.  The map from t to x is increasing in each
+is an integer row over the t's.  The unit box of the t's is the solver's
+domain, so of the placement only the order of cuts sharing a cell needs
+rows (``ordering_rows``).  The map from t to x is increasing in each
 coordinate, so it keeps the feasible set's lexicographic order, and
 ``to_cuts`` turns the solver's lex-minimal t into the lex-minimal cuts.
 """
@@ -37,7 +39,7 @@ from math import comb, lcm
 from typing import Sequence
 
 from .errors import BudgetExceeded
-from .feasibility import GE, LE
+from .feasibility import LE
 from .model import ZERO, Region, Valuation
 
 DEFAULT_BUDGET = 10**7
@@ -165,16 +167,11 @@ class CellTable:
                 coeffs.append(0)
         return coeffs, const
 
-    def placement_rows(self, cells: Sequence[int]) -> list:
-        """Each cut inside its cell (0 <= t_j <= 1), and cuts sharing a cell
-        in order."""
+    def ordering_rows(self, cells: Sequence[int]) -> list:
+        """Cuts sharing a cell in order.  That each cut lies inside its
+        cell, 0 <= t_j <= 1, is the LP's domain and needs no row."""
         k = len(cells)
         rows = []
-        for j in range(k):
-            unit = [0] * k
-            unit[j] = 1
-            rows.append((unit, GE, 0))
-            rows.append((unit, LE, 1))
         for j in range(k - 1):
             if cells[j] == cells[j + 1]:
                 row = [0] * k

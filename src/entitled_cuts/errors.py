@@ -17,13 +17,6 @@ class PreconditionViolated(EntitledCutsError, ValueError):
     """A special-case protocol was invoked on an instance it does not cover."""
 
 
-class UnboundedLexMin(EntitledCutsError, RuntimeError):
-    """A lexicographic minimization step has no finite minimum.
-
-    Callers are expected to box every variable, so this signals a caller bug.
-    """
-
-
 class InternalCheckFailed(EntitledCutsError, RuntimeError):
     """An internal post-condition did not hold: a bug, never bad input.
 

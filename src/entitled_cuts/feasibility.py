@@ -1,9 +1,12 @@
-"""Exact linear feasibility over rationals with deterministic witnesses.
+"""Exact linear feasibility over the unit box, with deterministic witnesses.
 
-The solver answers "is this system of linear constraints satisfiable?" and,
-when it is, produces the lexicographically minimal solution (minimize x1,
-then x2 subject to that minimum, and so on).  All arithmetic is exact;
-there is no tolerance anywhere.
+The solver answers "is this system of linear constraints satisfiable with
+every variable in [0, 1]?" and, when it is, produces the lexicographically
+minimal solution (minimize x1, then x2 subject to that minimum, and so
+on).  The unit box is the domain, not a set of rows: the splitter and the
+oracle write their systems in cell coordinates, where every cut is a
+t in [0, 1], so they send only their value and ordering rows.  All
+arithmetic is exact; there is no tolerance anywhere.
 
 Each row is scaled once to plain integers, by the positive lcm of the
 denominators of its numbers, which keeps its solution set.  Each system is
@@ -15,62 +18,58 @@ with den > 0, and substituting a solved variable into a row, or a new
 pivot into an earlier solution, is one cross-multiplication and one gcd
 reduction.  So equalities that contradict each other are refuted without
 building a single rational.
-This leaves integer inequalities over the remaining free variables.  An
-inequality that touches a single free variable becomes a lower or upper
-bound on it, kept as a (numerator, positive denominator) pair, and the
-tightest bound on each side wins by cross-multiplication.  Only
-inequalities over two or more free variables stay as rows (in the systems
-the splitter and the oracle build, the value rows and the ordering rows);
-each gets a slack variable bounded below by zero.
+This leaves integer inequalities over the remaining free variables.  Each
+free variable starts with the box's bounds 0 and 1, and each eliminated
+variable's box 0 <= x_v <= 1 becomes two inequalities over the free ones.
+An inequality that touches a single free variable tightens a bound on it,
+kept as a (numerator, positive denominator) pair, and the tighter bound on
+each side wins by cross-multiplication.  Only inequalities over two or
+more free variables stay as rows (in the systems the splitter and the
+oracle build, the value rows and the ordering rows); each gets a slack
+variable bounded below by zero.
 
 What is left goes to a bounded-variable exact simplex.  Every column is
-either basic or non-basic at one of its bounds; a column with no bound at
-all sits at zero until it enters the basis.  A step may move the entering
-column from one bound to the other without a basis change.  Rows are ints
-over a positive denominator each (after Edmonds 1967); a pivot updates the
-rows that hold the entering column by cross-multiplication and one gcd
-reduction, and reduced costs are ints up to a positive factor, as only
-their signs are read.  The point and the bounds are ints over one common
-denominator.  The ratio test compares steps as integer pairs by
-cross-multiplication, so it breaks every tie as a comparison of rationals
-would.  Before a step moves the point, the common denominator grows by the
-least factor that keeps every moved value an int; after it, the point, the
-bounds and the denominator are divided by their gcd.  Bland's rule (the
-lowest eligible column enters, the lowest column leaves among tied rows)
-keeps the method from cycling.
-Phase 1 starts every column at a bound and gives each row whose slack
-starts negative an artificial column; the system is feasible exactly when
-the artificials can all reach zero.
+either basic or non-basic at one of its bounds; every column has a lower
+bound, and only slacks and artificials lack an upper one.  A step may move
+the entering column from one bound to the other without a basis change.
+Rows are ints over a positive denominator each (after Edmonds 1967); a
+pivot updates the rows that hold the entering column by
+cross-multiplication and one gcd reduction, and reduced costs are ints up
+to a positive factor, as only their signs are read.  The point and the
+bounds are ints over one common denominator.  The ratio test compares
+steps as integer pairs by cross-multiplication, so it breaks every tie as
+a comparison of rationals would.  Before a step moves the point, the
+common denominator grows by the least factor that keeps every moved value
+an int; after it, the point, the bounds and the denominator are divided by
+their gcd.  Bland's rule (the lowest eligible column enters, the lowest
+column leaves among tied rows) keeps the method from cycling.
+Phase 1 starts every free variable at its lower bound and gives each row
+whose slack starts negative an artificial column; the system is feasible
+exactly when the artificials can all reach zero.
 
 The lexicographic minimum is taken on the same tableau by successive
 objectives, each warm-started from the previous optimal basis: minimize
 x1, which is a column or, for an eliminated variable, the affine expression
 it was replaced by; then fix at its current value every non-basic column
 with a non-zero reduced cost, which leaves exactly the set of minimizers;
-then go on to x2.  After the last step the point is unique, and it is
-read out as Fractions once, for the witness and its exact re-check.
+then go on to x2.  Over the box every objective is bounded, and after the
+last step the point is unique.  It is read out as Fractions once, for the
+witness and its exact re-check against every row and the box.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import InternalCheckFailed, UnboundedLexMin
+from .errors import InternalCheckFailed
 from .model import ZERO, as_rational
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
 # the key under which an eliminated row keeps its right-hand side, if non-zero
 _RHS = -1
-
-
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    witness: Optional[tuple[Fraction, ...]] = None
 
 
 def _normalize(num_vars: int, constraints: Iterable) -> list:
@@ -174,22 +173,24 @@ class _Tableau:
     the non-basic, non-fixed columns j, in ints with dens[r] > 0 and gcd 1;
     ``x`` holds every column's value, so the constant is never needed.
     The point and the bounds are ints over one common denominator ``den``:
-    column j sits at x[j] / den, between lo[j] / den and hi[j] / den, None
-    meaning unbounded on that side.  den > 0, and den, the point and the
-    finite bounds have gcd 1.
+    column j sits at x[j] / den, between lo[j] / den and hi[j] / den.
+    Every column has a lower bound; hi[j] is None only for the slacks and
+    the artificials, which have no upper one.  den > 0, and den, the point
+    and the finite bounds have gcd 1.
     """
 
     def __init__(self, lo: list, hi: list, rows: list):
         """``lo``/``hi`` hold each free variable's bounds as (numerator,
-        positive denominator) pairs in lowest terms, or None; ``rows`` hold
-        (expr, rhs) for  expr . x <= rhs  over the free variables."""
-        den = lcm(*(b[1] for b in (*lo, *hi) if b is not None))
-        lo = [None if b is None else b[0] * (den // b[1]) for b in lo]
-        hi = [None if b is None else b[0] * (den // b[1]) for b in hi]
-        x = [0 if l is None and h is None else (h if l is None else l) for l, h in zip(lo, hi)]
+        positive denominator) pairs in lowest terms; ``rows`` hold
+        (expr, rhs) for  expr . x <= rhs  over the free variables.  Each
+        free variable starts at its lower bound."""
+        den = lcm(*(b[1] for b in (*lo, *hi)))
+        lo = [n * (den // d) for n, d in lo]
+        hi = [n * (den // d) for n, d in hi]
+        x = lo[:]
         self.x, self.lo, self.hi, self.den = x, lo, hi, den
         self.rows, self.dens, self.basis, self.artificials = [], [], [], []
-        fixed = {j for j, l in enumerate(lo) if l is not None and l == hi[j]}
+        fixed = {j for j, l in enumerate(lo) if l == hi[j]}
         for expr, rhs in rows:
             level = rhs * den - sum(c * x[j] for j, c in expr.items())
             row = {j: c for j, c in expr.items() if j not in fixed}
@@ -207,7 +208,7 @@ class _Tableau:
         hi += [None] * (len(x) - len(hi))
 
     def _fixed(self, j: int) -> bool:
-        return self.lo[j] is not None and self.lo[j] == self.hi[j]
+        return self.lo[j] == self.hi[j]
 
     def phase1(self) -> bool:
         """Drive the artificials to zero; False if the system is infeasible.
@@ -250,7 +251,7 @@ class _Tableau:
                     if hi[j] is None or x[j] < hi[j]:
                         enter, up = j, True
                         break
-                elif lo[j] is None or x[j] > lo[j]:
+                elif x[j] > lo[j]:
                     enter, up = j, False
                     break
             if enter < 0:
@@ -261,7 +262,7 @@ class _Tableau:
             num = q = 0
             if up and hi[enter] is not None:
                 num, q = hi[enter] - x[enter], 1
-            elif not up and lo[enter] is not None:
+            elif not up:
                 num, q = x[enter] - lo[enter], 1
             leave = -1
             touched = []
@@ -392,12 +393,20 @@ def _decide(num_vars: int, rows: list) -> Optional[tuple]:
         return None
     free, ineqs, solved = reduced
     col = {v: p for p, v in enumerate(free)}
+    # an eliminated variable's box 0 <= x_v <= 1, with den * x_v = rhs - row . x,
+    # is  row . x <= rhs  and  -row . x <= den - rhs;  new dicts, as the loop
+    # below pops each right-hand side and solve_feasibility reads ``solved``
+    box = []
+    for den, row in solved.values():
+        upper = {k: -c for k, c in row.items()}
+        upper[_RHS] = den - row.get(_RHS, 0)
+        box += _reduced({**row})[0], _reduced(upper)[0]
     # bounds are (numerator, positive denominator) pairs in lowest terms,
     # as every row is primitive, and are compared by cross-multiplication
-    lo: list = [None] * len(free)
-    hi: list = [None] * len(free)
+    lo = [(0, 1)] * len(free)
+    hi = [(1, 1)] * len(free)
     multi = []
-    for row in ineqs:
+    for row in (*box, *ineqs):
         rhs = row.pop(_RHS, 0)
         if len(row) >= 2:
             multi.append(({col[v]: c for v, c in row.items()}, rhs))
@@ -407,13 +416,13 @@ def _decide(num_vars: int, rows: list) -> Optional[tuple]:
             # c * x <= rhs: an upper bound rhs / c for c > 0, else the lower
             # bound -rhs / -c
             if c > 0:
-                if hi[p] is None or rhs * hi[p][1] < hi[p][0] * c:
+                if rhs * hi[p][1] < hi[p][0] * c:
                     hi[p] = (rhs, c)
-            elif lo[p] is None or rhs * lo[p][1] < lo[p][0] * c:
+            elif rhs * lo[p][1] < lo[p][0] * c:
                 lo[p] = (-rhs, -c)
         elif rhs < 0:
             return None
-    if any(l is not None and h is not None and l[0] * h[1] > h[0] * l[1] for l, h in zip(lo, hi)):
+    if any(l[0] * h[1] > h[0] * l[1] for l, h in zip(lo, hi)):
         return None
     tableau = _Tableau(lo, hi, multi)
     if not tableau.phase1():
@@ -422,7 +431,7 @@ def _decide(num_vars: int, rows: list) -> Optional[tuple]:
 
 
 def check_feasible(num_vars: int, constraints: Iterable) -> bool:
-    """Decision-only fast path: is the system satisfiable?
+    """Decision-only fast path: is the system satisfiable over [0, 1]^num_vars?
 
     Agrees exactly with solve_feasibility but skips witness construction;
     the enumeration loops in the splitter and the cut oracle live on this.
@@ -430,17 +439,17 @@ def check_feasible(num_vars: int, constraints: Iterable) -> bool:
     return _decide(num_vars, _normalize(num_vars, constraints)) is not None
 
 
-def solve_feasibility(num_vars: int, constraints: Iterable) -> FeasibilityResult:
-    """Decide the system and return the lexicographically minimal witness.
+def solve_feasibility(num_vars: int, constraints: Iterable) -> Optional[tuple[Fraction, ...]]:
+    """The lexicographically minimal witness in [0, 1]^num_vars, or None if
+    the system is infeasible there.
 
     The witness minimizes x1 first, then x2 subject to that minimum, and so
-    on, which makes repeated calls byte-for-byte reproducible.  Raises
-    UnboundedLexMin if some minimization step has no finite optimum.
+    on, which makes repeated calls byte-for-byte reproducible.
     """
     rows = _normalize(num_vars, constraints)
     decided = _decide(num_vars, rows)
     if decided is None:
-        return FeasibilityResult(False, None)
+        return None
     col, solved, tableau = decided
     for var in range(num_vars):
         if var in solved:
@@ -450,7 +459,9 @@ def solve_feasibility(num_vars: int, constraints: Iterable) -> FeasibilityResult
             objective = {col[var]: 1}
         costs = tableau.reduced_costs(objective)
         if not tableau.optimize(costs):
-            raise UnboundedLexMin(f"minimizing variable {var + 1} is unbounded below")
+            raise InternalCheckFailed(
+                f"minimizing variable {var + 1} over the unit box is unbounded"
+            )
         tableau.fix_optimal_face(costs)
     x = [Fraction(v, tableau.den) for v in tableau.x[:len(col)]]
     witness = []
@@ -466,4 +477,6 @@ def solve_feasibility(num_vars: int, constraints: Iterable) -> FeasibilityResult
         lhs = sum((c * w for c, w in zip(coeffs, witness)), ZERO)
         if not (lhs == rhs if rel == EQ else (lhs <= rhs if rel == LE else lhs >= rhs)):
             raise InternalCheckFailed("witness failed exact re-evaluation")
-    return FeasibilityResult(True, tuple(witness))
+    if not all(0 <= w <= 1 for w in witness):
+        raise InternalCheckFailed("witness lies outside the unit box")
+    return tuple(witness)

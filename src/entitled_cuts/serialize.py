@@ -165,7 +165,9 @@ def dumps(doc: dict) -> str:
 def loads(text: str) -> dict:
     try:
         return json.loads(text, parse_float=_reject_float, parse_int=int)
-    except json.JSONDecodeError as exc:
+    except FormatError:
+        raise
+    except ValueError as exc:  # a syntax error, or an int past the digit limit
         raise FormatError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise FormatError("invalid JSON: nested too deeply") from None

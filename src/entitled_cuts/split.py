@@ -13,10 +13,11 @@ target, and uses the same cuts; so for each m a second walk searches those
 regions and returns their complements.  A walk assigns the 2m arc
 endpoints to cells of the common breakpoint refinement of the sub-cake, in
 the cake's own coordinates, endpoint by endpoint, and asks the exact
-feasibility solver for the n value equations plus ordering and cell-box
-constraints.  The walk tests the value equations alone as it goes: each
-prefix keeps the left null space of their columns so far, and a full tuple
-whose equations contradict each other never reaches the solver.
+feasibility solver for the n value equations plus ordering constraints,
+over its unit box of cell coordinates.  The walk tests the value equations
+alone as it goes: each prefix keeps the left null space of their columns
+so far, and a full tuple whose equations contradict each other never
+reaches the solver.
 The first feasible system in the canonical order (m ascending, then parts
 that miss the origin before parts that hold it, then lexicographic cell
 assignments, then the lex-minimal witness) wins, so results are fully
@@ -92,9 +93,9 @@ def exact_split(valuations: Sequence[Valuation], subcake: Region, ratio: Fractio
                 for i, goal in enumerate(goals):
                     coeffs, const = table.value_row(i, cells, signs, 0)
                     constraints.append((coeffs, EQ, goal - const))
-                constraints += table.placement_rows(cells)
+                constraints += table.ordering_rows(cells)
                 if check_feasible(k, constraints):
-                    t = solve_feasibility(k, constraints).witness
+                    t = solve_feasibility(k, constraints)
                     xs = table.to_cuts(cells, t)
                     # [x1, x2] u [x3, x4] u ..., whose gaps drop out
                     part = subcake.intersect(Region(map(Interval, xs[::2], xs[1::2])))

@@ -251,7 +251,7 @@ def _reference_certificate(instance, k, maps, sent=None):
                 n, k, cells, assign, edges, prefix, cell_density, thresholds
             )
             if check_feasible(k, constraints):
-                witness = solve_feasibility(k, constraints).witness
+                witness = solve_feasibility(k, constraints)
                 allocation = _allocation_from_cuts(n, witness, assign)
                 return CutBudgetCertificate(k, True, allocation, examined)
     return CutBudgetCertificate(k, False, None, examined)
@@ -373,7 +373,7 @@ def _reference_first_feasible(table, k, budget):
             work.spend(1, cells, k)
             constraints = bounds._oracle_system(table, cells, assign)
             if bounds.check_feasible(k, constraints):
-                t = solve_feasibility(k, constraints).witness
+                t = solve_feasibility(k, constraints)
                 return cells, assign, table.to_cuts(cells, t)
     return None
 

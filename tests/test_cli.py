@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import sys
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -311,6 +312,16 @@ class TestVerify:
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")
         assert main(["verify", inst_path, str(broken)]) == 1
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python converts ints of any length")
+    def test_overlong_int_exit_1(self, tmp_path, capsys, uniform):
+        # Python's own message for an int past its digit limit names no rule
+        inst_path = write_instance(tmp_path / "i.json", make_instance([uniform], [1]))
+        long_index = tmp_path / "long.json"
+        long_index.write_text('{"pieces": [[' + "1" * 5000 + ', []]], "algorithm": ""}')
+        assert main(["verify", inst_path, str(long_index)]) == 1
+        assert "error: invalid JSON: Exceeds the limit" in capsys.readouterr().err
 
     def test_missing_allocation_exit_1(self, tmp_path, capsys, uniform):
         inst_path = write_instance(tmp_path / "i.json", make_instance([uniform], [1]))

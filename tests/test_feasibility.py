@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from entitled_cuts import bounds, feasibility
 from entitled_cuts.cells import CellTable
-from entitled_cuts.errors import InternalCheckFailed, UnboundedLexMin
+from entitled_cuts.errors import InternalCheckFailed
 from entitled_cuts.feasibility import (
     EQ,
     GE,
@@ -23,29 +23,26 @@ from entitled_cuts.model import FULL_CAKE, ONE, ZERO
 
 
 def test_forced_point():
-    result = solve_feasibility(1, [
+    assert solve_feasibility(1, [
         ((F(1),), GE, F(0)),
         ((F(1),), LE, F(1)),
         ((F(1),), EQ, F(1, 2)),
-    ])
-    assert result.feasible and result.witness == (F(1, 2),)
+    ]) == (F(1, 2),)
 
 
 def test_empty_box():
-    result = solve_feasibility(1, [
+    assert solve_feasibility(1, [
         ((F(1),), GE, F(1)),
         ((F(1),), LE, F(0)),
-    ])
-    assert not result.feasible and result.witness is None
+    ]) is None
 
 
 def test_lex_min_pins_first_variable():
-    result = solve_feasibility(2, [
+    assert solve_feasibility(2, [
         ((F(1), F(1)), EQ, F(1)),
         ((F(1), F(0)), GE, F(0)),
         ((F(0), F(1)), GE, F(0)),
-    ])
-    assert result.witness == (F(0), F(1))
+    ]) == (F(0), F(1))
 
 
 def test_lex_min_cascades_through_simplex():
@@ -55,12 +52,12 @@ def test_lex_min_cascades_through_simplex():
         ((F(0), F(1), F(0)), GE, F(0)),
         ((F(0), F(0), F(1)), GE, F(0)),
     ]
-    assert solve_feasibility(3, constraints).witness == (F(0), F(0), F(1))
+    assert solve_feasibility(3, constraints) == (F(0), F(0), F(1))
 
 
 def test_plain_triples_accepted():
     assert check_feasible(1, [((F(2),), GE, F(1)), ((F(1),), LE, F(5))])
-    assert solve_feasibility(1, [((2,), GE, 1)]).witness == (F(1, 2),)
+    assert solve_feasibility(1, [((2,), GE, 1)]) == (F(1, 2),)
 
 
 @pytest.mark.parametrize("relation", ["<", ">", "==", "=<", ""])
@@ -84,8 +81,35 @@ def test_float_numbers_rejected():
 
 
 def test_unbounded_minimization_surfaces():
-    with pytest.raises(UnboundedLexMin):
-        solve_feasibility(1, [((F(1),), LE, F(0))])
+    """Over the unit box every objective is bounded, so a minimization step
+    that reports no finite optimum is a failed internal check."""
+    with patch.object(feasibility._Tableau, "optimize", lambda self, costs: False):
+        with pytest.raises(InternalCheckFailed, match="variable 1 over the unit box is unbounded"):
+            solve_feasibility(1, [((F(1),), LE, F(0))])
+
+
+def test_empty_system_gives_the_box_corner():
+    assert check_feasible(2, [])
+    assert solve_feasibility(2, []) == (F(0), F(0))
+
+
+@pytest.mark.parametrize("num_vars, rows", [
+    # the column itself leaves the box
+    (1, [((1,), GE, 0)]),
+    # x1 = 1 - x2 leaves it when x2 does
+    (2, [((1, 1), EQ, 1)]),
+])
+def test_witness_outside_the_box_fails_the_recheck(num_vars, rows):
+    """A tableau that ends at column 0 = 2, where every row still holds, is
+    caught by the re-check against the box."""
+    class Escaping(feasibility._Tableau):
+        def fix_optimal_face(self, costs):
+            super().fix_optimal_face(costs)
+            self.x[0] = 2 * self.den
+
+    with patch.object(feasibility, "_Tableau", Escaping):
+        with pytest.raises(InternalCheckFailed, match="outside the unit box"):
+            solve_feasibility(num_vars, rows)
 
 
 def test_inconsistent_equalities():
@@ -93,14 +117,13 @@ def test_inconsistent_equalities():
 
 
 def test_redundant_equalities_are_harmless():
-    result = solve_feasibility(2, [
+    assert solve_feasibility(2, [
         ((F(1), F(1)), EQ, F(1)),
         ((F(2), F(2)), EQ, F(2)),
         ((F(1), F(0)), GE, F(1, 3)),
         ((F(1), F(0)), LE, F(1)),
         ((F(0), F(1)), GE, F(0)),
-    ])
-    assert result.witness == (F(1, 3), F(2, 3))
+    ]) == (F(1, 3), F(2, 3))
 
 
 def test_two_dimensional_polytope():
@@ -110,8 +133,7 @@ def test_two_dimensional_polytope():
         ((F(0), F(1)), GE, F(0)),
         ((F(1), F(2)), GE, F(3, 2)),
     ]
-    result = solve_feasibility(2, constraints)
-    assert result.witness == (F(0), F(3, 4))
+    assert solve_feasibility(2, constraints) == (F(0), F(3, 4))
     assert not check_feasible(2, constraints + [((F(1), F(1)), GE, F(2))])
 
 
@@ -148,20 +170,16 @@ coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 @settings(max_examples=60, deadline=None)
 @given(
-    point=st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=5),
+    point=st.lists(st.fractions(min_value=0, max_value=1, max_denominator=5),
                    min_size=2, max_size=4),
     rows=st.data(),
 )
 def test_witness_satisfies_systems_built_around_a_point(point, rows):
-    """Soundness oracle: constraints generated to hold at a known point must
-    come back feasible, and the returned witness must satisfy all of them
-    under exact re-evaluation."""
+    """Soundness oracle: constraints generated to hold at a known point of
+    the unit box must come back feasible, and the returned witness must
+    satisfy all of them and the box under exact re-evaluation."""
     n = len(point)
     constraints = []
-    for v, x in enumerate(point):  # box keeps every minimization bounded
-        unit = tuple(F(1) if j == v else F(0) for j in range(n))
-        constraints.append((unit, GE, x - 2))
-        constraints.append((unit, LE, x + 2))
     for _ in range(rows.draw(st.integers(min_value=1, max_value=5))):
         coeffs = tuple(rows.draw(coeff) for _ in range(n))
         value = sum(c * x for c, x in zip(coeffs, point))
@@ -169,10 +187,11 @@ def test_witness_satisfies_systems_built_around_a_point(point, rows):
         slack = rows.draw(st.fractions(min_value=0, max_value=1, max_denominator=3))
         rhs = value + slack if rel == LE else value - slack if rel == GE else value
         constraints.append((coeffs, rel, rhs))
-    result = solve_feasibility(n, constraints)
-    assert result.feasible
+    witness = solve_feasibility(n, constraints)
+    assert witness is not None
+    assert all(0 <= w <= 1 for w in witness)
     for coeffs, rel, rhs in constraints:
-        lhs = sum(c * w for c, w in zip(coeffs, result.witness))
+        lhs = sum(c * w for c, w in zip(coeffs, witness))
         assert lhs == rhs if rel == EQ else (lhs <= rhs if rel == LE else lhs >= rhs)
 
 
@@ -311,6 +330,12 @@ def _unit(n, var, scale=1):
     return tuple(F(scale) if j == var else F(0) for j in range(n))
 
 
+def _unit_box(n):
+    """The solver's domain [0, 1]^n as rows, for a reference to take
+    explicitly."""
+    return [(_unit(n, v), rel, F(bound)) for v in range(n) for rel, bound in ((GE, 0), (LE, 1))]
+
+
 def _random_system(data, n, max_rows):
     rows = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=max_rows))):
@@ -328,7 +353,7 @@ def _random_system(data, n, max_rows):
 def test_feasibility_agrees_with_fourier_motzkin(data):
     n = data.draw(st.integers(min_value=1, max_value=3))
     rows = _random_system(data, n, 5)
-    assert check_feasible(n, rows) == _fm_feasible(n, rows)
+    assert check_feasible(n, rows) == _fm_feasible(n, rows + _unit_box(n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -336,15 +361,11 @@ def test_feasibility_agrees_with_fourier_motzkin(data):
 def test_first_witness_coordinate_matches_fourier_motzkin_minimum(data):
     n = data.draw(st.integers(min_value=1, max_value=2))
     rows = _random_system(data, n, 4)
-    # box the variables so every lexicographic step is bounded
-    for v in range(n):
-        unit = tuple(F(1) if j == v else F(0) for j in range(n))
-        rows.append((unit, GE, F(-4)))
-        rows.append((unit, LE, F(4)))
-    result = solve_feasibility(n, rows)
-    assert result.feasible == _fm_feasible(n, rows)
-    if result.feasible:
-        assert result.witness[0] == _fm_min_of_var(n, rows, 0)
+    boxed = rows + _unit_box(n)
+    witness = solve_feasibility(n, rows)
+    assert (witness is not None) == _fm_feasible(n, boxed)
+    if witness is not None:
+        assert witness[0] == _fm_min_of_var(n, boxed, 0)
 
 
 # ---- the full lexicographic witness against Fourier-Motzkin
@@ -403,18 +424,18 @@ def test_full_witness_matches_fourier_motzkin_on_cut_systems(data):
     if anchored:
         assert feasible
     assert check_feasible(n, rows) == feasible
-    result = solve_feasibility(n, rows)
-    assert result.feasible == feasible
+    witness = solve_feasibility(n, rows)
+    assert (witness is not None) == feasible
     if feasible:
-        assert result.witness == _fm_lex_min(n, rows)[0]
+        assert witness == _fm_lex_min(n, rows)[0]
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_half_bounded_and_free_variables_match_fourier_motzkin(data):
-    """Variables bounded on one side or not at all: the witness is the full
-    Fourier-Motzkin lexicographic minimum, and UnboundedLexMin names the
-    first variable whose minimum is unbounded below."""
+    """Variables that the rows bound on one side or not at all: the unit
+    box closes them, and the witness is the full Fourier-Motzkin
+    lexicographic minimum over the rows and the box."""
     n = data.draw(st.integers(min_value=1, max_value=4))
     rows = []
     for v in range(n):
@@ -425,38 +446,26 @@ def test_half_bounded_and_free_variables_match_fourier_motzkin(data):
             rows.append((_unit(n, v), LE, data.draw(density)))
     rows += _random_system(data, n, 3)
 
-    feasible = _fm_feasible(n, rows)
+    boxed = rows + _unit_box(n)
+    feasible = _fm_feasible(n, boxed)
     assert check_feasible(n, rows) == feasible
-    if not feasible:
-        assert not solve_feasibility(n, rows).feasible
-        return
-    witness, unbounded_at = _fm_lex_min(n, rows)
-    if witness is None:
-        with pytest.raises(UnboundedLexMin, match=f"variable {unbounded_at + 1} is"):
-            solve_feasibility(n, rows)
-    else:
-        assert solve_feasibility(n, rows).witness == witness
+    witness = solve_feasibility(n, rows)
+    assert witness == (_fm_lex_min(n, boxed)[0] if feasible else None)
 
 
 @pytest.mark.parametrize("rows, expected", [
-    # x1 >= 0 and x2 free but tied to x1 by a row: (0, -5)
-    ([((F(1), F(0)), GE, F(0)), ((F(1), F(-1)), LE, F(5))], (F(0), F(-5))),
-    # x2 has an upper bound only and no row bounds it below
-    ([((F(1), F(0)), GE, F(0)), ((F(0), F(1)), LE, F(3))], 2),
-    # x1 has an upper bound only; the row lets x2 grow as x1 falls
-    ([((F(1), F(0)), LE, F(0)), ((F(1), F(1)), GE, F(1))], 1),
+    # x1 >= 0, and x2 free but for a row that ties it to x1 and the box
+    ([((F(1), F(0)), GE, F(0)), ((F(1), F(-1)), LE, F(5))], (F(0), F(0))),
+    # x2 has an upper bound only, and the box bounds it below
+    ([((F(1), F(0)), GE, F(0)), ((F(0), F(1)), LE, F(3))], (F(0), F(0))),
+    # x1 has an upper bound only; the row lets x2 grow as x1 falls, up to 1
+    ([((F(1), F(0)), LE, F(0)), ((F(1), F(1)), GE, F(1))], (F(0), F(1))),
     # x2 is eliminated by the equality; x1 alone is boxed through it
     ([((F(1), F(1)), EQ, F(1)), ((F(0), F(2)), LE, F(1))], (F(1, 2), F(1, 2))),
 ])
 def test_one_sided_and_free_examples(rows, expected):
-    if isinstance(expected, int):
-        with pytest.raises(UnboundedLexMin, match=f"variable {expected} is"):
-            solve_feasibility(2, rows)
-    else:
-        assert solve_feasibility(2, rows).witness == expected
-    assert _fm_lex_min(2, rows) == (
-        (None, expected - 1) if isinstance(expected, int) else (expected, None)
-    )
+    assert solve_feasibility(2, rows) == expected
+    assert _fm_lex_min(2, rows + _unit_box(2)) == (expected, None)
 
 
 def test_generator_input_matches_list_and_is_rechecked(monkeypatch):
@@ -466,7 +475,7 @@ def test_generator_input_matches_list_and_is_rechecked(monkeypatch):
         ((F(1), F(0), F(0)), GE, F(1, 2)),
     ]
     expected = solve_feasibility(3, rows)
-    assert expected.witness == (F(1, 2), F(0), F(1, 2))
+    assert expected == (F(1, 2), F(0), F(1, 2))
     assert solve_feasibility(3, (row for row in rows)) == expected
     # With the last row hidden from the solver, its witness (0, 0, 1)
     # violates that row, so the re-check must see every row to catch it.
@@ -491,16 +500,16 @@ def test_generator_input_matches_list_and_is_rechecked(monkeypatch):
     (1, [((3,), EQ, 1)]),
     # x1 solved as 1 - x2, x2 bounded through it
     (2, [((1, 1), EQ, 1), ((2, 0), GE, 1), ((1, 0), LE, 1)]),
-    # the simplex, with a column that has no bound at all
+    # the simplex, with a column bounded by the box alone
     (2, [((1, 0), GE, 0), ((1, -1), LE, 5), ((1, 1), GE, 1)]),
     # int and Fraction numbers in one system
     (2, [((1, F(1, 2)), GE, 1), ((0, 3), LE, 2), ((3, 0), LE, 7), ((1, 0), GE, 0)]),
 ])
 def test_witness_coordinates_are_fractions(num_vars, rows):
-    witness = solve_feasibility(num_vars, rows).witness
+    witness = solve_feasibility(num_vars, rows)
     assert witness is not None
     assert all(type(c) is F for c in witness), witness
-    assert witness == _fm_lex_min(num_vars, _exact(rows))[0]
+    assert witness == _fm_lex_min(num_vars, _exact(rows) + _unit_box(num_vars))[0]
 
 
 # ---- the fraction-free elimination against Fourier-Motzkin
@@ -627,17 +636,17 @@ def _assert_same_reduction(n, rows):
 
 
 def _assert_matches_fourier_motzkin(n, rows):
-    """Decision and full witness against the reference; returns the
-    decision."""
+    """Decision and full witness against the reference over the unit box;
+    returns the decision."""
     _assert_same_reduction(n, rows)
-    reference = _exact(rows)
+    reference = _exact(rows) + _unit_box(n)
     feasible = _fm_feasible(n, reference)
     assert check_feasible(n, rows) == feasible
-    result = solve_feasibility(n, rows)
-    assert result.feasible == feasible
+    witness = solve_feasibility(n, rows)
+    assert (witness is not None) == feasible
     if feasible:
-        assert result.witness == _fm_lex_min(n, reference)[0]
-        assert all(type(c) is F for c in result.witness)
+        assert witness == _fm_lex_min(n, reference)[0]
+        assert all(type(c) is F for c in witness)
     return feasible
 
 
@@ -698,9 +707,10 @@ def test_fraction_free_elimination_matches_fourier_motzkin(data):
     """Systems that mix int rows, Fraction rows and rows holding both, with
     equalities that hold at an anchor point, dependent equalities that are
     consistent or shifted off, up to one equality per variable, all-zero
-    rows, and denominators up to 10**6; boxes keep every lex step bounded."""
+    rows, and denominators up to 10**6, with the anchor point in the unit
+    box."""
     n = data.draw(st.integers(min_value=1, max_value=4))
-    point = [data.draw(st.fractions(min_value=-1, max_value=1, max_denominator=6))
+    point = [data.draw(st.fractions(min_value=0, max_value=1, max_denominator=6))
              for _ in range(n)]
     rows = []
     for v in range(n):
@@ -744,11 +754,12 @@ class _FractionTableau:
     ``rows[r]`` holds the non-zero coefficients of the non-basic, non-fixed
     columns in  x[basis[r]] + sum(rows[r][j] * x[j]) = const; the constant
     itself is never needed because ``x`` holds every column's value.
-    ``lo``/``hi`` are the bounds, None meaning unbounded on that side.
+    ``lo``/``hi`` are the bounds; only the slacks and the artificials have
+    no upper one (None).  Each free variable starts at its lower bound.
     """
 
     def __init__(self, lo: list, hi: list, rows: list):
-        x = [ZERO if l is None and h is None else (h if l is None else l) for l, h in zip(lo, hi)]
+        x = lo[:]
         self.x, self.lo, self.hi = x, lo, hi
         self.rows: list[dict] = []
         self.basis: list[int] = []
@@ -772,7 +783,7 @@ class _FractionTableau:
             self.rows.append(row)
 
     def _fixed(self, j: int) -> bool:
-        return self.lo[j] is not None and self.lo[j] == self.hi[j]
+        return self.lo[j] == self.hi[j]
 
     def phase1(self) -> bool:
         """Drive the artificials to zero; False if the system is infeasible.
@@ -812,7 +823,7 @@ class _FractionTableau:
                     if hi[j] is None or x[j] < hi[j]:
                         enter, up = j, True
                         break
-                elif lo[j] is None or x[j] > lo[j]:
+                elif x[j] > lo[j]:
                     enter, up = j, False
                     break
             if enter < 0:
@@ -821,7 +832,7 @@ class _FractionTableau:
             step = None
             if up and hi[enter] is not None:
                 step = hi[enter] - x[enter]
-            elif not up and lo[enter] is not None:
+            elif not up:
                 step = x[enter] - lo[enter]
             leave = -1
             touched = []
@@ -837,8 +848,6 @@ class _FractionTableau:
                         continue
                     room = (hi[b] - x[b]) / abs(a)
                 else:
-                    if lo[b] is None:
-                        continue
                     room = (x[b] - lo[b]) / abs(a)
                 if step is None or room < step or (
                     room == step and leave >= 0 and b < basis[leave]
@@ -952,14 +961,13 @@ class _FractionReference(_FractionTableau):
     den = 1
 
     def __init__(self, lo, hi, rows):
-        super().__init__(*([None if b is None else F(*b) for b in side] for side in (lo, hi)), rows)
+        super().__init__(*([F(*b) for b in side] for side in (lo, hi)), rows)
 
 
 def _run_with(tableau, n, rows):
-    """check_feasible's answer, solve_feasibility's result (or the message
-    of the UnboundedLexMin it raised) and every pivot made, as (leaving row,
-    entering column, the point as Fractions), with ``tableau`` as the
-    simplex."""
+    """check_feasible's answer, solve_feasibility's witness and every pivot
+    made, as (leaving row, entering column, the point as Fractions), with
+    ``tableau`` as the simplex."""
     pivots = []
 
     class Recording(tableau):
@@ -969,23 +977,19 @@ def _run_with(tableau, n, rows):
 
     with patch.object(feasibility, "_Tableau", Recording):
         decision = check_feasible(n, rows)
-        try:
-            result = solve_feasibility(n, rows)
-        except UnboundedLexMin as err:
-            result = str(err)
-    return decision, result, pivots
+        witness = solve_feasibility(n, rows)
+    return decision, witness, pivots
 
 
 def _assert_same_as_fraction_simplex(n, rows):
     """Same decision, same witness and same pivots; returns (decision,
     pivot count)."""
     _assert_same_reduction(n, rows)
-    decision, result, pivots = _run_with(_CheckedTableau, n, rows)
-    assert (decision, result, pivots) == _run_with(_FractionReference, n, rows)
-    if not decision:
-        assert not result.feasible
-    elif not isinstance(result, str):
-        assert all(type(c) is F for c in result.witness), result
+    decision, witness, pivots = _run_with(_CheckedTableau, n, rows)
+    assert (decision, witness, pivots) == _run_with(_FractionReference, n, rows)
+    assert (witness is not None) == decision
+    if decision:
+        assert all(type(c) is F for c in witness), witness
     return decision, len(pivots)
 
 
@@ -1013,7 +1017,7 @@ def _splitter_system(table, cells, origin_inside):
         base = table.int_prefix[i][-1] if origin_inside else 0
         coeffs, const = table.value_row(i, cells, signs, base)
         rows.append((coeffs, EQ, target - const))
-    return rows + table.placement_rows(cells)
+    return rows + table.ordering_rows(cells)
 
 
 def _certify_pool(n, count):
@@ -1028,21 +1032,40 @@ def _certify_pool(n, count):
     return pool
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_integer_simplex_matches_fraction_simplex_on_cut_systems(n):
-    """Every system the oracle sends to the LP for k <= 2n - 2 cuts, and
-    every splitter system with up to 4 cuts, on a seeded pool."""
-    decisions, pivots = set(), 0
+def _cut_systems(n):
+    """(k, rows) for every system the oracle sends to the LP for k <= 2n - 2
+    cuts, and every splitter system with up to 4 cuts, on a seeded pool."""
+    systems = []
     for inst in _certify_pool(n, 6):
         table = CellTable(inst.valuations, inst.entitlements, FULL_CAKE)
-        systems = [(k, rows) for k in range(1, 2 * n - 1) for rows in _oracle_systems(inst, k)]
+        systems += [(k, rows) for k in range(1, 2 * n - 1) for rows in _oracle_systems(inst, k)]
         systems += [(k, _splitter_system(table, cells, inside))
                     for k in (2, 4) for inside in (False, True) for cells in combinations_with_replacement(range(table.cells), k)]
-        for k, rows in systems:
-            decision, count = _assert_same_as_fraction_simplex(k, rows)
-            decisions.add(decision)
-            pivots += count
+    return systems
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_integer_simplex_matches_fraction_simplex_on_cut_systems(n):
+    decisions, pivots = set(), 0
+    for k, rows in _cut_systems(n):
+        decision, count = _assert_same_as_fraction_simplex(k, rows)
+        decisions.add(decision)
+        pivots += count
     assert decisions == {True, False} and pivots > 100
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_box_rows_change_no_cut_system(n):
+    """The unit box is the LP's domain: appending the rows 0 <= t_j <= 1
+    that the cut systems once carried changes no decision and no witness."""
+    decisions = set()
+    for k, rows in _cut_systems(n):
+        boxed = rows + _int_box(k, 0, 1)
+        decision = check_feasible(k, rows)
+        assert decision == check_feasible(k, boxed)
+        assert solve_feasibility(k, rows) == solve_feasibility(k, boxed)
+        decisions.add(decision)
+    assert decisions == {True, False}
 
 
 def test_deciding_int_rows_builds_no_fraction(monkeypatch):
@@ -1071,26 +1094,28 @@ def test_deciding_int_rows_builds_no_fraction(monkeypatch):
 @given(st.data())
 def test_integer_simplex_matches_fraction_simplex_on_drawn_systems(data):
     """One oracle or splitter system over a CellTable, with cut cells and
-    owners drawn freely, or a general system with free and half-bounded
-    variables, whose bounds may have unlike denominators up to 10**6."""
+    owners drawn freely, or a general system whose variables carry bounds
+    inside the unit box on both sides, below only or not at all, with
+    unlike denominators up to 10**6."""
     shape = data.draw(st.sampled_from(["oracle", "splitter", "general", "large"]))
     if shape in ("general", "large"):
         def bound():
             if shape == "general":
-                return data.draw(density)
+                return data.draw(cell)
             # the common denominator starts at the lcm of these and shrinks
             # once the bounds that carry them are fixed away
             den = data.draw(st.sampled_from(_BIG))
-            return F(data.draw(st.integers(min_value=-2 * den, max_value=2 * den)), den)
+            return F(data.draw(st.integers(min_value=0, max_value=den)), den)
 
         n = data.draw(st.integers(min_value=1, max_value=4))
         rows = _random_system(data, n, 6)
         for v in range(n):
             side = data.draw(st.sampled_from(["both", "lower", "none"]))
+            lo, hi = sorted((bound(), bound()))
             if side != "none":
-                rows.append((_unit(n, v), GE, bound()))
+                rows.append((_unit(n, v), GE, lo))
             if side == "both":
-                rows.append((_unit(n, v), LE, bound() + 2))
+                rows.append((_unit(n, v), LE, hi))
         _assert_same_as_fraction_simplex(n, rows)
         return
     inst = random_instance(data.draw(st.integers(min_value=1, max_value=3)),
@@ -1130,7 +1155,7 @@ def test_rows_tied_in_unlike_terms_leave_by_lowest_column(first, second):
     rows = [((1, 0), LE, 1), ((0, 1), GE, 0),
             ((first[0], first[1]), LE, first[2]), ((second[0], second[1]), LE, second[2])]
     assert _pivots(2, rows)[0] == (0, 0)
-    assert solve_feasibility(2, rows).witness == (F(1, 2), F(0))
+    assert solve_feasibility(2, rows) == (F(1, 2), F(0))
 
 
 @pytest.mark.parametrize("top, first_pivot", [
@@ -1145,15 +1170,15 @@ def test_bound_flip_wins_a_tied_step(top, first_pivot):
     reaches zero at x1 = 1/2."""
     rows = [((1, 0), GE, 0), ((1, 0), LE, top), ((0, 1), GE, 0), ((2, 1), GE, 1)]
     assert _pivots(2, rows)[0] == first_pivot
-    assert solve_feasibility(2, rows).witness == (F(0), F(1))
+    assert solve_feasibility(2, rows) == (F(0), F(1))
 
 
 def test_common_denominator_grows_then_shrinks():
     """Bounds over 999979 and 524287 put the start over their product; the
-    first step divides by 3, and fixing x2 at 0 drops the bound over
-    524287, so the point ends over 3 * 999979."""
-    rows = [((1, 0), LE, F(3, 999_979)), ((0, 1), LE, F(5, 524_287)),
-            ((0, 1), GE, 0), ((-3, 1), LE, 1)]
+    first step, phase 1 raising x1 to 1/3, divides by 3, and fixing x2 at 0
+    drops the bound over 524287, so the point ends over 3 * 999979."""
+    rows = [((1, 0), GE, F(1, 999_979)), ((0, 1), LE, F(5, 524_287)),
+            ((0, 1), GE, 0), ((3, -1), GE, 1)]
     dens = []
 
     class Tracking(_CheckedTableau):
@@ -1170,8 +1195,8 @@ def test_common_denominator_grows_then_shrinks():
             dens.append(self.den)
 
     with patch.object(feasibility, "_Tableau", Tracking):
-        witness = solve_feasibility(2, rows).witness
-    assert witness == (F(-1, 3), F(0))
+        witness = solve_feasibility(2, rows)
+    assert witness == (F(1, 3), F(0))
     assert dens[0] == 999_979 * 524_287
     assert max(dens) == 3 * dens[0]
     assert dens[-1] == 3 * 999_979

@@ -329,7 +329,7 @@ def _reference_split(valuations, subcake, ratio):
                     continue
                 checked += 1
                 if check_feasible(k, constraints):
-                    witness = solve_feasibility(k, constraints).witness
+                    witness = solve_feasibility(k, constraints)
                     flat_part = Region(_flat_arcs(witness, origin_inside, length))
                     part = _lift(flat_part, subcake, offsets)
                     return part, subcake.difference(part), checked, origin_inside
