@@ -17,8 +17,16 @@ cli() {
   PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m entitled_cuts.cli "$@"
 }
 
-# the paper's 2n-2 lower bound at n = 8, through the CLI under the default
-# oracle budget (n = 5 and n = 6 are in the test suite)
+# the paper's 2n-2 lower bound at n = 12, through the CLI under the default
+# oracle budget (n = 5, 6 and 8 are in the test suite)
+echo "== Lower bound at n = 12 (min cuts = 22)"
+cli gen --lower-bound 12 -o "$work/lb12.json"
+cli min-cuts "$work/lb12.json" --k-max 22 | tee "$work/lb12.out"
+grep -Fx "k=21: infeasible (all 13518946182948634987088128574976000 combinations ruled out)" "$work/lb12.out"
+grep -Fx "k=22: feasible (witness at combination 121098171213448682127410309611474871 in canonical order)" "$work/lb12.out"
+grep -Fx "min cuts = 22" "$work/lb12.out"
+
+# and at n = 8, whose certificate's bytes are pinned below
 echo "== Lower bound at n = 8 (min cuts = 14)"
 cli gen --lower-bound 8 -o "$work/lb8.json"
 cli min-cuts "$work/lb8.json" --k-max 14 | tee "$work/lb8.out"
@@ -73,7 +81,7 @@ for expected in \
   "feasibility.solve_calls 525 count" \
   "bounds.systems_examined 8548 count" \
   "protocols.cuts 502 count" \
-  "model.calls 19755 count"
+  "model.calls 15935 count"
 do
   grep -Fx "$expected" "$work/certify-trace.out"
 done
@@ -84,7 +92,7 @@ for expected in \
   "feasibility.check_calls 744 count" \
   "feasibility.solve_calls 355 count" \
   "protocols.cuts 785 count" \
-  "model.calls 33576 count"
+  "model.calls 28379 count"
 do
   grep -Fx "$expected" "$work/divide-trace.out"
 done

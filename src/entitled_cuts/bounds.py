@@ -12,19 +12,22 @@ instances.
 The oracle never lists the combinations.  It walks cut-cell prefixes
 depth first (``cells.walk``), and for each it keeps the owner prefixes of
 the pieces the placed cuts fix that could still end in a feasible system,
-judged by each agent's prefix table scaled to integers, with the owner
-prefixes of equal state sharing one node (see ``_first_feasible``).  At a
-full tuple the test is the interval prefilter of a plain scan, so the
-systems that reach the solver are, in order, a subsequence of the plain
-scan's, and the first feasible one is the same.  ``systems_examined`` is
-the position of that combination in canonical order, or the number of all
-combinations, computed by counting and ranking tuples and maps rather than
-by visiting them.  The budget bounds the work actually done: owner states
-kept plus solver calls.
+judged by each agent's prefix table scaled to integers.  Owner prefixes
+of equal state share one node, and a state is dropped once an equal one,
+with as many cuts placed and the last in the same cell, has reached no
+full tuple (see ``_first_feasible``).  At a full tuple the test is the
+interval prefilter of a plain scan, so the systems that reach the solver
+are, in order, a subsequence of the plain scan's, and the first feasible
+one is the same.  ``systems_examined`` is the position of that
+combination in canonical order, or the number of all combinations,
+computed by counting and ranking tuples and maps rather than by visiting
+them.  The budget bounds the work actually done: owner states kept plus
+solver calls.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -234,6 +237,18 @@ def _first_feasible(table: CellTable, k: int, budget: int):
     are read back along the links and sorted: they are the maps that pass
     the prefilter, in canonical order, so the LP sees the same systems in
     the same order, and the work counts states, not owner prefixes.
+
+    The same three things and the cells decide a state's whole subtree:
+    a state with d cuts placed, the last in cell c, is extended over the
+    cells from c on, and each child's fate again depends only on its own
+    state.  So whether a state reaches a full-tuple leaf depends only on
+    (d, c, state), and states of equal key come back under many cell
+    prefixes.  Once the walk has left a state's subtree, the state is
+    recorded dead if no leaf's owner prefixes were read back through it,
+    and a later state of a dead key is dropped when it is made.  Its
+    subtree holds no map that passes the prefilter, so dropping it sends
+    the LP the same systems in the same order, every decision stands, and
+    only the work falls.
     """
     n = len(table.int_thresholds)
     pieces = k + 1
@@ -247,6 +262,12 @@ def _first_feasible(table: CellTable, k: int, budget: int):
         tuple(a for a in range(n) if a != last or n == 1) for last in range(n)
     ] + [tuple(range(n))]
     work = Work(budget, ncells, "oracle", "owner states kept plus LP calls", f"k={k}")
+    # dead[depth, c]: the keys of the states made with cut ``depth`` in
+    # cell c that reached no full-tuple leaf
+    dead = defaultdict(set)
+    # (depth, c, states made) of the calls whose states' subtrees the walk
+    # has not yet left, deepest last
+    pending = []
 
     def extend(frontier, lo: int, c: int, depth: int) -> tuple:
         """The owner states that extend ``frontier`` with an owner of
@@ -254,7 +275,13 @@ def _first_feasible(table: CellTable, k: int, budget: int):
         ``frontier`` that may still extend at a later cell.  An owner state
         is (slack, last owner, needy agents as a bitmask, links, owner
         prefixes); the prefixes are listed only when ``_owner_maps`` reads
-        them."""
+        them, so a state whose prefixes are listed has reached a leaf."""
+        # the walk is depth first, so every state an earlier call made at
+        # this depth or deeper has had its whole subtree walked
+        while pending and pending[-1][0] >= depth:
+            d, cell, made = pending.pop()
+            dead[d, cell].update(key for key, state in made.items() if not state[4])
+        gone = dead[depth, c]
         drop = list(map(sub, at[c], at[lo]))  # what the remaining term loses
         gain = list(map(sub, at[c + 1], at[lo]))
         rest = list(map(sub, at[-1], at[c]))  # the child's remaining term
@@ -286,9 +313,12 @@ def _first_feasible(table: CellTable, k: int, budget: int):
                     key = (*child, a, still)
                     state = made.get(key)
                     if state is None:
-                        made[key] = (child, a, still, [(node, a)], [])
+                        if key not in gone:
+                            made[key] = (child, a, still, [(node, a)], [])
                     else:
                         state[3].append((node, a))
+        if depth < k:  # a leaf is reached by definition
+            pending.append((depth, c, made))
         return list(made.values()), alive
 
     # every threshold is positive, so every agent starts needy

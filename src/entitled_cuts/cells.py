@@ -137,10 +137,10 @@ class CellTable:
             edges = [comp.lo, *inner, comp.hi]
             self.spans += zip(edges, edges[1:])
             for v, row in zip(valuations, rows):
+                start, *values = v.cumulatives(edges)
                 # shift is minus the agent's value of the gaps so far: zero
                 # on the whole cake, which then skips a Fraction add per edge
-                shift = row[-1] - v.cumulative(comp.lo)
-                values = map(v.cumulative, edges[1:])
+                shift = row[-1] - start
                 row += (shift + x for x in values) if shift else values
         self.cells = len(self.spans)
         self.totals, self.thresholds = [], []

@@ -177,6 +177,27 @@ class Valuation:
         j = bisect_right(self.breakpoints, x, 0, len(self.densities)) - 1
         return self._prefix[j] + self.densities[j] * (x - self.breakpoints[j])
 
+    def cumulatives(self, xs: Iterable[Fraction]) -> list[Fraction]:
+        """``cumulative`` at each of the ascending points ``xs``.
+
+        One pointer into the breakpoints only advances, as in
+        ``equal_marks``, where ``cumulative`` bisects for each point.  A
+        point on a breakpoint, or in a cell of density 0, takes the prefix
+        table's value as it is."""
+        bps, dens, prefix = self.breakpoints, self.densities, self._prefix
+        last = len(dens)  # j may reach it only at x = 1, a breakpoint
+        out, j = [], 0
+        for x in xs:
+            if not (bps[j] <= x <= ONE):
+                raise ValueError(f"coordinate {x} outside [0, 1] or below an earlier point")
+            while j < last and bps[j + 1] <= x:
+                j += 1
+            if x == bps[j] or not dens[j]:
+                out.append(prefix[j])
+            else:
+                out.append(prefix[j] + dens[j] * (x - bps[j]))
+        return out
+
     def value_between(self, lo: Fraction, hi: Fraction) -> Fraction:
         return self.cumulative(hi) - self.cumulative(lo)
 

@@ -266,7 +266,7 @@ def special3_equal_pair(instance: Instance, budget: int = DEFAULT_BUDGET) -> Alg
     odd_val = instance.valuations[odd]
     # the odd agent's value of [0, e_s]; a window that wraps past 1 is
     # worth the end of the cake plus the start
-    cum = [odd_val.cumulative(e) for e in edges]
+    cum = odd_val.cumulatives(edges)
     total = cum[d]
     _, start = min(
         (cum[s + b] - cum[s] if s + b <= d else cum[s + b - d] + total - cum[s], s)

@@ -319,8 +319,9 @@ def _walk(inst, k, first_feasible=None):
 
 
 def _reference_first_feasible(table, k, budget):
-    """The oracle walk with one node per owner prefix, the reference for
-    the library's walk, which merges owner prefixes of equal state: the
+    """The oracle walk with one node per owner prefix and no memo of dead
+    states, the reference for the library's walk, which merges owner
+    prefixes of equal state and drops states known to reach no leaf: the
     same tests, applied to every owner prefix on its own, and the maps
     that pass at a full tuple handed to the LP in the order the walk makes
     them.  Its work unit is owner prefixes kept plus LP calls."""
@@ -474,12 +475,13 @@ class TestPrunedPrefilterMatchesFractionScan:
 
     def test_four_agent_work(self):
         # owner states kept plus LP calls on the n = 4 family, exactly: a
-        # walk that prunes or merges less runs out of these budgets (one
-        # node per owner prefix does 0, 9, 90 and 507 units).  At k = 3 the
-        # needy-agent bound drops every owner of the first piece, so the
-        # walk does no work
+        # walk that prunes, merges or remembers less runs out of these
+        # budgets (without the memo of dead states it does 0, 9, 65 and 115
+        # units, and with one node per owner prefix 0, 9, 90 and 507).  At
+        # k = 3 the needy-agent bound drops every owner of the first piece,
+        # so the walk does no work
         inst = gen_lower_bound_instance(4)
-        for k, work in ((3, 0), (4, 9), (5, 65), (6, 115)):
+        for k, work in ((3, 0), (4, 7), (5, 28), (6, 63)):
             assert feasible_with_k_cuts(inst, k, budget=work).feasible == (k == 6)
             if work:
                 with pytest.raises(BudgetExceeded, match=f"at k={k}: {work} units of work done"):
@@ -517,6 +519,16 @@ class TestPrunedPrefilterMatchesFractionScan:
         report = verify_allocation(inst, cert.allocation)
         assert report.passed and len(report.cuts) <= 10
 
+    def test_eight_agent_proof(self):
+        # the 2n - 2 bound at n = 8, as min-cuts proves it
+        inst = gen_lower_bound_instance(8)
+        *_, below, cert = certificates(inst, 14)
+        assert (below.k, cert.k) == (13, 14)
+        assert not below.feasible and below.systems_examined == 4622352909318144000
+        assert cert.feasible and cert.systems_examined == 25911587181984444307
+        report = verify_allocation(inst, cert.allocation)
+        assert report.passed and len(report.cuts) <= 14
+
     def test_budget_bounds_the_work_done(self):
         # a run stops once its work passes the budget and says how far it
         # got; raised to the work reached each time, the budget eventually
@@ -545,11 +557,12 @@ class TestPrunedPrefilterMatchesFractionScan:
 
 class TestMergedStatesMatchPerPrefixWalk:
     """Owner prefixes of equal state share one node, so each state is
-    extended once; the walk with one node per owner prefix is the
-    reference.  Both must hand the LP the same systems in the same order
-    and return the same certificate."""
+    extended once, and a state known to reach no leaf is dropped; the walk
+    with one node per owner prefix, and no memo, is the reference.  Both
+    must hand the LP the same systems in the same order and return the
+    same certificate."""
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_lower_bound_family(self, n):
         inst = gen_lower_bound_instance(n)
         for k in range(2 * n - 1):
@@ -566,6 +579,8 @@ class TestMergedStatesMatchPerPrefixWalk:
         assert outcomes == {True, False}
 
     def test_random_pools_four_agents(self):
+        # a memo that told reached states by the ids of freed nodes, which
+        # new nodes reuse, recorded live states dead here
         entitlements = (F(31, 40), F(3, 40), F(3, 40), F(3, 40))
         outcomes = set()
         for seed in range(8):

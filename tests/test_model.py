@@ -261,6 +261,36 @@ class TestEqualMarks:
             equal_marks(v, 4)
 
 
+class TestCumulatives:
+    def test_matches_cumulative_per_point(self):
+        # seeded valuations with runs of zero-density cells; the points are
+        # ascending with repeats, and include 0, 1, every breakpoint, and
+        # the edges of a sub-cake component as a cell table lists them
+        rng = random.Random(3002)
+        for trial in range(200):
+            inner = {F(rng.randint(1, 63), 64) for _ in range(rng.randint(0, 12))}
+            bps = (F(0), *sorted(inner), F(1))
+            dens = [F(rng.choice((0, 0, 0, 1, 2, 7)), rng.randint(1, 5)) for _ in bps[1:]]
+            if not any(dens):
+                dens[rng.randrange(len(dens))] = F(1)
+            v = Valuation(bps, tuple(dens))
+            drawn = [F(rng.randint(0, 128), 128) for _ in range(rng.randint(0, 20))]
+            points = sorted([*drawn, *drawn[:3], *bps, F(0), F(1)])
+            assert v.cumulatives(points) == [v.cumulative(x) for x in points], trial
+            lo, hi = sorted((F(rng.randint(0, 127), 128), F(rng.randint(1, 128), 128)))
+            edges = [lo, *(b for b in bps if lo < b < hi), hi]
+            assert v.cumulatives(edges) == [v.cumulative(x) for x in edges], trial
+
+    def test_no_points(self, uniform):
+        assert uniform.cumulatives([]) == []
+
+    @pytest.mark.parametrize("points", [[F(-1, 2)], [F(3, 2)], [F(1, 2), F(1, 4)]])
+    def test_points_outside_the_cake_or_out_of_order(self, points):
+        v = pw("0 1/3 1", "0 3")
+        with pytest.raises(ValueError, match="outside \\[0, 1\\] or below an earlier point"):
+            v.cumulatives(points)
+
+
 class TestCutCount:
     def test_whole_cake_is_free(self):
         assert boundary_points(Allocation((region((0, 1)),))) == ()
