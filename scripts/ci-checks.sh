@@ -81,7 +81,7 @@ for expected in \
   "feasibility.solve_calls 525 count" \
   "bounds.systems_examined 8548 count" \
   "protocols.cuts 502 count" \
-  "model.calls 15935 count"
+  "model.calls 15930 count"
 do
   grep -Fx "$expected" "$work/certify-trace.out"
 done
@@ -92,7 +92,7 @@ for expected in \
   "feasibility.check_calls 744 count" \
   "feasibility.solve_calls 355 count" \
   "protocols.cuts 785 count" \
-  "model.calls 28379 count"
+  "model.calls 28376 count"
 do
   grep -Fx "$expected" "$work/divide-trace.out"
 done

@@ -35,9 +35,7 @@ from .model import (
     Region,
     Valuation,
     boundary_points,
-    equal_marks,
     format_rational,
-    mark_right,
     measure_of,
     parse_rational,
 )
@@ -77,12 +75,10 @@ __all__ = [
     "check_feasible",
     "clone_divide",
     "cut_and_choose",
-    "equal_marks",
     "exact_split",
     "feasible_with_k_cuts",
     "format_rational",
     "gen_lower_bound_instance",
-    "mark_right",
     "measure_of",
     "min_cuts",
     "near_equal_divide",

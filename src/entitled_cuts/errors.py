@@ -6,7 +6,7 @@ class EntitledCutsError(Exception):
 
 
 class TargetExceedsRemainder(EntitledCutsError, ValueError):
-    """A mark was requested for more value than remains right of the start."""
+    """A mark was requested for a running value above the valuation's total."""
 
 
 class EmptySubcake(EntitledCutsError, ValueError):

@@ -180,10 +180,9 @@ class Valuation:
     def cumulatives(self, xs: Iterable[Fraction]) -> list[Fraction]:
         """``cumulative`` at each of the ascending points ``xs``.
 
-        One pointer into the breakpoints only advances, as in
-        ``equal_marks``, where ``cumulative`` bisects for each point.  A
-        point on a breakpoint, or in a cell of density 0, takes the prefix
-        table's value as it is."""
+        One pointer into the breakpoints only advances, where ``cumulative``
+        bisects for each point.  A point on a breakpoint, or in a cell of
+        density 0, takes the prefix table's value as it is."""
         bps, dens, prefix = self.breakpoints, self.densities, self._prefix
         last = len(dens)  # j may reach it only at x = 1, a breakpoint
         out, j = [], 0
@@ -198,67 +197,39 @@ class Valuation:
                 out.append(prefix[j] + dens[j] * (x - bps[j]))
         return out
 
-    def value_between(self, lo: Fraction, hi: Fraction) -> Fraction:
-        return self.cumulative(hi) - self.cumulative(lo)
+    def marks(self, goals: Iterable[Fraction]) -> list[Fraction]:
+        """The leftmost x with value exactly g on [0, x], for each of the
+        ascending running values ``goals`` in (0, total]; the inverse of
+        ``cumulatives``.
+
+        Well defined because the running value is continuous and
+        nondecreasing.  Each goal is found by bisecting the prefix table
+        from the previous goal's cell: the first cell whose right end
+        reaches the goal holds positive value, so the mark is that cell's
+        left edge plus the shortfall over its density, the leftmost point
+        even across zero-density plateaus."""
+        bps, dens, prefix = self.breakpoints, self.densities, self._prefix
+        total = prefix[-1]
+        out, j, previous = [], 0, ZERO
+        for goal in goals:
+            if not (ZERO < goal and previous <= goal):
+                raise ValueError(f"goal {goal} not positive or below an earlier goal")
+            if goal > total:
+                raise TargetExceedsRemainder(f"goal {goal} exceeds the total value {total}")
+            j = bisect_left(prefix, goal, j) - 1
+            mark = bps[j] + (goal - prefix[j]) / dens[j]
+            if not (bps[j] < mark <= bps[j + 1]):
+                raise InternalCheckFailed(
+                    f"unreachable: mark {mark} outside ({bps[j]}, {bps[j + 1]}]")
+            out.append(mark)
+            previous = goal
+        return out
 
 
 def measure_of(valuation: Valuation, region: Region) -> Fraction:
     """Exact measure of a region; additive over disjoint regions, 0 on empty."""
-    return sum((valuation.value_between(iv.lo, iv.hi) for iv in region.intervals), ZERO)
-
-
-def mark_right(valuation: Valuation, start: Fraction, target: Fraction) -> Fraction:
-    """Leftmost x >= start with value exactly ``target`` on [start, x].
-
-    Well defined because the cumulative function is continuous and
-    nondecreasing.  The goal F(start) + target is found by bisecting the
-    prefix table: the first cell whose right end reaches it holds positive
-    value, so the mark is that cell's left edge plus the shortfall over its
-    density, the leftmost point even across zero-density plateaus.
-    """
-    start = as_rational(start)
-    target = as_rational(target)
-    if not (ZERO <= start <= ONE):
-        raise ValueError(f"start {start} outside [0, 1]")
-    if target < ZERO:
-        raise ValueError("target must be nonnegative")
-    base = valuation.cumulative(start)
-    remainder = valuation.total - base
-    if target > remainder:
-        raise TargetExceedsRemainder(f"target {target} exceeds remaining value {remainder}")
-    if target == ZERO:
-        return start
-    goal = base + target
-    prefix, bps = valuation._prefix, valuation.breakpoints
-    j = bisect_left(prefix, goal) - 1
-    mark = bps[j] + (goal - prefix[j]) / valuation.densities[j]
-    if not (start < mark <= bps[j + 1]):
-        raise InternalCheckFailed(f"unreachable: mark {mark} outside ({start}, {bps[j + 1]}]")
-    return mark
-
-
-def equal_marks(valuation: Valuation, parts: int) -> list[Fraction]:
-    """Marks m_1 <= ... <= m_{parts-1} splitting the cake into ``parts``
-    pieces of exactly equal value; each mark is the leftmost valid one.
-
-    Each mark is ``mark_right`` from 0: the goals grow, so one pass over the
-    prefix table with a cell pointer that only advances finds, for each,
-    the first cell whose right end reaches it, which is what the bisection
-    finds."""
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    prefix, bps, dens = valuation._prefix, valuation.breakpoints, valuation.densities
-    total = valuation.total
-    marks, j = [], 0
-    for p in range(1, parts):
-        goal = total * p / parts
-        while prefix[j + 1] < goal:
-            j += 1
-        mark = bps[j] + (goal - prefix[j]) / dens[j]
-        if not (ZERO < mark <= bps[j + 1]):
-            raise InternalCheckFailed(f"unreachable: mark {mark} outside (0, {bps[j + 1]}]")
-        marks.append(mark)
-    return marks
+    return sum((valuation.cumulative(iv.hi) - valuation.cumulative(iv.lo)
+                for iv in region.intervals), ZERO)
 
 
 @dataclass(frozen=True)

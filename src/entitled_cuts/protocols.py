@@ -36,8 +36,6 @@ from .model import (
     Region,
     Valuation,
     boundary_points,
-    equal_marks,
-    mark_right,
     measure_of,
 )
 from .split import DEFAULT_BUDGET, exact_split
@@ -122,12 +120,14 @@ def _even_split(groups, lo, hi, valuations, pieces):
     """Even-Paz divide and conquer (Even and Paz 1984) of [lo, hi] over
     clone groups: ``groups`` holds (agent, clone count) pairs in agent
     order, n clones in all, and each group marks once per round where its
-    agent values [lo, mark] at floor(n/2)/n of [lo, hi].  The first
-    floor(n/2) clones, in (mark, agent) order, go left, so only the group
-    straddling the split point is divided.  Each clone gets one interval
-    worth at least 1/n of the sub-cake to its agent, and at most n-1 cuts
-    are made.  A sub-cake held by a single group goes whole to its agent,
-    joining the agent's piece."""
+    agent values [lo, mark] at floor(n/2)/n of [lo, hi].  A group reads
+    its agent's running values at lo and hi with one ``cumulatives`` call
+    and its mark with one ``marks`` call; a group that values [lo, hi] at
+    0 marks lo.  The first floor(n/2) clones, in (mark, agent) order, go
+    left, so only the group straddling the split point is divided.  Each
+    clone gets one interval worth at least 1/n of the sub-cake to its
+    agent, and at most n-1 cuts are made.  A sub-cake held by a single
+    group goes whole to its agent, joining the agent's piece."""
     if len(groups) == 1:
         agent = groups[0][0]
         piece = Region([Interval(lo, hi)])
@@ -138,7 +138,12 @@ def _even_split(groups, lo, hi, valuations, pieces):
     marks = []
     for i, count in groups:
         v = valuations[i]
-        marks.append((mark_right(v, lo, v.value_between(lo, hi) * n_left / n), i, count))
+        at_lo, at_hi = v.cumulatives((lo, hi))
+        if at_lo == at_hi:
+            mark = lo
+        else:
+            (mark,) = v.marks((at_lo + (at_hi - at_lo) * n_left / n,))
+        marks.append((mark, i, count))
     marks.sort()
     left, right = [], []
     short = n_left  # clones the left side still lacks
@@ -171,8 +176,11 @@ def cut_and_choose(owner: Valuation, chooser: Valuation, piece: Region):
     """Two-agent split of a piece, connected or not, with a single cut.
 
     The owner finds the point where the piece's running value (by the
-    owner's measure) reaches exactly half; the chooser takes the weakly
-    better of piece-left-of-point / piece-right-of-point (ties -> left).
+    owner's measure) reaches exactly half: one ``cumulatives`` call reads
+    the owner's running values at the piece's endpoints, and one ``marks``
+    call places the point in the interval where half is reached.  The
+    chooser takes the weakly better of piece-left-of-point /
+    piece-right-of-point (ties -> left).
     Costs one new cut point regardless of how many intervals the piece has,
     which is what keeps the three-agent protocol within its cut budget.
     Returns (owner part, chooser part).
@@ -181,12 +189,13 @@ def cut_and_choose(owner: Valuation, chooser: Valuation, piece: Region):
     if total <= ZERO:
         raise ValueError("owner must value the piece positively")
     half = total / 2
+    ends = owner.cumulatives(x for iv in piece.intervals for x in (iv.lo, iv.hi))
     acc = ZERO
     mid = None
-    for iv in piece.intervals:
-        value = owner.value_between(iv.lo, iv.hi)
+    for at_lo, at_hi in zip(ends[::2], ends[1::2]):
+        value = at_hi - at_lo
         if acc + value >= half:
-            mid = mark_right(owner, iv.lo, half - acc)
+            (mid,) = owner.marks((at_lo + half - acc,))
             break
         acc += value
     if mid is None:
@@ -244,6 +253,10 @@ def special3_equal_pair(instance: Instance, budget: int = DEFAULT_BUDGET) -> Alg
     worth at most B/D of their total.  Whichever pair agent can afford to
     give the window up takes it; the remaining two agents split the rest
     exactly in ratios B/(D-B), (D-2B)/(D-B).
+
+    The work grows linearly with D: the marker places D-1 marks and the odd
+    agent prices D windows, so D = 10^5 takes seconds where cloning
+    handles D = 10^9 in milliseconds.
     """
     if instance.n != 3:
         raise PreconditionViolated("protocol needs exactly three agents")
@@ -262,7 +275,7 @@ def special3_equal_pair(instance: Instance, budget: int = DEFAULT_BUDGET) -> Alg
         raise PreconditionViolated("equal pair must leave the third agent a positive share")
 
     marker = instance.valuations[first]
-    edges = [ZERO] + equal_marks(marker, d) + [ONE]
+    edges = [ZERO] + marker.marks(marker.total * p / d for p in range(1, d)) + [ONE]
     odd_val = instance.valuations[odd]
     # the odd agent's value of [0, e_s]; a window that wraps past 1 is
     # worth the end of the cake plus the start

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,29 @@ def make_instance(valuations, entitlements) -> Instance:
         tuple(valuations),
         tuple(Fraction(t) for t in entitlements),
     )
+
+
+def reference_mark(valuation: Valuation, start: Fraction, target: Fraction) -> Fraction:
+    """The leftmost x >= start with value exactly ``target`` on [start, x],
+    by a linear scan: walk the cells from start's cell, summing their
+    values, until the target is reached.  It shares no search with
+    ``Valuation.marks``, which bisects the prefix table."""
+    if target == 0:
+        return start
+    bps, dens = valuation.breakpoints, valuation.densities
+    j = min(bisect_right(bps, start) - 1, len(dens) - 1)
+    acc = Fraction(0)
+    for cell in range(j, len(dens)):
+        a = max(bps[cell], start)
+        b = bps[cell + 1]
+        d = dens[cell]
+        if d == 0 or b <= a:
+            continue
+        cell_value = d * (b - a)
+        if acc + cell_value >= target:
+            return a + (target - acc) / d
+        acc += cell_value
+    raise AssertionError("the reference scan ran out")
 
 
 @pytest.fixture

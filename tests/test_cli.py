@@ -517,6 +517,23 @@ class TestMalformedDocuments:
         assert main(["solve", str(deep)]) == 1
         assert "nested too deeply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "BAD"],
+        ["verify", "BAD", "GOOD"],
+        ["verify", "GOOD", "BAD"],
+        ["min-cuts", "BAD", "--k-max", "1"],
+    ], ids=["solve", "verify-instance", "verify-allocation", "min-cuts"])
+    def test_undecodable_file_names_its_path(self, tmp_path, capsys, uniform, command):
+        # a file that does not decode cannot be read, and the error says
+        # which file, as it does for a missing one
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        good = write_instance(tmp_path / "i.json", make_instance([uniform], [1]))
+        argv = [{"BAD": str(bad), "GOOD": good}.get(arg, arg) for arg in command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: ") and "can't decode" in err
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(instance=_texts(_instance_docs), algorithm=st.sampled_from(["auto", "recursive"]))
     def test_solve(self, instance, algorithm):

@@ -1,5 +1,4 @@
 import random
-from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -13,14 +12,12 @@ from entitled_cuts.model import (
     Region,
     Valuation,
     boundary_points,
-    equal_marks,
     format_rational,
-    mark_right,
     measure_of,
     parse_rational,
 )
 
-from conftest import pw
+from conftest import pw, reference_mark, run_optimized
 
 
 rationals = st.fractions(min_value=0, max_value=1, max_denominator=12)
@@ -28,27 +25,6 @@ rationals = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
 def region(*pairs):
     return Region([Interval(F(a), F(b)) for a, b in pairs])
-
-
-def reference_mark(valuation, start, target):
-    """The leftmost mark by a linear scan: walk the cells from start's cell,
-    summing their values, until the target is reached."""
-    if target == 0:
-        return start
-    bps, dens = valuation.breakpoints, valuation.densities
-    j = min(bisect_right(bps, start) - 1, len(dens) - 1)
-    acc = F(0)
-    for cell in range(j, len(dens)):
-        a = max(bps[cell], start)
-        b = bps[cell + 1]
-        d = dens[cell]
-        if d == 0 or b <= a:
-            continue
-        cell_value = d * (b - a)
-        if acc + cell_value >= target:
-            return a + (target - acc) / d
-        acc += cell_value
-    raise AssertionError("the reference scan ran out")
 
 
 @st.composite
@@ -160,43 +136,97 @@ class TestMeasure:
             Valuation((0.0, 1.0), (1.0,))  # floats forbidden
 
 
+def mark_from(valuation, start, target):
+    """The mark where the value from ``start`` reaches ``target > 0``,
+    through ``marks`` at the goal cumulative(start) + target."""
+    (mark,) = valuation.marks((valuation.cumulative(start) + target,))
+    return mark
+
+
+def equal_share_marks(valuation, parts):
+    """The marks of ``parts`` pieces of equal value, from one ``marks``
+    call over the goals total * p / parts."""
+    return valuation.marks(valuation.total * p / parts for p in range(1, parts))
+
+
+def seeded_plateau_valuation(rng):
+    """Up to 13 cells over denominator 64, most of them of zero density."""
+    inner = {F(rng.randint(1, 63), 64) for _ in range(rng.randint(0, 12))}
+    bps = (F(0), *sorted(inner), F(1))
+    dens = [F(rng.choice((0, 0, 0, 1, 2, 7)), rng.randint(1, 5)) for _ in bps[1:]]
+    if not any(dens):
+        dens[rng.randrange(len(dens))] = F(1)
+    return Valuation(bps, tuple(dens))
+
+
 class TestMarkRight:
+    """Single goals: the mark where the running value from a start reaches
+    a target, checked against the linear cell scan."""
+
     def test_uniform_third(self, uniform):
-        assert mark_right(uniform, F(0), F(1, 3)) == F(1, 3)
+        assert mark_from(uniform, F(0), F(1, 3)) == F(1, 3)
 
     def test_steep_then_flat(self):
-        assert mark_right(pw("0 1/2 1", "2 0"), F(0), F(1, 2)) == F(1, 4)
+        assert mark_from(pw("0 1/2 1", "2 0"), F(0), F(1, 2)) == F(1, 4)
 
     def test_leftmost_on_zero_plateau(self):
-        assert mark_right(pw("0 1/2 1", "0 1"), F(0), F(0)) == F(0)
+        # the running value is 1/2 all along [1/4, 1/2]: the mark is its
+        # left end, from a start before the plateau or on it
+        v = pw("0 1/4 1/2 1", "2 0 1")
+        assert v.marks((F(1, 2),)) == [F(1, 4)]
+        assert mark_from(v, F(1, 8), F(1, 4)) == F(1, 4)
 
     def test_target_beyond_remainder(self, uniform):
         with pytest.raises(TargetExceedsRemainder):
-            mark_right(uniform, F(1, 2), F(3, 4))
+            mark_from(uniform, F(1, 2), F(3, 4))
+
+    def test_goal_not_ascending_or_not_positive(self, uniform):
+        for goals in ((F(0),), (F(-1, 2),), (F(1, 2), F(1, 3)), (F(1, 3), F(0))):
+            with pytest.raises(ValueError, match="not positive or below an earlier goal"):
+                uniform.marks(goals)
+        assert uniform.marks((F(1, 3), F(1, 3))) == [F(1, 3), F(1, 3)]
 
     def test_scan_running_out_is_an_internal_check(self):
         # a corrupted prefix table claims more value than the cells hold, so
-        # the remainder check passes and the scan runs out: a bug, which the
-        # CLI reports with exit 2, not a traceback
+        # the total check passes and the mark lands past its cell: a bug,
+        # which the CLI reports with exit 2, not a traceback
         v = Valuation((F(0), F(1)), (F(1),))
         object.__setattr__(v, "_prefix", (F(0), F(2)))
         with pytest.raises(InternalCheckFailed, match="unreachable"):
-            mark_right(v, F(0), F(3, 2))
+            v.marks((F(3, 2),))
+
+    def test_internal_check_survives_optimize_flag(self, tmp_path):
+        script = """
+            import sys
+            from fractions import Fraction
+            from entitled_cuts.errors import InternalCheckFailed
+            from entitled_cuts.model import Valuation
+
+            print("optimize", sys.flags.optimize)
+            v = Valuation((0, 1), (1,))
+            object.__setattr__(v, "_prefix", (Fraction(0), Fraction(2)))
+            try:
+                v.marks((Fraction(3, 2),))
+            except InternalCheckFailed:
+                print("raised InternalCheckFailed")
+        """
+        assert run_optimized(script, tmp_path) == ["optimize", "1", "raised", "InternalCheckFailed"]
 
     def test_matches_reference_scan_on_plateaus(self):
         # every start on a breakpoint or inside a cell, zero-density cells at
-        # both ends and in the middle included, and start = 1; targets 0, a
-        # third and all the remainder
+        # both ends and in the middle included; targets a third and all of
+        # the remainder
         v = pw("0 1/4 1/2 5/8 3/4 1", "0 2 0 1 0")
         bps = v.breakpoints
         starts = sorted({*bps, *((a + b) / 2 for a, b in zip(bps, bps[1:]))})
         for start in starts:
             remainder = v.total - v.cumulative(start)
-            for target in (F(0), remainder / 3, remainder):
-                assert mark_right(v, start, target) == reference_mark(v, start, target)
-        # the whole remainder is reached where the last positive cell ends,
-        # not at the end of the plateau after it
-        assert mark_right(v, F(1, 8), v.total) == F(3, 4)
+            if remainder:
+                for target in (remainder / 3, remainder):
+                    assert mark_from(v, start, target) == reference_mark(v, start, target)
+        # the whole value is reached where the last positive cell ends, not
+        # at the end of the plateau after it
+        assert v.marks((v.total,)) == [F(3, 4)] == [reference_mark(v, F(0), v.total)]
 
     @given(plateau_valuations(), st.data())
     def test_matches_reference_scan(self, v, data):
@@ -205,60 +235,63 @@ class TestMarkRight:
         start = data.draw(st.one_of(st.sampled_from(bps), st.sampled_from(mids),
                                     st.just(F(1)), rationals))
         remainder = v.total - v.cumulative(start)
-        frac = data.draw(st.one_of(st.just(F(0)), st.just(F(1)), rationals))
+        frac = data.draw(st.one_of(st.just(F(1)), rationals))
         target = frac * remainder
-        assert mark_right(v, start, target) == reference_mark(v, start, target)
+        if target:
+            assert mark_from(v, start, target) == reference_mark(v, start, target)
 
     @given(st.fractions(min_value=0, max_value=1, max_denominator=8),
            st.fractions(min_value=0, max_value=1, max_denominator=8))
     def test_mark_inverse(self, start, frac):
         v = pw("0 1/4 1/2 1", "1 0 2")
-        available = v.total - v.cumulative(start)
-        target = frac * available
-        mark = mark_right(v, start, target)
-        assert v.value_between(start, mark) == target
+        target = frac * (v.total - v.cumulative(start))
+        if target:
+            mark = mark_from(v, start, target)
+            assert v.cumulative(mark) - v.cumulative(start) == target
 
 
 class TestEqualMarks:
+    """Runs of ascending goals from one ``marks`` call."""
+
     def test_uniform_thirds(self, uniform):
-        assert equal_marks(uniform, 3) == [F(1, 3), F(2, 3)]
+        assert equal_share_marks(uniform, 3) == [F(1, 3), F(2, 3)]
 
     def test_steep_halves(self):
-        assert equal_marks(pw("0 1/2 1", "2 0"), 2) == [F(1, 4)]
+        assert equal_share_marks(pw("0 1/2 1", "2 0"), 2) == [F(1, 4)]
 
     def test_single_part_has_no_marks(self, uniform):
-        assert equal_marks(uniform, 1) == []
+        assert equal_share_marks(uniform, 1) == []
 
     @given(st.integers(min_value=1, max_value=9))
     def test_consecutive_parts_equal(self, parts):
         v = pw("0 1/5 2/5 1", "2 0 1")
-        marks = [F(0)] + equal_marks(v, parts) + [F(1)]
+        marks = [F(0)] + equal_share_marks(v, parts) + [F(1)]
         share = v.total / parts
         for lo, hi in zip(marks, marks[1:]):
-            assert v.value_between(lo, hi) == share
-
+            assert v.cumulative(hi) - v.cumulative(lo) == share
 
     def test_matches_marks_from_zero(self):
-        # the one forward pass gives exactly the marks of mark_right from 0,
-        # on seeded valuations with runs of zero-density cells
+        # the one pass from cell to cell gives exactly the reference scan's
+        # marks from 0, on seeded valuations with runs of zero-density cells
         rng = random.Random(3001)
         for trial in range(200):
-            inner = {F(rng.randint(1, 63), 64) for _ in range(rng.randint(0, 12))}
-            bps = (F(0), *sorted(inner), F(1))
-            dens = [F(rng.choice((0, 0, 0, 1, 2, 7)), rng.randint(1, 5)) for _ in bps[1:]]
-            if not any(dens):
-                dens[rng.randrange(len(dens))] = F(1)
-            v = Valuation(bps, tuple(dens))
+            v = seeded_plateau_valuation(rng)
             for parts in (1, 2, 3, rng.randint(4, 40)):
-                expected = [mark_right(v, F(0), v.total * j / parts) for j in range(1, parts)]
-                assert equal_marks(v, parts) == expected, (trial, parts)
+                expected = [reference_mark(v, F(0), v.total * j / parts) for j in range(1, parts)]
+                assert equal_share_marks(v, parts) == expected, (trial, parts)
+
+    @given(plateau_valuations(), st.lists(rationals, max_size=8))
+    def test_ascending_goals_match_reference_scan(self, v, fracs):
+        # repeats, goals on a prefix value, and the total included
+        goals = sorted(frac * v.total for frac in fracs if frac)
+        assert v.marks(goals) == [reference_mark(v, F(0), goal) for goal in goals]
 
     def test_mark_outside_its_cell_is_an_internal_check(self):
         # a corrupted prefix table puts the 3/4 mark past the cake's end
         v = Valuation((F(0), F(1)), (F(1),))
         object.__setattr__(v, "_prefix", (F(0), F(2)))
         with pytest.raises(InternalCheckFailed, match="unreachable"):
-            equal_marks(v, 4)
+            equal_share_marks(v, 4)
 
 
 class TestCumulatives:
@@ -268,12 +301,8 @@ class TestCumulatives:
         # the edges of a sub-cake component as a cell table lists them
         rng = random.Random(3002)
         for trial in range(200):
-            inner = {F(rng.randint(1, 63), 64) for _ in range(rng.randint(0, 12))}
-            bps = (F(0), *sorted(inner), F(1))
-            dens = [F(rng.choice((0, 0, 0, 1, 2, 7)), rng.randint(1, 5)) for _ in bps[1:]]
-            if not any(dens):
-                dens[rng.randrange(len(dens))] = F(1)
-            v = Valuation(bps, tuple(dens))
+            v = seeded_plateau_valuation(rng)
+            bps = v.breakpoints
             drawn = [F(rng.randint(0, 128), 128) for _ in range(rng.randint(0, 20))]
             points = sorted([*drawn, *drawn[:3], *bps, F(0), F(1)])
             assert v.cumulatives(points) == [v.cumulative(x) for x in points], trial

@@ -16,7 +16,6 @@ from entitled_cuts.model import (
     Region,
     Valuation,
     boundary_points,
-    mark_right,
     measure_of,
 )
 from entitled_cuts.protocols import (
@@ -35,7 +34,7 @@ from entitled_cuts.protocols import (
 from entitled_cuts.split import DEFAULT_BUDGET
 from entitled_cuts.verifier import verify_allocation
 
-from conftest import make_instance, pw, run_optimized
+from conftest import make_instance, pw, reference_mark, run_optimized
 
 
 def region(*pairs):
@@ -213,7 +212,7 @@ class TestConnectedProportional:
 
 def _reference_even_split(agents, lo, hi, valuations, assigned):
     """The per-clone split: every agent marks, even when another agent holds
-    the same Valuation object."""
+    the same Valuation object, by the linear cell scan."""
     if len(agents) == 1:
         assigned[agents[0]] = Interval(lo, hi)
         return
@@ -222,8 +221,8 @@ def _reference_even_split(agents, lo, hi, valuations, assigned):
     marks = []
     for i in agents:
         v = valuations[i]
-        target = v.value_between(lo, hi) * n_left / n
-        marks.append((mark_right(v, lo, target), i))
+        target = (v.cumulative(hi) - v.cumulative(lo)) * n_left / n
+        marks.append((reference_mark(v, lo, target), i))
     marks.sort()
     split_at = marks[n_left - 1][0]
     left_ids = sorted(i for _, i in marks[:n_left])
@@ -254,9 +253,9 @@ def _reference_report(instance, copies, algorithm, bound):
 
 def _counting_marks(monkeypatch):
     calls = []
-    real = protocols_mod.mark_right
+    real = Valuation.marks
     monkeypatch.setattr(
-        protocols_mod, "mark_right", lambda *args: calls.append(args) or real(*args)
+        Valuation, "marks", lambda *args: calls.append(args) or real(*args)
     )
     return calls
 
@@ -314,6 +313,17 @@ class TestMarksOncePerValuation:
         self.assert_groups([hump], [8])
         self.assert_groups([hump, hump, right], [5, 2, 6])
 
+    def test_group_valuing_the_subcake_at_zero(self):
+        # an agent worth nothing on the sub-cake marks its left end, as the
+        # reference's target of 0 does, so its clones go left
+        right, left = pw("0 1/2 1", "0 1"), pw("0 1/2 1", "2 0")
+        half = Interval(F(0), F(1, 2))
+        self.assert_distinct([right, left], half)
+        self.assert_groups([right, left, right], [2, 3, 1], half)
+        pieces = {}
+        protocols_mod._even_split([(0, 1), (1, 1)], half.lo, half.hi, [right, left], pieces)
+        assert pieces == {0: Region(), 1: Region([half])}
+
     def test_sub_interval(self, uniform):
         hump = pw("0 1/4 3/4 1", "0 2 0")
         rng = random.Random(29)
@@ -321,7 +331,7 @@ class TestMarksOncePerValuation:
         for lo, hi in ((F(1, 4), F(3, 4)), (F(1, 3), F(5, 6))):
             sub = Interval(lo, hi)
             self.assert_groups([hump, uniform], [3, 4], sub)
-            vals = [v for v in drawn if v.value_between(lo, hi) > 0]
+            vals = [v for v in drawn if v.cumulative(hi) > v.cumulative(lo)]
             self.assert_distinct([vals[i % len(vals)] for i in range(9)], sub)
             self.assert_groups(vals, [2 * i + 1 for i in range(len(vals))], sub)
 
@@ -350,7 +360,7 @@ class TestMarksOncePerValuation:
             vals = [random_valuation(rng, 4, 8) for _ in range(n)]
             lo, hi = sorted(rng.sample([F(k, 12) for k in range(13)], 2))
             sub = Interval(lo, hi)
-            if all(v.value_between(lo, hi) > 0 for v in vals):
+            if all(v.cumulative(hi) > v.cumulative(lo) for v in vals):
                 self.assert_distinct(vals, sub)
             self.assert_distinct(vals)
 
@@ -566,7 +576,6 @@ class TestSpecial3EqualPair:
     def test_pigeonhole_window(self):
         # the odd agent's chosen window is worth at most B/D of their total
         rng = random.Random(5)
-        from entitled_cuts.model import equal_marks
         from entitled_cuts.protocols import _window_region
 
         for trial in range(20):
@@ -574,7 +583,7 @@ class TestSpecial3EqualPair:
             odd = random_valuation(rng, 3, 8)
             d = rng.randint(2, 9)
             b = rng.randint(1, d - 1)
-            edges = [F(0)] + equal_marks(marker, d) + [F(1)]
+            edges = [F(0)] + marker.marks(marker.total * p / d for p in range(1, d)) + [F(1)]
             best = min(measure_of(odd, _window_region(edges, s, b)) for s in range(d))
             assert best * d <= b * odd.total
 
@@ -582,7 +591,6 @@ class TestSpecial3EqualPair:
         # pricing windows from one table of the odd agent's cumulative
         # values picks the window that measuring each region would pick,
         # wrapping windows and ties to the smallest start included
-        from entitled_cuts.model import equal_marks
         from entitled_cuts.protocols import _window_region
 
         rng = random.Random(31)
@@ -596,7 +604,7 @@ class TestSpecial3EqualPair:
             b, d = pair.numerator, pair.denominator
             inst = Instance((marker, random_valuation(rng, 3, 8), odd),
                             (pair, pair, 1 - 2 * pair))
-            edges = [F(0)] + equal_marks(marker, d) + [F(1)]
+            edges = [F(0)] + marker.marks(marker.total * p / d for p in range(1, d)) + [F(1)]
             _, start = min((measure_of(odd, _window_region(edges, s, b)), s) for s in range(d))
             report = special3_equal_pair(inst)
             assert _window_region(edges, start, b) in report.allocation.pieces[:2]
