@@ -1,9 +1,11 @@
 """Independent validation of allocations.
 
-This module never trusts the algorithm that produced an allocation: it
-re-evaluates every agent's value from the core measure machinery and checks
-the partition structure from scratch.  Malformed allocations are reported,
-not rejected.
+This module never trusts the algorithm that produced an allocation, nor
+the measure code the protocols use: it shares only the data types and
+``boundary_points`` with the library.  It values every piece with its own
+arithmetic, density times overlap length over the valuation's cells, and
+checks the partition structure in one sorted sweep.  Malformed allocations
+are reported, not rejected.
 """
 
 from __future__ import annotations
@@ -11,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import (
-    FULL_CAKE,
-    Allocation,
-    Instance,
-    boundary_points,
-    measure_of,
-)
+from .model import ONE, ZERO, Allocation, Instance, Interval, Valuation, boundary_points
 
 
 @dataclass(frozen=True)
@@ -39,10 +35,31 @@ class VerificationReport:
     messages: tuple[str, ...]
 
 
+_CAKE = (Interval(ZERO, ONE),)
+
+
+def _value(valuation: Valuation, intervals: tuple[Interval, ...]) -> Fraction:
+    """The value of ascending disjoint intervals: each cell's density times
+    its overlap with them, walking intervals and cells together."""
+    bps, dens = valuation.breakpoints, valuation.densities
+    value, j = ZERO, 0
+    for iv in intervals:
+        while bps[j + 1] <= iv.lo:
+            j += 1
+        while bps[j] < iv.hi:
+            if dens[j]:
+                value += dens[j] * (min(iv.hi, bps[j + 1]) - max(iv.lo, bps[j]))
+            j += 1
+        j -= 1  # the last cell met may hold the next interval's start
+    return value
+
+
 def verify_allocation(instance: Instance, allocation: Allocation) -> VerificationReport:
     """Check proportionality, pairwise interior-disjointness, and exact
     cover of [0, 1].  Zero-length gaps and overlaps cannot occur in
-    canonical regions, so the cover check is a plain region comparison."""
+    canonical regions, so the pieces cover the cake exactly when their
+    intervals, sorted, start at 0, leave no gap past the running reach,
+    and reach 1."""
     messages = []
     structure_ok = len(allocation.pieces) == instance.n
     if not structure_ok:
@@ -52,8 +69,9 @@ def verify_allocation(instance: Instance, allocation: Allocation) -> Verificatio
 
     agents = []
     for i in range(min(instance.n, len(allocation.pieces))):
-        value = measure_of(instance.valuations[i], allocation.pieces[i])
-        threshold = instance.entitlements[i] * instance.valuations[i].total
+        valuation = instance.valuations[i]
+        value = _value(valuation, allocation.pieces[i].intervals)
+        threshold = instance.entitlements[i] * _value(valuation, _CAKE)
         ok = value >= threshold
         if not ok:
             messages.append(f"agent {i + 1} got {value}, needs {threshold}")
@@ -65,9 +83,12 @@ def verify_allocation(instance: Instance, allocation: Allocation) -> Verificatio
         for iv in region.intervals
     )
     disjoint_ok = True
+    reach, gap = ZERO, False
     # every later interval that starts before a ends overlaps it, so a long
     # interval is reported against each piece it covers, not only the next
     for x, (a, i) in enumerate(tagged):
+        gap = gap or a.lo > reach
+        reach = max(reach, a.hi)
         y = x + 1
         while y < len(tagged) and tagged[y][0].lo < a.hi:
             b, j = tagged[y]
@@ -77,10 +98,7 @@ def verify_allocation(instance: Instance, allocation: Allocation) -> Verificatio
                 f"pieces of agents {i + 1} and {j + 1} overlap on [{b.lo}, {min(a.hi, b.hi)}]"
             )
 
-    covered = None
-    for region in allocation.pieces:
-        covered = region if covered is None else covered.union(region)
-    cover_ok = covered is not None and covered == FULL_CAKE
+    cover_ok = not gap and reach == ONE
     if not cover_ok:
         messages.append("pieces do not cover [0, 1] exactly")
 

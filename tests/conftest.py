@@ -28,6 +28,19 @@ def make_instance(valuations, entitlements) -> Instance:
     )
 
 
+def reference_cumulative(valuation: Valuation, x: Fraction) -> Fraction:
+    """The value of [0, x] by a linear scan: each cell's density times the
+    length of its part left of x.  It reads no prefix table and makes no
+    search, unlike ``Valuation.cumulatives``."""
+    bps, dens = valuation.breakpoints, valuation.densities
+    acc = Fraction(0)
+    for a, b, d in zip(bps, bps[1:], dens):
+        if x <= a:
+            break
+        acc += d * (min(b, x) - a)
+    return acc
+
+
 def reference_mark(valuation: Valuation, start: Fraction, target: Fraction) -> Fraction:
     """The leftmost x >= start with value exactly ``target`` on [start, x],
     by a linear scan: walk the cells from start's cell, summing their
