@@ -71,7 +71,11 @@ done
 # a speedup must keep the work the same, not only the bytes: one traced
 # certify pass makes exactly these LP calls, oracle systems, protocol cuts
 # and model calls, and one traced divide pass these LP calls, protocol cuts
-# and model calls
+# and model calls.  model.calls counts calls that enter the model layer from
+# another layer (the tracer's spans), not every model function call: the
+# marks one Valuation.marks call places count once, and the verifier, which
+# values pieces with its own arithmetic, adds one boundary_points call per
+# allocation
 echo "== LP call counts unchanged"
 python perfbench/run.py --workload certify --seed 1 --seconds 2 --trace 1 \
   | tee "$work/certify-trace.out"
@@ -92,7 +96,7 @@ for expected in \
   "feasibility.check_calls 744 count" \
   "feasibility.solve_calls 355 count" \
   "protocols.cuts 785 count" \
-  "model.calls 28376 count"
+  "model.calls 26976 count"
 do
   grep -Fx "$expected" "$work/divide-trace.out"
 done

@@ -8,7 +8,7 @@ All types are immutable values, so they are safe to share across threads.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -170,24 +170,17 @@ class Valuation:
     def total(self) -> Fraction:
         return self._prefix[-1]
 
-    def cumulative(self, x: Fraction) -> Fraction:
-        """Exact value of [0, x]."""
-        if not (ZERO <= x <= ONE):
-            raise ValueError(f"coordinate {x} outside [0, 1]")
-        j = bisect_right(self.breakpoints, x, 0, len(self.densities)) - 1
-        return self._prefix[j] + self.densities[j] * (x - self.breakpoints[j])
-
     def cumulatives(self, xs: Iterable[Fraction]) -> list[Fraction]:
-        """``cumulative`` at each of the ascending points ``xs``.
+        """The exact value of [0, x] at each of the ascending points ``xs``.
 
-        One pointer into the breakpoints only advances, where ``cumulative``
-        bisects for each point.  A point on a breakpoint, or in a cell of
-        density 0, takes the prefix table's value as it is."""
+        One pointer into the breakpoints only advances.  A point on a
+        breakpoint, or in a cell of density 0, takes the prefix table's
+        value as it is."""
         bps, dens, prefix = self.breakpoints, self.densities, self._prefix
         last = len(dens)  # j may reach it only at x = 1, a breakpoint
-        out, j = [], 0
+        out, j, previous = [], 0, ZERO
         for x in xs:
-            if not (bps[j] <= x <= ONE):
+            if not (previous <= x <= ONE):
                 raise ValueError(f"coordinate {x} outside [0, 1] or below an earlier point")
             while j < last and bps[j + 1] <= x:
                 j += 1
@@ -195,6 +188,7 @@ class Valuation:
                 out.append(prefix[j])
             else:
                 out.append(prefix[j] + dens[j] * (x - bps[j]))
+            previous = x
         return out
 
     def marks(self, goals: Iterable[Fraction]) -> list[Fraction]:
@@ -227,9 +221,11 @@ class Valuation:
 
 
 def measure_of(valuation: Valuation, region: Region) -> Fraction:
-    """Exact measure of a region; additive over disjoint regions, 0 on empty."""
-    return sum((valuation.cumulative(iv.hi) - valuation.cumulative(iv.lo)
-                for iv in region.intervals), ZERO)
+    """Exact measure of a region; additive over disjoint regions, 0 on empty.
+    A canonical region's endpoints ascend, so one ``cumulatives`` call reads
+    them all: the sum at the intervals' right ends less that at their left."""
+    ends = valuation.cumulatives(x for iv in region.intervals for x in (iv.lo, iv.hi))
+    return sum(ends[1::2], ZERO) - sum(ends[::2], ZERO)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from entitled_cuts.generate import random_instance
 from entitled_cuts.model import ONE, ZERO, Instance, measure_of
 from entitled_cuts.verifier import verify_allocation
 
-from conftest import make_instance, pw
+from conftest import make_instance, pw, reference_cumulative
 
 
 class TestLowerBoundFamily:
@@ -218,7 +218,7 @@ def _reference_certificate(instance, k, maps, sent=None):
     n = instance.n
     edges = sorted({b for v in instance.valuations for b in v.breakpoints})
     n_cells = len(edges) - 1
-    prefix = [[v.cumulative(e) for e in edges] for v in instance.valuations]
+    prefix = [[reference_cumulative(v, e) for e in edges] for v in instance.valuations]
     cell_density = [
         [v.densities[bisect_right(v.breakpoints, edges[c]) - 1] for c in range(n_cells)]
         for v in instance.valuations

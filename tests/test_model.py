@@ -17,7 +17,7 @@ from entitled_cuts.model import (
     parse_rational,
 )
 
-from conftest import pw, reference_mark, run_optimized
+from conftest import pw, reference_cumulative, reference_mark, run_optimized
 
 
 rationals = st.fractions(min_value=0, max_value=1, max_denominator=12)
@@ -117,6 +117,21 @@ class TestMeasure:
         r2 = Region([Interval(min(c, d), max(c, d))]).difference(r1)
         assert measure_of(v, r1.union(r2)) == measure_of(v, r1) + measure_of(v, r2)
 
+    def test_matches_reference_scan_on_plateaus(self):
+        # seeded valuations with runs of zero-density cells; regions of up to
+        # five intervals whose ends fall on breakpoints (0 and 1 among them)
+        # or between, with repeated ends making touching intervals merge
+        rng = random.Random(3003)
+        for trial in range(200):
+            v = seeded_plateau_valuation(rng)
+            points = [*v.breakpoints, *(F(rng.randint(0, 128), 128) for _ in range(4))]
+            ends = sorted(rng.choice(points) for _ in range(2 * rng.randint(1, 5)))
+            r = Region([Interval(a, b) for a, b in zip(ends[::2], ends[1::2])])
+            expected = sum((reference_cumulative(v, iv.hi) - reference_cumulative(v, iv.lo)
+                            for iv in r.intervals), F(0))
+            assert measure_of(v, r) == expected, trial
+            assert measure_of(v, region((0, 1))) == reference_cumulative(v, F(1)), trial
+
     def test_valuation_validation(self):
         with pytest.raises(ValueError):
             Valuation((F(0), F(1)), (F(-1),))
@@ -138,8 +153,8 @@ class TestMeasure:
 
 def mark_from(valuation, start, target):
     """The mark where the value from ``start`` reaches ``target > 0``,
-    through ``marks`` at the goal cumulative(start) + target."""
-    (mark,) = valuation.marks((valuation.cumulative(start) + target,))
+    through ``marks`` at the goal: the scan's value at start plus target."""
+    (mark,) = valuation.marks((reference_cumulative(valuation, start) + target,))
     return mark
 
 
@@ -220,7 +235,7 @@ class TestMarkRight:
         bps = v.breakpoints
         starts = sorted({*bps, *((a + b) / 2 for a, b in zip(bps, bps[1:]))})
         for start in starts:
-            remainder = v.total - v.cumulative(start)
+            remainder = v.total - reference_cumulative(v, start)
             if remainder:
                 for target in (remainder / 3, remainder):
                     assert mark_from(v, start, target) == reference_mark(v, start, target)
@@ -234,7 +249,7 @@ class TestMarkRight:
         mids = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
         start = data.draw(st.one_of(st.sampled_from(bps), st.sampled_from(mids),
                                     st.just(F(1)), rationals))
-        remainder = v.total - v.cumulative(start)
+        remainder = v.total - reference_cumulative(v, start)
         frac = data.draw(st.one_of(st.just(F(1)), rationals))
         target = frac * remainder
         if target:
@@ -244,10 +259,10 @@ class TestMarkRight:
            st.fractions(min_value=0, max_value=1, max_denominator=8))
     def test_mark_inverse(self, start, frac):
         v = pw("0 1/4 1/2 1", "1 0 2")
-        target = frac * (v.total - v.cumulative(start))
+        target = frac * (v.total - reference_cumulative(v, start))
         if target:
             mark = mark_from(v, start, target)
-            assert v.cumulative(mark) - v.cumulative(start) == target
+            assert reference_cumulative(v, mark) - reference_cumulative(v, start) == target
 
 
 class TestEqualMarks:
@@ -268,7 +283,7 @@ class TestEqualMarks:
         marks = [F(0)] + equal_share_marks(v, parts) + [F(1)]
         share = v.total / parts
         for lo, hi in zip(marks, marks[1:]):
-            assert v.cumulative(hi) - v.cumulative(lo) == share
+            assert reference_cumulative(v, hi) - reference_cumulative(v, lo) == share
 
     def test_matches_marks_from_zero(self):
         # the one pass from cell to cell gives exactly the reference scan's
@@ -296,24 +311,26 @@ class TestEqualMarks:
 
 class TestCumulatives:
     def test_matches_cumulative_per_point(self):
-        # seeded valuations with runs of zero-density cells; the points are
-        # ascending with repeats, and include 0, 1, every breakpoint, and
-        # the edges of a sub-cake component as a cell table lists them
+        # against the linear cell scan, on seeded valuations with runs of
+        # zero-density cells; the points are ascending with repeats, and
+        # include 0, 1, every breakpoint, and the edges of a sub-cake
+        # component as a cell table lists them
         rng = random.Random(3002)
         for trial in range(200):
             v = seeded_plateau_valuation(rng)
             bps = v.breakpoints
             drawn = [F(rng.randint(0, 128), 128) for _ in range(rng.randint(0, 20))]
             points = sorted([*drawn, *drawn[:3], *bps, F(0), F(1)])
-            assert v.cumulatives(points) == [v.cumulative(x) for x in points], trial
+            assert v.cumulatives(points) == [reference_cumulative(v, x) for x in points], trial
             lo, hi = sorted((F(rng.randint(0, 127), 128), F(rng.randint(1, 128), 128)))
             edges = [lo, *(b for b in bps if lo < b < hi), hi]
-            assert v.cumulatives(edges) == [v.cumulative(x) for x in edges], trial
+            assert v.cumulatives(edges) == [reference_cumulative(v, x) for x in edges], trial
 
     def test_no_points(self, uniform):
         assert uniform.cumulatives([]) == []
 
-    @pytest.mark.parametrize("points", [[F(-1, 2)], [F(3, 2)], [F(1, 2), F(1, 4)]])
+    @pytest.mark.parametrize("points", [[F(-1, 2)], [F(3, 2)], [F(1, 2), F(1, 4)],
+                                        [F(1, 2), F(2, 5)]])
     def test_points_outside_the_cake_or_out_of_order(self, points):
         v = pw("0 1/3 1", "0 3")
         with pytest.raises(ValueError, match="outside \\[0, 1\\] or below an earlier point"):

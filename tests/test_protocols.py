@@ -34,7 +34,7 @@ from entitled_cuts.protocols import (
 from entitled_cuts.split import DEFAULT_BUDGET
 from entitled_cuts.verifier import verify_allocation
 
-from conftest import make_instance, pw, reference_mark, run_optimized
+from conftest import make_instance, pw, reference_cumulative, reference_mark, run_optimized
 
 
 def region(*pairs):
@@ -221,7 +221,7 @@ def _reference_even_split(agents, lo, hi, valuations, assigned):
     marks = []
     for i in agents:
         v = valuations[i]
-        target = (v.cumulative(hi) - v.cumulative(lo)) * n_left / n
+        target = (reference_cumulative(v, hi) - reference_cumulative(v, lo)) * n_left / n
         marks.append((reference_mark(v, lo, target), i))
     marks.sort()
     split_at = marks[n_left - 1][0]
@@ -331,7 +331,7 @@ class TestMarksOncePerValuation:
         for lo, hi in ((F(1, 4), F(3, 4)), (F(1, 3), F(5, 6))):
             sub = Interval(lo, hi)
             self.assert_groups([hump, uniform], [3, 4], sub)
-            vals = [v for v in drawn if v.cumulative(hi) > v.cumulative(lo)]
+            vals = [v for v in drawn if reference_cumulative(v, hi) > reference_cumulative(v, lo)]
             self.assert_distinct([vals[i % len(vals)] for i in range(9)], sub)
             self.assert_groups(vals, [2 * i + 1 for i in range(len(vals))], sub)
 
@@ -360,7 +360,7 @@ class TestMarksOncePerValuation:
             vals = [random_valuation(rng, 4, 8) for _ in range(n)]
             lo, hi = sorted(rng.sample([F(k, 12) for k in range(13)], 2))
             sub = Interval(lo, hi)
-            if all(v.cumulative(hi) > v.cumulative(lo) for v in vals):
+            if all(reference_cumulative(v, hi) > reference_cumulative(v, lo) for v in vals):
                 self.assert_distinct(vals, sub)
             self.assert_distinct(vals)
 
