@@ -61,7 +61,7 @@ def _env_budget() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise FormatError(f"ENTITLED_CUTS_BUDGET must be a positive integer, got {raw!r}")
+        value = 0
     if value <= 0:
         raise FormatError(f"ENTITLED_CUTS_BUDGET must be a positive integer, got {raw!r}")
     return value

@@ -70,42 +70,34 @@ def upper_bound_cuts(n: int) -> int:
     return 2 * n * log2 - 2 * nhat + 2
 
 
-def _split_two_ways(agents: Sequence[int], weights: Sequence[Fraction], subcake: Region,
-                    valuations: Sequence[Valuation], out: dict, budget: int,
-                    cuts: set, limit: float) -> bool:
-    """Consensus-split recursion: first floor(n/2) agents (by position) get a
-    region worth exactly their weight share to everyone, then recurse.
-
-    Every endpoint of a split's part inside (0, 1) is a cut of the final
-    allocation: one side goes to the part's group, the other to the
-    complement's group or lies outside the sub-cake, whose ends are earlier
-    cuts.  Each split adds these endpoints to ``cuts``; once ``cuts`` holds
-    more than ``limit`` points, the recursion stops and returns False."""
-    if len(agents) == 1:
-        out[agents[0]] = subcake
-        return True
-    n_a = len(agents) // 2
-    ratio = sum(weights[:n_a], ZERO) / sum(weights, ZERO)
-    group_vals = tuple(valuations[i] for i in agents)
-    part, complement = exact_split(group_vals, subcake, ratio, budget=budget)
-    cuts.update(x for iv in part.intervals for x in (iv.lo, iv.hi) if ZERO < x < ONE)
-    if len(cuts) > limit:
-        return False
-    return (
-        _split_two_ways(agents[:n_a], weights[:n_a], part, valuations, out, budget, cuts, limit)
-        and _split_two_ways(agents[n_a:], weights[n_a:], complement, valuations, out, budget,
-                            cuts, limit)
-    )
-
-
 def _recursive(instance: Instance, budget: int, limit: float) -> Optional[AlgorithmReport]:
     """The recursive report, or None once it provably has more than
-    ``limit`` cuts."""
+    ``limit`` cuts.
+
+    Each split gives the first floor(n/2) agents of its group (by index) a
+    region worth exactly their share of the group's entitlement to everyone,
+    then recurses on both sides.  Every endpoint of a split's part inside
+    (0, 1) is a cut of the final allocation: one side goes to the part's
+    group, the other to the complement's group or lies outside the sub-cake,
+    whose ends are earlier cuts.  Each split adds these endpoints to
+    ``cuts``; once ``cuts`` holds more than ``limit`` points, the recursion
+    stops."""
+    entitlements, valuations = instance.entitlements, instance.valuations
     pieces: dict[int, Region] = {}
-    if not _split_two_ways(
-        list(range(instance.n)), list(instance.entitlements), FULL_CAKE,
-        instance.valuations, pieces, budget, set(), limit,
-    ):
+    cuts: set[Fraction] = set()
+
+    def split(agents: range, subcake: Region) -> bool:
+        if len(agents) == 1:
+            pieces[agents[0]] = subcake
+            return True
+        first, rest = agents[:len(agents) // 2], agents[len(agents) // 2:]
+        ratio = sum(entitlements[i] for i in first) / sum(entitlements[i] for i in agents)
+        group_vals = tuple(valuations[i] for i in agents)
+        part, complement = exact_split(group_vals, subcake, ratio, budget=budget)
+        cuts.update(x for iv in part.intervals for x in (iv.lo, iv.hi) if ZERO < x < ONE)
+        return len(cuts) <= limit and split(first, part) and split(rest, complement)
+
+    if not split(range(instance.n), FULL_CAKE):
         return None
     return _report(instance, pieces, "recursive", upper_bound_cuts(instance.n))
 

@@ -29,28 +29,21 @@ class FormatError(EntitledCutsError, ValueError):
     """A document does not match the expected schema."""
 
 
-def _rational_field(obj, key):
-    value = obj.get(key)
+def _rational(value, label):
+    """The rational a document's string holds; errors name ``label``."""
     if not isinstance(value, str):
-        raise FormatError(f"{key!r} must be a rational string, got {value!r}")
+        raise FormatError(f"{label} must be a rational string, got {value!r}")
     try:
         return parse_rational(value)
     except ValueError as exc:
-        raise FormatError(str(exc)) from None
+        raise FormatError(f"{label}: {exc}") from None
 
 
 def _rational_list(values, label):
     if not isinstance(values, list):
         raise FormatError(f"{label} must be a list of rational strings")
-    out = []
-    for v in values:
-        if not isinstance(v, str):
-            raise FormatError(f"{label} entries must be rational strings, got {v!r}")
-        try:
-            out.append(parse_rational(v))
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
-    return out
+    entry = f"{label} entry"
+    return [_rational(v, entry) for v in values]
 
 
 def instance_to_document(instance: Instance) -> dict:
@@ -85,7 +78,7 @@ def parse_instance_document(doc) -> Instance:
             valuations.append(Valuation(tuple(bps), tuple(dens)))
         except ValueError as exc:
             raise FormatError(f"invalid valuation: {exc}") from None
-        entitlements.append(_rational_field(agent, "entitlement"))
+        entitlements.append(_rational(agent.get("entitlement"), "'entitlement'"))
     # the cake is the interval [0, 1]: no protocol, cut count or oracle
     # treats it as a circle, so a "pie" would be counted as an interval
     topology = doc.get("topology")
@@ -128,11 +121,9 @@ def parse_allocation_document(doc) -> tuple[Allocation, str]:
         for pair in ivs:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise FormatError("each interval must be a [lo, hi] pair")
-            lo, hi = pair
-            if not (isinstance(lo, str) and isinstance(hi, str)):
-                raise FormatError("interval endpoints must be rational strings")
+            lo, hi = (_rational(x, "interval endpoint") for x in pair)
             try:
-                intervals.append(Interval(parse_rational(lo), parse_rational(hi)))
+                intervals.append(Interval(lo, hi))
             except ValueError as exc:
                 raise FormatError(str(exc)) from None
         if idx in by_agent:

@@ -1,11 +1,11 @@
 """Independent validation of allocations.
 
 This module never trusts the algorithm that produced an allocation, nor
-the measure code the protocols use: it shares only the data types and
-``boundary_points`` with the library.  It values every piece with its own
-arithmetic, density times overlap length over the valuation's cells, and
-checks the partition structure in one sorted sweep.  Malformed allocations
-are reported, not rejected.
+the measure code the protocols use: it shares only the data types with
+the library.  It values every piece with its own arithmetic, density times
+overlap length over the valuation's cells, checks the partition structure
+in one sweep over the pieces' sorted intervals, and takes the cuts from
+those intervals' ends.  Malformed allocations are reported, not rejected.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ONE, ZERO, Allocation, Instance, Interval, Valuation, boundary_points
+from .model import ONE, ZERO, Allocation, Instance, Interval, Valuation
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def verify_allocation(instance: Instance, allocation: Allocation) -> Verificatio
     if not cover_ok:
         messages.append("pieces do not cover [0, 1] exactly")
 
-    cuts = boundary_points(allocation)
+    cuts = tuple(sorted({x for iv, _ in tagged for x in (iv.lo, iv.hi)} - {ZERO, ONE}))
     passed = structure_ok and disjoint_ok and cover_ok and bool(agents) and all(
         a.ok for a in agents
     )

@@ -105,6 +105,31 @@ class TestSerialization:
         with pytest.raises(FormatError):
             parse_allocation_document({"pieces": pieces})
 
+    @pytest.mark.parametrize("bad", [1, "one"], ids=["not-a-string", "unparsable"])
+    @pytest.mark.parametrize("name,doc,path", [
+        ("'entitlement'", 0, ("agents", 1, "entitlement")),
+        ("breakpoints entry", 0, ("agents", 1, "breakpoints", 1)),
+        ("densities entry", 0, ("agents", 1, "densities", 0)),
+        ("interval endpoint", 1, ("pieces", 1, 1, 0, 1)),
+    ])
+    def test_bad_rational_names_its_field(self, tmp_path, capsys, uniform, name, doc, path, bad):
+        docs = (
+            instance_to_document(make_instance([uniform, uniform], ["1/2", "1/2"])),
+            {"pieces": [[0, [["0", "1/2"]]], [1, [["1/2", "1"]]]], "algorithm": ""},
+        )
+        *keys, last = path
+        target = docs[doc]
+        for key in keys:
+            target = target[key]
+        target[last] = bad
+        with pytest.raises(FormatError, match=name):
+            (parse_instance_document, parse_allocation_document)[doc](docs[doc])
+        files = [tmp_path / "i.json", tmp_path / "a.json"]
+        for file, d in zip(files, docs):
+            file.write_text(dumps(d))
+        assert main(["verify", *map(str, files)]) == 1
+        assert name in capsys.readouterr().err
+
 
 class TestGen:
     def test_lower_bound_matches_library(self, tmp_path, capsys):

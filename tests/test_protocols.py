@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from fractions import Fraction as F
-from math import lcm
+from math import inf, lcm
 
 import pytest
 
@@ -10,6 +10,7 @@ import entitled_cuts.protocols as protocols_mod
 from entitled_cuts.errors import BudgetExceeded, InternalCheckFailed, PreconditionViolated
 from entitled_cuts.generate import random_instance, random_valuation
 from entitled_cuts.model import (
+    FULL_CAKE,
     Allocation,
     Instance,
     Interval,
@@ -780,3 +781,57 @@ class TestAutoSolveStopsTheLosingRecursion:
         with pytest.raises(BudgetExceeded):
             _reference_auto_solve(inst)
         assert len(requests) == 3
+
+
+def _reference_split_two_ways(agents, weights, subcake, valuations, out, budget, cuts, limit):
+    """The recursion as a module-level function that threads the instance's
+    weights and valuations, the pieces, the budget, the cut set and the
+    limit through every call."""
+    if len(agents) == 1:
+        out[agents[0]] = subcake
+        return True
+    n_a = len(agents) // 2
+    ratio = sum(weights[:n_a], F(0)) / sum(weights, F(0))
+    group_vals = tuple(valuations[i] for i in agents)
+    part, complement = protocols_mod.exact_split(group_vals, subcake, ratio, budget=budget)
+    cuts.update(x for iv in part.intervals for x in (iv.lo, iv.hi) if 0 < x < 1)
+    if len(cuts) > limit:
+        return False
+    return (
+        _reference_split_two_ways(agents[:n_a], weights[:n_a], part, valuations, out, budget,
+                                  cuts, limit)
+        and _reference_split_two_ways(agents[n_a:], weights[n_a:], complement, valuations, out,
+                                      budget, cuts, limit)
+    )
+
+
+def _reference_recursive(instance, budget, limit):
+    pieces = {}
+    if not _reference_split_two_ways(
+        list(range(instance.n)), list(instance.entitlements), FULL_CAKE,
+        instance.valuations, pieces, budget, set(), limit,
+    ):
+        return None
+    allocation = Allocation(tuple(pieces.get(i, Region()) for i in range(instance.n)))
+    return AlgorithmReport(allocation, boundary_points(allocation), "recursive",
+                           upper_bound_cuts(instance.n))
+
+
+class TestRecursionMatchesThreadedReference:
+    """The recursion reads the instance and keeps its pieces and cut set in
+    one place; it makes the same splits, in the same order, and returns the
+    same report (or None) as the version that threads them through every
+    call."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_seeded_pools(self, monkeypatch, n):
+        requests = _counting_splits(monkeypatch)
+        for seed in range(12):
+            inst = random_instance(n, seed)
+            for limit in sorted({0, 1, len(clone_divide(inst).cuts), inf}):
+                report = protocols_mod._recursive(inst, DEFAULT_BUDGET, limit)
+                made = list(requests)
+                requests.clear()
+                assert _reference_recursive(inst, DEFAULT_BUDGET, limit) == report
+                assert requests == made and (made or n == 1)
+                requests.clear()

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from entitled_cuts import model
+from entitled_cuts import model, verifier
 from entitled_cuts.generate import random_instance
 from entitled_cuts.model import FULL_CAKE, Allocation, Interval, Region, Valuation, boundary_points
 from entitled_cuts.protocols import auto_solve, clone_divide, recursive_divide
@@ -221,11 +221,12 @@ def _raise(*args, **kwargs):
 
 
 def test_verifier_shares_no_measure_code(monkeypatch):
-    # reports taken before every measure and region routine of the model,
-    # and every valuation's prefix table, are broken
+    # reports taken before every measure, region and cut routine of the
+    # model, and every valuation's prefix table, are broken
     cases = _protocol_outputs(9300, 12) + _malformed_pool(9400, 200)
     expected = [_reference_verify(inst, allocation) for inst, allocation in cases]
     monkeypatch.setattr(model, "measure_of", _raise)
+    monkeypatch.setattr(model, "boundary_points", _raise)
     monkeypatch.setattr(Valuation, "cumulatives", _raise)
     monkeypatch.setattr(Valuation, "marks", _raise)
     monkeypatch.setattr(Valuation, "total", property(_raise))
@@ -235,3 +236,12 @@ def test_verifier_shares_no_measure_code(monkeypatch):
             object.__setattr__(v, "_prefix", None)
     for (inst, allocation), report in zip(cases, expected):
         assert verify_allocation(inst, allocation) == report
+
+
+def test_verifier_binds_only_the_models_data_types():
+    # Fraction, dataclass and annotations come from the standard library,
+    # which the model imports too
+    shared = {name for name, obj in vars(verifier).items()
+              if not name.startswith("__") and getattr(model, name, None) is obj}
+    assert shared <= {"Allocation", "Instance", "Interval", "Region", "Valuation", "ONE", "ZERO",
+                      "Fraction", "dataclass", "annotations"}
