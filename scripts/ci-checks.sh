@@ -50,12 +50,14 @@ cli verify "$work/r6.json" "$work/r6.recursive.json" | tee "$work/r6.recursive.o
 grep -Fx "PASS" "$work/r6.recursive.out"
 
 # a speedup must keep the output bytes: the n = 8 certificate and the
-# recursive six-agent allocation are the witnesses the LP returned, and
-# every benchmark workload still prints the digest of the files it writes
+# recursive six-agent allocation are the witnesses the LP returned, the
+# six-agent allocation auto returns is cloning's, and every benchmark
+# workload still prints the digest of the files it writes
 echo "== Output bytes unchanged"
 (cd "$work" && sha256sum -c) <<'SUMS'
 86307dea4d7aa203e8415fc2f70a2c2f98a7a70669272d69b13589746ff709a8  lb8.certificate.json
 e4d66060d4cc439c0e75c673d669367d947c32dc81527b9bc091fbb327e3ebf6  r6.recursive.json
+8085e36bef680df8d6dab732f7883e3518fc33c7eb4dee736d4e1dcd794a4956  r6.allocation.json
 SUMS
 for expected in \
   divide:9ee8fdc55a23bc5291b39f9068711901a5fa3b2f18a845b6fddf8a622d09c278 \
@@ -84,7 +86,7 @@ for expected in \
   "feasibility.solve_calls 525 count" \
   "bounds.systems_examined 8548 count" \
   "protocols.cuts 502 count" \
-  "model.calls 15930 count"
+  "model.calls 12517 count"
 do
   grep -Fx "$expected" "$work/certify-trace.out"
 done
@@ -95,7 +97,7 @@ for expected in \
   "feasibility.check_calls 744 count" \
   "feasibility.solve_calls 355 count" \
   "protocols.cuts 785 count" \
-  "model.calls 26776 count"
+  "model.calls 25098 count"
 do
   grep -Fx "$expected" "$work/divide-trace.out"
 done

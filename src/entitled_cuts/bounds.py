@@ -369,13 +369,11 @@ def _oracle_system(table, cells, assign):
 
 
 def _allocation_from_cuts(n: int, cuts: Sequence[Fraction], assign: Sequence[int]) -> Allocation:
-    points = [ZERO] + list(cuts) + [ONE]
-    pieces: dict[int, Region] = {}
+    points = [ZERO, *cuts, ONE]
+    pieces = [[] for _ in range(n)]
     for j, owner in enumerate(assign):
-        lo, hi = points[j], points[j + 1]
-        if lo < hi:
-            pieces[owner] = pieces.get(owner, Region()).union(Region([Interval(lo, hi)]))
-    return Allocation(tuple(pieces.get(i, Region()) for i in range(n)))
+        pieces[owner].append(Interval(points[j], points[j + 1]))
+    return Allocation(tuple(map(Region, pieces)))
 
 
 def min_cuts(

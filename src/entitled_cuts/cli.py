@@ -8,8 +8,9 @@ Subcommands:
   bench     CSV comparison of the general protocols over seeded instances
 
 Exit codes: 0 success, 1 invalid input, 2 internal verification failure
-(or a failed internal post-condition), 3 work budget exceeded,
-4 verification reported a failure.
+(an allocation from solve, or a min-cuts witness, that fails the verifier
+or has too many cuts; nothing is written) or a failed internal
+post-condition, 3 work budget exceeded, 4 verification reported a failure.
 The environment variable ENTITLED_CUTS_BUDGET (positive integer) overrides
 the work budget of each split and each oracle decision (see cells.Work).
 """
@@ -99,15 +100,28 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _verify_own(instance: Instance, allocation, max_cuts: int):
+    """The verifier's report on an allocation this program made, or None
+    after printing to stderr why it fails or has more than ``max_cuts``
+    cuts."""
+    verification = verify_allocation(instance, allocation)
+    messages = list(verification.messages)
+    if len(verification.cuts) > max_cuts:
+        messages.append(f"{len(verification.cuts)} cuts exceed the bound {max_cuts}")
+    if verification.passed and not messages:
+        return verification
+    print("internal verification failed:", file=sys.stderr)
+    for msg in messages:
+        print(f"  {msg}", file=sys.stderr)
+    return None
+
+
 def cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
     budget = _env_budget()
     report = ALGORITHMS[args.algorithm](instance, budget)
-    verification = verify_allocation(instance, report.allocation)
-    if not verification.passed:
-        print("internal verification failed:", file=sys.stderr)
-        for msg in verification.messages:
-            print(f"  {msg}", file=sys.stderr)
+    verification = _verify_own(instance, report.allocation, report.bound)
+    if verification is None:
         return EXIT_INTERNAL_VERIFY
     out_path = args.output or str(Path(args.instance).with_suffix(".allocation.json"))
     _write(dumps(allocation_to_document(report.allocation, report.algorithm)), out_path)
@@ -155,6 +169,8 @@ def cmd_min_cuts(args) -> int:
         else:
             print(f"k={cert.k}: infeasible (all {cert.systems_examined} combinations ruled out)")
     if cert.feasible:
+        if _verify_own(instance, cert.allocation, cert.k) is None:
+            return EXIT_INTERNAL_VERIFY
         print(f"min cuts = {cert.k}")
     else:
         print(f"min cuts: not found within k-max {args.k_max}")

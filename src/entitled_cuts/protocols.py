@@ -108,59 +108,60 @@ def recursive_divide(instance: Instance, budget: int = DEFAULT_BUDGET) -> Algori
     return _recursive(instance, budget, inf)
 
 
-def _even_split(groups, lo, hi, valuations, pieces):
+def _even_split(groups, lo, hi, valuations):
     """Even-Paz divide and conquer (Even and Paz 1984) of [lo, hi] over
-    clone groups: ``groups`` holds (agent, clone count) pairs in agent
-    order, n clones in all, and each group marks once per round where its
-    agent values [lo, mark] at floor(n/2)/n of [lo, hi].  A group reads
-    its agent's running values at lo and hi with one ``cumulatives`` call
-    and its mark with one ``marks`` call; a group that values [lo, hi] at
-    0 marks lo.  The first floor(n/2) clones, in (mark, agent) order, go
-    left, so only the group straddling the split point is divided.  Each
-    clone gets one interval worth at least 1/n of the sub-cake to its
-    agent, and at most n-1 cuts are made.  A sub-cake held by a single
-    group goes whole to its agent, joining the agent's piece."""
-    if len(groups) == 1:
-        agent = groups[0][0]
-        piece = Region([Interval(lo, hi)])
-        pieces[agent] = pieces[agent].union(piece) if agent in pieces else piece
-        return
-    n = sum(count for _, count in groups)
-    n_left = n // 2
-    marks = []
-    for i, count in groups:
-        v = valuations[i]
-        at_lo, at_hi = v.cumulatives((lo, hi))
-        if at_lo == at_hi:
-            mark = lo
-        else:
-            (mark,) = v.marks((at_lo + (at_hi - at_lo) * n_left / n,))
-        marks.append((mark, i, count))
-    marks.sort()
-    left, right = [], []
-    short = n_left  # clones the left side still lacks
-    for mark, i, count in marks:
-        take = min(count, short)
-        if take:
-            left.append((i, take))
-            short -= take
-            if not short:
-                split_at = mark
-        if count > take:
-            right.append((i, count - take))
-    _even_split(sorted(left), lo, split_at, valuations, pieces)
-    _even_split(sorted(right), split_at, hi, valuations, pieces)
+    clone groups, as {agent: [Interval]}.  ``groups`` holds one (agent,
+    clone count) pair per agent, n clones in all.  Each sub-cake on the
+    work list is divided once: every group marks where its agent values
+    [lo, mark] at floor(n/2)/n of [lo, hi], reading the running values at
+    lo and hi with one ``cumulatives`` call and the mark with one
+    ``marks`` call; a group that values [lo, hi] at 0 marks lo.  The first
+    floor(n/2) clones, in (mark, agent) order, go left, so only the group
+    straddling the split point is divided.  Each clone gets one interval
+    worth at least 1/n of the sub-cake to its agent, at most n-1 cuts are
+    made, and a sub-cake held by a single group goes whole to its agent."""
+    pieces, work = {i: [] for i, _ in groups}, [(groups, lo, hi)]
+    while work:
+        groups, lo, hi = work.pop()
+        if len(groups) == 1:
+            pieces[groups[0][0]].append(Interval(lo, hi))
+            continue
+        n = sum(count for _, count in groups)
+        n_left = n // 2
+        marks = []
+        for i, count in groups:
+            v = valuations[i]
+            at_lo, at_hi = v.cumulatives((lo, hi))
+            if at_lo == at_hi:
+                mark = lo
+            else:
+                (mark,) = v.marks((at_lo + (at_hi - at_lo) * n_left / n,))
+            marks.append((mark, i, count))
+        marks.sort()
+        left, right = [], []
+        short = n_left  # clones the left side still lacks
+        for mark, i, count in marks:
+            take = min(count, short)
+            if take:
+                left.append((i, take))
+                short -= take
+                if not short:
+                    split_at = mark
+            if count > take:
+                right.append((i, count - take))
+        work += ((left, lo, split_at), (right, split_at, hi))
+    return pieces
 
 
 def clone_divide(instance: Instance) -> AlgorithmReport:
     """Replicate each agent by its entitlement numerator over the common
-    denominator D, divide equally among the D clones, then merge each
-    agent's clone pieces.  Uses at most D-1 cuts.  An agent's clones are
-    a count, so the work grows with n*log(D), not with D."""
+    denominator D, divide equally among the D clones, and make each agent's
+    region from its clone pieces.  Uses at most D-1 cuts.  The clones are
+    counts, so the work grows with n*log(D) for any denominator D."""
     denominator = lcm(*(t.denominator for t in instance.entitlements))
     copies = [int(t * denominator) for t in instance.entitlements]
-    pieces: dict[int, Region] = {}
-    _even_split(list(enumerate(copies)), ZERO, ONE, instance.valuations, pieces)
+    split = _even_split(list(enumerate(copies)), ZERO, ONE, instance.valuations)
+    pieces = {i: Region(intervals) for i, intervals in split.items()}
     return _report(instance, pieces, "clone", denominator - 1)
 
 
@@ -217,11 +218,11 @@ def special3_half(instance: Instance, budget: int = DEFAULT_BUDGET) -> Algorithm
         (instance.valuations[first], instance.valuations[second]), FULL_CAKE,
         2 * instance.entitlements[first], budget=budget,
     )
-    pieces: dict[int, Region] = {half_idx: Region()}
+    pieces, taken = {}, []
     for i, stage in ((first, part), (second, complement)):
-        kept, taken = cut_and_choose(instance.valuations[i], chooser, stage)
-        pieces[i] = kept
-        pieces[half_idx] = pieces[half_idx].union(taken)
+        pieces[i], half_part = cut_and_choose(instance.valuations[i], chooser, stage)
+        taken += half_part.intervals
+    pieces[half_idx] = Region(taken)
     return _report(instance, pieces, "special3-half", 4)
 
 

@@ -179,6 +179,8 @@ class TestMinCuts:
 
     def test_negative_k_max(self, uniform):
         inst = make_instance([uniform], [1])
+        with pytest.raises(ValueError, match="cut budget must be nonnegative"):
+            feasible_with_k_cuts(inst, -1)
         with pytest.raises(ValueError):
             min_cuts(inst, -1)
         with pytest.raises(ValueError):  # at the call, before any iteration

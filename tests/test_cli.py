@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from entitled_cuts.bounds import gen_lower_bound_instance
 from entitled_cuts.cli import main
 from entitled_cuts.generate import random_instance
-from entitled_cuts.model import FULL_CAKE
+from entitled_cuts.model import FULL_CAKE, Allocation, Interval, Region
 from entitled_cuts.serialize import (
     FormatError,
     dumps,
@@ -148,6 +148,12 @@ class TestGen:
         assert main(["gen", "--random", "2", "--denom-bound", "1"]) == 1
         assert "denom_bound" in capsys.readouterr().err
 
+    def test_random_instance_checks_its_arguments(self):
+        with pytest.raises(ValueError, match="at least one agent"):
+            random_instance(0, 0)
+        with pytest.raises(ValueError, match="max_cells must be at least 1"):
+            random_instance(2, 0, max_cells=0)
+
     def test_stdout_default(self, capsys):
         assert main(["gen", "--random", "2", "--seed", "1"]) == 0
         doc = loads(capsys.readouterr().out)
@@ -281,6 +287,19 @@ class TestSolve:
         assert out[0] == "algorithm: near-equal"
         assert "cuts (1 of bound 2): 999999999/2000000000" in out
 
+    def test_entitlement_of_two_to_the_minus_1200(self, tmp_path, capsys, uniform):
+        # the Even-Paz split takes about 1200 rounds here, as a loop: no
+        # recursion limit applies
+        tiny = F(1, 2**1200)
+        inst = make_instance([uniform, pw("0 1/3 1", "2 1/2")], [tiny, 1 - tiny])
+        inst_path = write_instance(tmp_path / "i.json", inst)
+        out = tmp_path / "a.json"
+        assert main(["solve", inst_path, "-o", str(out)]) == 0
+        assert main(["verify", inst_path, str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "PASS"
+        assert captured.err == ""
+
     def test_failed_internal_verification_exit_2(self, tmp_path, monkeypatch, uniform):
         import entitled_cuts.cli as cli_mod
         from entitled_cuts.verifier import VerificationReport
@@ -331,6 +350,15 @@ class TestVerify:
         }))
         assert main(["verify", inst_path, str(bad)]) == 4
         assert "overlap" in capsys.readouterr().out
+
+    def test_intervals_not_a_list_exit_1(self, tmp_path, capsys, uniform):
+        inst_path = write_instance(tmp_path / "i.json", make_instance([uniform], [1]))
+        bad = tmp_path / "bad.json"
+        bad.write_text(dumps({"pieces": [[0, "0..1"]], "algorithm": "none"}))
+        assert main(["verify", inst_path, str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: intervals must be a list\n"
+        assert captured.out == ""
 
     def test_parse_error_exit_1(self, tmp_path, uniform):
         inst_path = write_instance(tmp_path / "i.json", make_instance([uniform], [1]))
@@ -416,6 +444,45 @@ class TestMinCuts:
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["i.json"]
 
+    def test_witness_failing_the_verifier_exit_2(self, tmp_path, monkeypatch, capsys):
+        # the witness is verified before the certificate is written: an
+        # oracle that hands agent 1's piece to agent 2 is caught
+        import entitled_cuts.bounds as bounds_mod
+
+        real = bounds_mod._allocation_from_cuts
+
+        def shortchange(n, cuts, assign):
+            first, second, *rest = real(n, cuts, assign).pieces
+            return Allocation((Region(), first.union(second), *rest))
+
+        monkeypatch.setattr(bounds_mod, "_allocation_from_cuts", shortchange)
+        inst_path = write_instance(tmp_path / "i.json", gen_lower_bound_instance(2))
+        cert = tmp_path / "c.json"
+        assert main(["min-cuts", inst_path, "--k-max", "3", "-o", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("internal verification failed:\n  agent 1 got 0, needs ")
+        assert "min cuts" not in captured.out
+        assert not cert.exists()
+
+    def test_witness_over_k_cuts_exit_2(self, tmp_path, monkeypatch, capsys, uniform):
+        # a fair partition with more cuts than k is no witness for k
+        import entitled_cuts.bounds as bounds_mod
+
+        ends = [F(k, 4) for k in range(5)]
+        quarters = Allocation(tuple(
+            Region(Interval(*ends[j:j + 2]) for j in (i, i + 2)) for i in (0, 1)
+        ))
+        monkeypatch.setattr(bounds_mod, "_allocation_from_cuts", lambda *a: quarters)
+        inst_path = write_instance(
+            tmp_path / "i.json", make_instance([uniform, uniform], ["1/2", "1/2"])
+        )
+        cert = tmp_path / "c.json"
+        assert main(["min-cuts", inst_path, "--k-max", "2", "-o", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "internal verification failed:\n  3 cuts exceed the bound 1\n"
+        assert "k=1: feasible" in captured.out
+        assert not cert.exists()
+
     def test_env_budget_cap_exit_3(self, tmp_path, monkeypatch):
         inst_path = write_instance(tmp_path / "i.json", gen_lower_bound_instance(3))
         monkeypatch.setenv("ENTITLED_CUTS_BUDGET", "5")
@@ -453,6 +520,7 @@ class TestBench:
         ["--n-range", "2..3", "--seeds", "1", "--max-cells", "0"],
         ["--n-range", "2..3", "--seeds", "1", "--denom-bound", "1"],
         ["--n-range", "2..3", "--seeds", "-1"],
+        ["--n-range", "a..3", "--seeds", "1"],
     ])
     def test_bad_arguments_write_no_csv(self, argv, capsys):
         # checked before the header: `bench ... > bench.csv` must not leave

@@ -141,6 +141,8 @@ class TestMeasure:
             Valuation((F(0), F(1, 2), F(1, 2), F(1)), (F(1), F(1), F(1)))
         with pytest.raises(ValueError):
             Valuation((F(1, 4), F(1)), (F(1),))  # must start at 0
+        with pytest.raises(ValueError, match="at least one cell"):
+            Valuation((F(0),), ())
 
     def test_valuation_spans_the_cake(self):
         with pytest.raises(ValueError, match="last breakpoint must be 1"):
@@ -360,6 +362,14 @@ class TestCutCount:
 
 
 class TestInstance:
+    def test_needs_one_valuation_per_entitlement(self, uniform):
+        with pytest.raises(ValueError, match="at least one agent"):
+            Instance((), ())
+        with pytest.raises(ValueError, match="one entitlement per valuation"):
+            Instance((uniform, uniform), (F(1),))
+        with pytest.raises(ValueError, match="one entitlement per valuation"):
+            Instance((uniform,), (F(1, 2), F(1, 2)))
+
     def test_entitlements_must_sum_to_one(self, uniform):
         with pytest.raises(ValueError):
             Instance((uniform, uniform), (F(1), F(1)))

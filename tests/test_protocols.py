@@ -268,20 +268,19 @@ class TestMarksOncePerValuation:
 
     WHOLE = Interval(F(0), F(1))
 
+    @staticmethod
+    def regions(groups, subcake, vals):
+        split = protocols_mod._even_split(groups, subcake.lo, subcake.hi, vals)
+        return {i: Region(intervals) for i, intervals in split.items()}
+
     def assert_groups(self, vals, counts, subcake=WHOLE):
-        pieces = {}
-        protocols_mod._even_split(
-            list(enumerate(counts)), subcake.lo, subcake.hi, vals, pieces
-        )
+        pieces = self.regions(list(enumerate(counts)), subcake, vals)
         assert pieces == _reference_pieces(vals, counts, subcake.lo, subcake.hi)
 
     def assert_distinct(self, vals, subcake=WHOLE):
         assigned = {}
         _reference_even_split(list(range(len(vals))), subcake.lo, subcake.hi, vals, assigned)
-        pieces = {}
-        protocols_mod._even_split(
-            [(i, 1) for i in range(len(vals))], subcake.lo, subcake.hi, vals, pieces
-        )
+        pieces = self.regions([(i, 1) for i in range(len(vals))], subcake, vals)
         assert pieces == {i: Region([iv]) for i, iv in assigned.items()}
 
     def test_clone_lists(self, uniform):
@@ -321,8 +320,7 @@ class TestMarksOncePerValuation:
         half = Interval(F(0), F(1, 2))
         self.assert_distinct([right, left], half)
         self.assert_groups([right, left, right], [2, 3, 1], half)
-        pieces = {}
-        protocols_mod._even_split([(0, 1), (1, 1)], half.lo, half.hi, [right, left], pieces)
+        pieces = self.regions([(0, 1), (1, 1)], half, [right, left])
         assert pieces == {0: Region(), 1: Region([half])}
 
     def test_sub_interval(self, uniform):
@@ -423,6 +421,19 @@ class TestCloneDivide:
             assert verify_allocation(inst, report.allocation).passed
 
 
+    def test_three_agents_at_two_to_the_2000(self, uniform):
+        # the Even-Paz split runs about 2000 rounds as one loop, with no
+        # recursion, so any denominator works
+        d = 2**2000
+        inst = make_instance(
+            [uniform, pw("0 1/2 1", "2 0"), pw("0 1/3 1", "1/2 5/4")],
+            [F(1, d), F(d // 2 - 1, d), F(1, 2)],
+        )
+        report = clone_divide(inst)
+        assert report.bound == d - 1
+        assert verify_allocation(inst, report.allocation).passed
+
+
 class TestCutAndChoose:
     def test_tie_gives_chooser_the_left(self, uniform):
         owner_part, chooser_part = cut_and_choose(uniform, uniform, region((0, 1)))
@@ -441,6 +452,10 @@ class TestCutAndChoose:
         assert owner_part == region((0, F(1, 4)))
         assert chooser_part == region((F(1, 4), 1))
         assert measure_of(uniform, chooser_part) == F(3, 4)
+
+    def test_owner_valuing_the_piece_at_zero_rejected(self, uniform):
+        with pytest.raises(ValueError, match="owner must value the piece positively"):
+            cut_and_choose(pw("0 1/2 1", "2 0"), uniform, region((F(1, 2), 1)))
 
     def test_disconnected_piece_halved_with_one_cut(self, uniform):
         # the piece is worth 3/4; half of it, 3/8, is reached at 5/8
@@ -475,6 +490,8 @@ class TestSpecial3Half:
     def test_requires_a_half_entitlement(self, uniform):
         with pytest.raises(PreconditionViolated):
             special3_half(make_instance([uniform] * 3, ["1/3", "1/3", "1/3"]))
+        with pytest.raises(PreconditionViolated, match="exactly three agents"):
+            special3_half(make_instance([uniform] * 2, ["1/2", "1/2"]))
 
     def test_random_qualifying_instances(self):
         rng = random.Random(31337)
@@ -542,6 +559,8 @@ class TestSpecial3EqualPair:
     def test_requires_equal_pair(self, uniform):
         with pytest.raises(PreconditionViolated):
             special3_equal_pair(make_instance([uniform] * 3, ["1/2", "1/3", "1/6"]))
+        with pytest.raises(PreconditionViolated, match="exactly three agents"):
+            special3_equal_pair(make_instance([uniform] * 2, ["1/2", "1/2"]))
 
     def test_pigeonhole_check_raises(self, monkeypatch, uniform):
         # every window worth a whole cake more than it is breaks the bound
