@@ -15,14 +15,17 @@ the pieces the placed cuts fix that could still end in a feasible system,
 judged by each agent's prefix table scaled to integers.  Owner prefixes
 of equal state share one node, and a state is dropped once an equal one,
 with as many cuts placed and the last in the same cell, has reached no
-full tuple (see ``_first_feasible``).  At a full tuple the test is the
-interval prefilter of a plain scan, so the systems that reach the solver
-are, in order, a subsequence of the plain scan's, and the first feasible
-one is the same.  ``systems_examined`` is the position of that
-combination in canonical order, or the number of all combinations,
-computed by counting and ranking tuples and maps rather than by visiting
-them.  The budget bounds the work actually done: owner states kept plus
-solver calls.
+full tuple (see ``_first_feasible``).  At a full tuple a map must pass
+the interval prefilter of a plain scan, and then the ordered-chain bound:
+each agent's row maximised over the solver's own domain, with the cuts
+that share a cell kept in order (``_ordered_reach``).  Both only drop
+infeasible systems, so the systems that reach the solver are, in order,
+a subsequence of the plain scan's, and the first feasible one is the
+same.  ``systems_examined`` is the position of that combination in
+canonical order, or the number of all combinations, computed by counting
+and ranking tuples and maps rather than by visiting them.  The budget
+bounds the work actually done: owner states kept plus systems built at
+full tuples, whether the bound refutes them or the solver decides them.
 """
 
 from __future__ import annotations
@@ -136,8 +139,8 @@ def feasible_with_k_cuts(
     lex-minimal cut positions.  ``systems_examined`` is that combination's
     position in canonical order, counting from 1, or the number of all
     combinations when none is feasible.  Raises BudgetExceeded as soon as
-    the work done, owner states kept plus LP calls, exceeds ``budget``,
-    rather than ever returning an undecided status.
+    the work done, owner states kept plus systems built at full tuples,
+    exceeds ``budget``, rather than ever returning an undecided status.
     """
     if k < 0:
         raise ValueError("cut budget must be nonnegative")
@@ -219,11 +222,15 @@ def _first_feasible(table: CellTable, k: int, budget: int):
     threshold: the interval prefilter of a plain scan.  A map that passes
     leaves no agent needy, so every owner prefix of it passes each test
     above: the gains of a prefix's pieces are those of the full tuple's
-    pieces, and a needy agent of a prefix must own a later piece.  The
-    maps that pass go to the exact LP in canonical order.  The walk drops
-    no system the prefilter passes, so the systems it sends are, in order,
-    a subsequence of the plain scan's, and the first feasible one is the
-    plain scan's.
+    pieces, and a needy agent of a prefix must own a later piece.  Each
+    map that passes costs one unit of work, and its system must then pass
+    the ordered-chain bound (``_ordered_reach``), which credits an agent
+    with a cell's mass once for cuts that share the cell, before it goes
+    to the exact LP, in canonical order.  The bound is the maximum of each
+    agent's row over the LP's own domain, so it drops only infeasible
+    systems.  The walk drops no system the prefilter passes, so the
+    systems it sends are, in order, a subsequence of the plain scan's, and
+    the first feasible one is the plain scan's.
 
     Whether a test keeps an owner prefix, and the slack, last owner and
     needy agents of each child it makes, depend on the cells and on three
@@ -261,7 +268,7 @@ def _first_feasible(table: CellTable, k: int, budget: int):
     allowed = [
         tuple(a for a in range(n) if a != last or n == 1) for last in range(n)
     ] + [tuple(range(n))]
-    work = Work(budget, ncells, "oracle", "owner states kept plus LP calls", f"k={k}")
+    work = Work(budget, ncells, "oracle", "owner states kept plus systems built", f"k={k}")
     # dead[depth, c]: the keys of the states made with cut ``depth`` in
     # cell c that reached no full-tuple leaf
     dead = defaultdict(set)
@@ -332,7 +339,7 @@ def _first_feasible(table: CellTable, k: int, budget: int):
                 return (), assign, ()
             work.spend(1, cells, k)
             constraints = _oracle_system(table, cells, assign)
-            if check_feasible(k, constraints):
+            if _ordered_reach(cells, constraints) and check_feasible(k, constraints):
                 t = solve_feasibility(k, constraints)
                 return cells, assign, table.to_cuts(cells, t)
     return None
@@ -366,6 +373,30 @@ def _oracle_system(table, cells, assign):
         coeffs, const = table.value_row(i, cells, signs, total)
         constraints.append((coeffs, GE, threshold - const))
     return constraints + table.ordering_rows(cells)
+
+
+def _ordered_reach(cells, constraints) -> bool:
+    """Whether every ``>=`` row of an oracle system reaches its right-hand
+    side somewhere on the LP's domain: the unit box of the t's and the
+    ordering rows, which keep each chain of cuts in one cell in order,
+    t_a <= ... <= t_b.  The vertices of a chain's domain set a suffix of
+    it to 1 and the rest to 0, and chains in different cells do not
+    constrain each other, so a row's maximum is the sum over the chains
+    of each chain's largest suffix sum of coefficients, 0 included."""
+    k = len(cells)
+    for coeffs, relation, rhs in constraints:
+        if relation != GE:
+            continue
+        reach = top = run = 0
+        for j in range(k - 1, -1, -1):
+            run += coeffs[j]
+            top = max(top, run)
+            if j == 0 or cells[j - 1] != cells[j]:  # the chain starts at cut j
+                reach += top
+                top = run = 0
+        if reach < rhs:
+            return False
+    return True
 
 
 def _allocation_from_cuts(n: int, cuts: Sequence[Fraction], assign: Sequence[int]) -> Allocation:

@@ -35,7 +35,8 @@ class NoSplitFound(InternalCheckFailed):
 
 class BudgetExceeded(EntitledCutsError, RuntimeError):
     """A search, the splitter's or the oracle's, has done more work than its
-    budget allows: cut-cell prefixes kept plus LP calls (``cells.Work``)."""
+    budget allows (``cells.Work``): for the splitter cut-cell prefixes kept
+    plus LP calls, for the oracle owner states kept plus systems built."""
 
 
 class NotFoundWithin(EntitledCutsError):

@@ -89,13 +89,6 @@ class Region:
                 merged.append(iv)
         object.__setattr__(self, "intervals", tuple(merged))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    def union(self, other: "Region") -> "Region":
-        return Region(self.intervals + other.intervals)
-
     def intersect(self, other: "Region") -> "Region":
         out = []
         for a in self.intervals:

@@ -67,7 +67,7 @@ def exact_split(valuations: Sequence[Valuation], subcake: Region, ratio: Fractio
     valuations, ratio = tuple(valuations), as_rational(ratio)
     if not valuations:
         raise ValueError("need at least one valuation")
-    if subcake.is_empty:
+    if not subcake.intervals:
         raise EmptySubcake("split requested on an empty sub-cake")
     if not (ZERO < ratio < ONE):
         raise ValueError(f"ratio must lie strictly between 0 and 1, got {ratio}")

@@ -6,6 +6,7 @@ from operator import sub
 from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entitled_cuts import bounds
 from entitled_cuts.bounds import (
@@ -26,6 +27,7 @@ from entitled_cuts.model import ONE, ZERO, Instance, measure_of
 from entitled_cuts.verifier import verify_allocation
 
 from conftest import make_instance, pw, reference_cumulative
+from test_feasibility import _exact, _fm_feasible, _unit_box
 
 
 class TestLowerBoundFamily:
@@ -300,24 +302,46 @@ def _reference_system(n, k, cells, assign, edges, prefix, cell_density, threshol
 def _walk(inst, k, first_feasible=None):
     """The library's certificate and the combinations its walk hands the
     LP, in order, as (cut cells, owners); with ``first_feasible``, those of
-    that walk in place of the library's."""
-    sent, checks = [], []
+    that walk in place of the library's.  Each LP check must be of the
+    system built last, and no system is checked twice."""
+    sent, built = [], []
     build, check = bounds._oracle_system, bounds.check_feasible
 
     def recording_build(table, cells, assign):
-        sent.append((tuple(cells), tuple(assign)))
-        return build(table, cells, assign)
+        constraints = build(table, cells, assign)
+        built.append(((tuple(cells), tuple(assign)), constraints))
+        return constraints
 
-    def counting_check(*args):
-        checks.append(None)
-        return check(*args)
+    def recording_check(num_vars, constraints):
+        combination, last = built[-1]
+        assert constraints is last and sent[-1:] != [combination]
+        sent.append(combination)
+        return check(num_vars, constraints)
 
     with patch.object(bounds, "_oracle_system", recording_build), \
-            patch.object(bounds, "check_feasible", counting_check), \
+            patch.object(bounds, "check_feasible", recording_check), \
             patch.object(bounds, "_first_feasible", first_feasible or bounds._first_feasible):
         cert = feasible_with_k_cuts(inst, k)
-    assert len(checks) == len(sent)
     return cert, sent
+
+
+def _ordered_box_vertices(cells):
+    """The vertices of the LP's domain over cuts in ``cells``: the 0/1
+    vectors that never fall along a run of cuts in one cell."""
+    return [
+        x for x in product((0, 1), repeat=len(cells))
+        if all(a <= b for a, b, c, d in zip(x, x[1:], cells, cells[1:]) if c == d)
+    ]
+
+
+def _reaches_at_a_vertex(cells, constraints):
+    """The ordered-chain bound by brute force: every >= row holds at some
+    vertex of the LP's domain, where a linear row takes its maximum."""
+    vertices = _ordered_box_vertices(cells)
+    return all(
+        any(sum(c * x for c, x in zip(coeffs, v)) >= rhs for v in vertices)
+        for coeffs, relation, rhs in constraints if relation == GE
+    )
 
 
 def _reference_first_feasible(table, k, budget):
@@ -326,7 +350,8 @@ def _reference_first_feasible(table, k, budget):
     prefixes of equal state and drops states known to reach no leaf: the
     same tests, applied to every owner prefix on its own, and the maps
     that pass at a full tuple handed to the LP in the order the walk makes
-    them.  Its work unit is owner prefixes kept plus LP calls."""
+    them, once their rows reach at a vertex of the ordered box.  Its work
+    unit is owner prefixes kept plus systems built."""
     n = len(table.int_thresholds)
     pieces = k + 1
     ncells = table.cells
@@ -335,7 +360,7 @@ def _reference_first_feasible(table, k, budget):
     allowed = [
         tuple(a for a in range(n) if a != last or n == 1) for last in range(n)
     ] + [tuple(range(n))]
-    work = Work(budget, ncells, "oracle", "owner prefixes kept plus LP calls", f"k={k}")
+    work = Work(budget, ncells, "oracle", "owner prefixes kept plus systems built", f"k={k}")
 
     def extend(frontier, lo, c, depth):
         # an owner prefix is (slack, last owner, needy agents as a bitmask, owners)
@@ -375,7 +400,7 @@ def _reference_first_feasible(table, k, budget):
                 return (), assign, ()
             work.spend(1, cells, k)
             constraints = bounds._oracle_system(table, cells, assign)
-            if bounds.check_feasible(k, constraints):
+            if _reaches_at_a_vertex(cells, constraints) and bounds.check_feasible(k, constraints):
                 t = solve_feasibility(k, constraints)
                 return cells, assign, table.to_cuts(cells, t)
     return None
@@ -476,7 +501,7 @@ class TestPrunedPrefilterMatchesFractionScan:
         assert report.passed and len(report.cuts) <= 6
 
     def test_four_agent_work(self):
-        # owner states kept plus LP calls on the n = 4 family, exactly: a
+        # owner states kept plus systems built on the n = 4 family, exactly: a
         # walk that prunes, merges or remembers less runs out of these
         # budgets (without the memo of dead states it does 0, 9, 65 and 115
         # units, and with one node per owner prefix 0, 9, 90 and 507).  At
@@ -591,3 +616,70 @@ class TestMergedStatesMatchPerPrefixWalk:
             for k in (3, 4):
                 outcomes.add(_assert_matches_per_prefix_walk(inst, k).feasible)
         assert outcomes == {True, False}
+
+
+def _ordering_rows(cells):
+    """t_j <= t_{j+1} for each pair of neighbouring cuts in one cell."""
+    k = len(cells)
+    return [
+        (tuple(int(v == j) - int(v == j + 1) for v in range(k)), LE, 0)
+        for j in range(k - 1) if cells[j] == cells[j + 1]
+    ]
+
+
+@st.composite
+def _cut_cells(draw, max_k):
+    k = draw(st.integers(min_value=1, max_value=max_k))
+    return tuple(sorted(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))))
+
+
+class TestOrderedChainBound:
+    """At a full tuple the oracle bounds each agent's row over the LP's own
+    domain, the unit box with the cuts of one cell in order, before it
+    calls the LP."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bound_is_the_vertex_maximum(self, data):
+        cells = data.draw(_cut_cells(6))
+        coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=len(cells), max_size=len(cells)))
+        top = max(sum(c * x for c, x in zip(coeffs, v)) for v in _ordered_box_vertices(cells))
+        assert bounds._ordered_reach(cells, [(coeffs, GE, top)])
+        assert not bounds._ordered_reach(cells, [(coeffs, GE, top + 1)])
+
+    def test_one_cell_credited_once(self):
+        # an agent owns the pieces on both sides of a foreign piece inside
+        # one cell: the box alone would credit the cell's mass twice
+        cells, row = (0, 0), ((3, -3), GE, 1)
+        assert not bounds._ordered_reach(cells, [row])
+        assert bounds._ordered_reach((0, 1), [row])
+        assert not check_feasible(2, [row, *_ordering_rows(cells)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_refuted_systems_are_infeasible(self, data):
+        cells = data.draw(_cut_cells(5))
+        k = len(cells)
+        rows = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+            box_top = sum(c for c in coeffs if c > 0)
+            rows.append((coeffs, GE, data.draw(st.integers(-3, box_top))))
+        constraints = rows + _ordering_rows(cells)
+        if not bounds._ordered_reach(cells, constraints):
+            assert not _reaches_at_a_vertex(cells, constraints)
+            assert not check_feasible(k, constraints)
+            if k <= 4:
+                assert not _fm_feasible(k, _exact(constraints) + _unit_box(k))
+
+    def test_pruned_checks_on_a_two_agent_pool(self):
+        # three of the four systems the prefilter passes here hold an agent
+        # on both sides of a foreign piece in one cell; the bound refutes
+        # them, so the LP is called once, on the witness's system, and the
+        # certificate is the Fraction scan's
+        inst = random_instance(2, 5, max_cells=3)
+        cert, checked = _walk(inst, 3)
+        scanned = []
+        assert cert == _reference_certificate(inst, 3, _alternating_maps(2, 4), scanned)
+        assert cert.feasible and cert.systems_examined == 8
+        assert (len(checked), len(scanned)) == (1, 4)

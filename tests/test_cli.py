@@ -453,7 +453,7 @@ class TestMinCuts:
 
         def shortchange(n, cuts, assign):
             first, second, *rest = real(n, cuts, assign).pieces
-            return Allocation((Region(), first.union(second), *rest))
+            return Allocation((Region(), Region(first.intervals + second.intervals), *rest))
 
         monkeypatch.setattr(bounds_mod, "_allocation_from_cuts", shortchange)
         inst_path = write_instance(tmp_path / "i.json", gen_lower_bound_instance(2))

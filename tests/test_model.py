@@ -81,8 +81,8 @@ class TestRegion:
         b = region((F(1, 4), F(3, 4)))
         assert a.intersect(b) == region((F(1, 4), F(1, 2)))
         assert a.difference(b) == region((0, F(1, 4)))
-        assert a.union(b) == region((0, F(3, 4)))
-        assert a.difference(a).is_empty
+        assert Region(a.intervals + b.intervals) == region((0, F(3, 4)))
+        assert a.difference(a) == Region()
 
     @given(st.lists(st.tuples(rationals, rationals), max_size=6))
     def test_canonicalization_idempotent(self, raw):
@@ -95,8 +95,8 @@ class TestRegion:
         a = Region([Interval(min(x, y), max(x, y)) for x, y in raw_a])
         b = Region([Interval(min(x, y), max(x, y)) for x, y in raw_b])
         diff = a.difference(b)
-        assert diff.intersect(b).is_empty
-        assert diff.union(a.intersect(b)) == a
+        assert diff.intersect(b) == Region()
+        assert Region(diff.intervals + a.intersect(b).intervals) == a
 
 
 class TestMeasure:
@@ -115,7 +115,7 @@ class TestMeasure:
         v = pw("0 1/3 2/3 1", "3 0 1")
         r1 = Region([Interval(min(a, b), max(a, b))])
         r2 = Region([Interval(min(c, d), max(c, d))]).difference(r1)
-        assert measure_of(v, r1.union(r2)) == measure_of(v, r1) + measure_of(v, r2)
+        assert measure_of(v, Region(r1.intervals + r2.intervals)) == measure_of(v, r1) + measure_of(v, r2)
 
     def test_matches_reference_scan_on_plateaus(self):
         # seeded valuations with runs of zero-density cells; regions of up to

@@ -242,7 +242,7 @@ def _reference_pieces(valuations, counts, lo=F(0), hi=F(1)):
     _reference_even_split(list(range(len(owners))), lo, hi, clone_vals, assigned)
     merged = {}
     for clone, owner in enumerate(owners):
-        merged[owner] = merged.get(owner, Region()).union(Region([assigned[clone]]))
+        merged[owner] = Region(merged.get(owner, Region()).intervals + (assigned[clone],))
     return merged
 
 
@@ -463,7 +463,7 @@ class TestCutAndChoose:
         owner_part, chooser_part = cut_and_choose(uniform, uniform, piece)
         assert chooser_part == region((0, F(1, 4)), (F(1, 2), F(5, 8)))
         assert owner_part == region((F(5, 8), 1))
-        assert owner_part.union(chooser_part) == piece
+        assert Region(owner_part.intervals + chooser_part.intervals) == piece
 
 
 class TestSpecial3Half:
