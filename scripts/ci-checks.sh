@@ -51,13 +51,21 @@ grep -Fx "PASS" "$work/r6.recursive.out"
 
 # a speedup must keep the output bytes: the n = 8 certificate and the
 # recursive six-agent allocation are the witnesses the LP returned, the
-# six-agent allocation auto returns is cloning's, and every benchmark
-# workload still prints the digest of the files it writes
+# six-agent allocation auto returns is cloning's, the recursive five-agent
+# allocation over denominators up to 10^6 has cuts of up to 80 digits, and
+# every benchmark workload still prints the digest of the files it writes
 echo "== Output bytes unchanged"
+cli gen --random 5 --seed 4 --max-cells 4 --denom-bound 1000000 -o "$work/r5big.json"
+cli solve "$work/r5big.json" --algorithm recursive -o "$work/r5big.recursive.json" \
+  | tee "$work/r5big.solve.out"
+grep "^cuts (12 of bound 16): " "$work/r5big.solve.out"
+cli verify "$work/r5big.json" "$work/r5big.recursive.json" | tee "$work/r5big.out"
+grep -Fx "PASS" "$work/r5big.out"
 (cd "$work" && sha256sum -c) <<'SUMS'
 86307dea4d7aa203e8415fc2f70a2c2f98a7a70669272d69b13589746ff709a8  lb8.certificate.json
 e4d66060d4cc439c0e75c673d669367d947c32dc81527b9bc091fbb327e3ebf6  r6.recursive.json
 8085e36bef680df8d6dab732f7883e3518fc33c7eb4dee736d4e1dcd794a4956  r6.allocation.json
+33b824ed9a514aba0bb2a4c1e9efbbb53088dd5a2e96e2870fb8d526b2f07ff6  r5big.recursive.json
 SUMS
 for expected in \
   divide:9ee8fdc55a23bc5291b39f9068711901a5fa3b2f18a845b6fddf8a622d09c278 \

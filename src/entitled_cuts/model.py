@@ -132,6 +132,7 @@ class Valuation:
     breakpoints: tuple[Fraction, ...]
     densities: tuple[Fraction, ...]
     _prefix: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    _rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bps = tuple(as_rational(b) for b in self.breakpoints)
@@ -158,6 +159,14 @@ class Valuation:
         if acc <= ZERO:
             raise ValueError("total value must be positive")
         object.__setattr__(self, "_prefix", tuple(prefix))
+        # one int row per breakpoint b = bn/bd, with prefix P and the density
+        # d of the cell on its right: P + d(x - b) at x = p/q is
+        # (head q + slope (p bd - bn q)) / (scale q).  The row at 1 has no
+        # cell, so its slope is 0.
+        rows = [(b.numerator, b.denominator, P.numerator * d.denominator * b.denominator,
+                 P.denominator * d.numerator, P.denominator * d.denominator * b.denominator)
+                for b, P, d in zip(bps, prefix, dens)]
+        object.__setattr__(self, "_rows", (*rows, (1, 1, 0, 0, 1)))
 
     @property
     def total(self) -> Fraction:
@@ -166,22 +175,26 @@ class Valuation:
     def cumulatives(self, xs: Iterable[Fraction]) -> list[Fraction]:
         """The exact value of [0, x] at each of the ascending points ``xs``.
 
-        One pointer into the breakpoints only advances.  A point on a
-        breakpoint, or in a cell of density 0, takes the prefix table's
-        value as it is."""
-        bps, dens, prefix = self.breakpoints, self.densities, self._prefix
-        last = len(dens)  # j may reach it only at x = 1, a breakpoint
-        out, j, previous = [], 0, ZERO
+        Each point is read as ints p/q, and one pointer into the breakpoints
+        only advances, by cross-multiplication.  A point on a breakpoint, or
+        in a cell of density 0, takes the prefix table's value as it is;
+        any other point builds one ``Fraction``."""
+        rows, prefix = self._rows, self._prefix
+        last = len(rows) - 1  # j may reach it only at x = 1, a breakpoint
+        out, j, pp, pq = [], 0, 0, 1
         for x in xs:
-            if not (previous <= x <= ONE):
+            try:
+                p, q = x.numerator, x.denominator
+            except AttributeError:
+                raise TypeError(f"expected an exact rational, got {type(x).__name__}") from None
+            if not (pp * q <= p * pq and p <= q):
                 raise ValueError(f"coordinate {x} outside [0, 1] or below an earlier point")
-            while j < last and bps[j + 1] <= x:
+            while j < last and rows[j + 1][0] * q <= p * rows[j + 1][1]:
                 j += 1
-            if x == bps[j] or not dens[j]:
-                out.append(prefix[j])
-            else:
-                out.append(prefix[j] + dens[j] * (x - bps[j]))
-            previous = x
+            bn, bd, head, slope, scale = rows[j]
+            t = p * bd - bn * q
+            out.append(Fraction(head * q + slope * t, scale * q) if t and slope else prefix[j])
+            pp, pq = p, q
         return out
 
     def marks(self, goals: Iterable[Fraction]) -> list[Fraction]:
@@ -199,6 +212,7 @@ class Valuation:
         total = prefix[-1]
         out, j, previous = [], 0, ZERO
         for goal in goals:
+            goal = as_rational(goal)
             if not (ZERO < goal and previous <= goal):
                 raise ValueError(f"goal {goal} not positive or below an earlier goal")
             if goal > total:

@@ -37,6 +37,25 @@ def plateau_valuations(draw):
     return Valuation(bps, tuple(dens))
 
 
+@st.composite
+def big_rationals(draw, max_value=1):
+    """p/q in [0, max_value] with q up to 10^12, so that two draws are
+    co-prime more often than not."""
+    q = draw(st.integers(min_value=1, max_value=10**12))
+    return F(draw(st.integers(min_value=0, max_value=max_value * q)), q)
+
+
+@st.composite
+def large_denominator_valuations(draw):
+    """Up to eight cells whose breakpoints and densities have denominators
+    up to 10^12, with runs of zero-density cells, and positive total."""
+    inner = draw(st.sets(big_rationals(), max_size=7))
+    bps = (F(0), *sorted(inner - {F(0), F(1)}), F(1))
+    dens = draw(st.lists(st.one_of(st.just(F(0)), big_rationals(max_value=10**6)),
+                         min_size=len(bps) - 1, max_size=len(bps) - 1).filter(any))
+    return Valuation(bps, tuple(dens))
+
+
 class TestRationalStrings:
     @pytest.mark.parametrize("text,value", [
         ("1/3", F(1, 3)), ("2", F(2)), ("-3/4", F(-3, 4)), ("0", F(0)),
@@ -303,6 +322,13 @@ class TestEqualMarks:
         goals = sorted(frac * v.total for frac in fracs if frac)
         assert v.marks(goals) == [reference_mark(v, F(0), goal) for goal in goals]
 
+    def test_float_goal_is_rejected(self):
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            pw("0 1/2 1", "1 3").marks([0.3])
+
+    def test_int_goals(self):
+        assert pw("0 1/2 1", "1 3").marks([1, 2]) == [F(2, 3), F(1)]
+
     def test_mark_outside_its_cell_is_an_internal_check(self):
         # a corrupted prefix table puts the 3/4 mark past the cake's end
         v = Valuation((F(0), F(1)), (F(1),))
@@ -328,8 +354,35 @@ class TestCumulatives:
             edges = [lo, *(b for b in bps if lo < b < hi), hi]
             assert v.cumulatives(edges) == [reference_cumulative(v, x) for x in edges], trial
 
+    @given(large_denominator_valuations(), st.data())
+    def test_matches_reference_at_large_denominators(self, v, data):
+        # breakpoints and densities over co-prime denominators up to 10^12;
+        # ascending points inside cells and on breakpoints, repeats, and the
+        # ints 0 and 1
+        drawn = data.draw(st.lists(st.one_of(big_rationals(), st.sampled_from(v.breakpoints)),
+                                   max_size=10))
+        points = sorted([*drawn, *drawn[:2]])
+        if data.draw(st.booleans()):
+            points.insert(0, 0)
+        if data.draw(st.booleans()):
+            points.append(1)
+        values = v.cumulatives(points)
+        assert values == [reference_cumulative(v, F(x)) for x in points]
+        assert all(type(value) is F for value in values)
+
     def test_no_points(self, uniform):
         assert uniform.cumulatives([]) == []
+
+    def test_int_points(self):
+        values = pw("0 1/2 1", "1 3").cumulatives([0, 0, F(1, 4), 1, 1])
+        assert values == [F(0), F(0), F(1, 4), F(2), F(2)]
+        assert all(type(value) is F for value in values)
+
+    def test_float_point_is_rejected(self):
+        v = pw("0 1/2 1", "1 3")
+        for points in ([0.25, 0.75], [F(1, 4), 0.75]):
+            with pytest.raises(TypeError, match="expected an exact rational, got float"):
+                v.cumulatives(points)
 
     @pytest.mark.parametrize("points", [[F(-1, 2)], [F(3, 2)], [F(1, 2), F(1, 4)],
                                         [F(1, 2), F(2, 5)]])

@@ -222,7 +222,7 @@ def _raise(*args, **kwargs):
 
 def test_verifier_shares_no_measure_code(monkeypatch):
     # reports taken before every measure, region and cut routine of the
-    # model, and every valuation's prefix table, are broken
+    # model, and every valuation's prefix and int tables, are broken
     cases = _protocol_outputs(9300, 12) + _malformed_pool(9400, 200)
     expected = [_reference_verify(inst, allocation) for inst, allocation in cases]
     monkeypatch.setattr(model, "measure_of", _raise)
@@ -235,6 +235,7 @@ def test_verifier_shares_no_measure_code(monkeypatch):
     for inst, _ in cases:
         for v in inst.valuations:
             object.__setattr__(v, "_prefix", None)
+            object.__setattr__(v, "_rows", None)
     for (inst, allocation), report in zip(cases, expected):
         assert verify_allocation(inst, allocation) == report
 
