@@ -49,11 +49,23 @@ grep "^cuts (16 of bound 22): " "$work/r6.recursive.solve.out"
 cli verify "$work/r6.json" "$work/r6.recursive.json" | tee "$work/r6.recursive.out"
 grep -Fx "PASS" "$work/r6.recursive.out"
 
+# eight agents: the recursion's top split is the cost, on 8 cuts over 40
+# refinement cells, and the walk drops every tuple whose last cut its value
+# equations pin outside its cell, so the LP sees few; about 10 s
+echo "== Eight-agent recursive solve"
+cli gen --random 8 --seed 2 --max-cells 6 --denom-bound 64 -o "$work/r8.json"
+cli solve "$work/r8.json" --algorithm recursive -o "$work/r8.recursive.json" \
+  | tee "$work/r8.solve.out"
+grep "^cuts (24 of bound 34): " "$work/r8.solve.out"
+cli verify "$work/r8.json" "$work/r8.recursive.json" | tee "$work/r8.out"
+grep -Fx "PASS" "$work/r8.out"
+
 # a speedup must keep the output bytes: the n = 8 certificate and the
-# recursive six-agent allocation are the witnesses the LP returned, the
-# six-agent allocation auto returns is cloning's, the recursive five-agent
-# allocation over denominators up to 10^6 has cuts of up to 80 digits, and
-# every benchmark workload still prints the digest of the files it writes
+# recursive six- and eight-agent allocations are the witnesses the LP
+# returned, the six-agent allocation auto returns is cloning's, the
+# recursive five-agent allocation over denominators up to 10^6 has cuts of
+# up to 80 digits, and every benchmark workload still prints the digest of
+# the files it writes
 echo "== Output bytes unchanged"
 cli gen --random 5 --seed 4 --max-cells 4 --denom-bound 1000000 -o "$work/r5big.json"
 cli solve "$work/r5big.json" --algorithm recursive -o "$work/r5big.recursive.json" \
@@ -66,6 +78,7 @@ grep -Fx "PASS" "$work/r5big.out"
 e4d66060d4cc439c0e75c673d669367d947c32dc81527b9bc091fbb327e3ebf6  r6.recursive.json
 8085e36bef680df8d6dab732f7883e3518fc33c7eb4dee736d4e1dcd794a4956  r6.allocation.json
 33b824ed9a514aba0bb2a4c1e9efbbb53088dd5a2e96e2870fb8d526b2f07ff6  r5big.recursive.json
+9b8009cd6621298dffcc93eeb20da63094c2237a63908a9e86deed347c9d584f  r8.recursive.json
 SUMS
 for expected in \
   divide:9ee8fdc55a23bc5291b39f9068711901a5fa3b2f18a845b6fddf8a622d09c278 \
@@ -82,18 +95,21 @@ done
 # certify pass makes exactly these LP calls, oracle systems, protocol cuts
 # and model calls, and one traced divide pass these LP calls, protocol cuts
 # and model calls.  The oracle's check calls fall to 1770 because its
-# ordered-chain bound refutes 756 infeasible systems before the LP; every
-# other count, systems_examined among them, stays fixed.  model.calls
+# ordered-chain bound refutes 756 infeasible systems before the LP; the
+# splitter's checks fall by 159 on divide (744 to 585) and by 19 on certify
+# because its walk drops every full tuple whose value equations pin the
+# last cut outside its cell; the solves, systems_examined and every other
+# count stay fixed.  model.calls
 # counts calls that enter the model layer from another layer (the tracer's
 # spans), not every model function call: the marks one Valuation.marks call
 # places count once, and the verifier, which values pieces and counts cuts
 # with its own arithmetic, adds none
-echo "== LP call counts pinned (oracle check calls fall, the rest fixed)"
+echo "== LP call counts pinned (check calls fall, the rest fixed)"
 python perfbench/run.py --workload certify --seed 1 --seconds 2 --trace 1 \
   | tee "$work/certify-trace.out"
 for expected in \
-  "split.lp_calls 301 count" \
-  "feasibility.check_calls 1770 count" \
+  "split.lp_calls 282 count" \
+  "feasibility.check_calls 1751 count" \
   "feasibility.solve_calls 525 count" \
   "bounds.systems_examined 8548 count" \
   "protocols.cuts 502 count" \
@@ -104,8 +120,8 @@ done
 python perfbench/run.py --workload divide --seed 1 --seconds 2 --trace 1 \
   | tee "$work/divide-trace.out"
 for expected in \
-  "split.lp_calls 1099 count" \
-  "feasibility.check_calls 744 count" \
+  "split.lp_calls 940 count" \
+  "feasibility.check_calls 585 count" \
   "feasibility.solve_calls 355 count" \
   "protocols.cuts 785 count" \
   "model.calls 25098 count"

@@ -16,8 +16,9 @@ the cake's own coordinates, endpoint by endpoint, and asks the exact
 feasibility solver for the n value equations plus ordering constraints,
 over its unit box of cell coordinates.  The walk tests the value equations
 alone as it goes: each prefix keeps the left null space of their columns
-so far, and a full tuple whose equations contradict each other never
-reaches the solver.
+so far, and a full tuple dies in the walk, never reaching the solver, when
+its equations contradict each other or pin the last cut's coordinate
+outside its cell.
 The first feasible system in the canonical order (m ascending, then parts
 that miss the origin before parts that hold it, then lexicographic cell
 assignments, then the lex-minimal witness) wins, so results are fully
@@ -85,9 +86,7 @@ def exact_split(valuations: Sequence[Valuation], subcake: Region, ratio: Fractio
         work.at = f"m={m}"
         for holds_origin, goals in ((False, table.int_thresholds), (True, rests)):
             root, extend = _reach(table, signs, goals)
-            for cells, ((_, null),) in walk(table.cells, k, root, extend, work.spend):
-                if not _consistent(null):
-                    continue
+            for cells, _ in walk(table.cells, k, root, extend, work.spend):
                 work.spend(1, cells, k)
                 constraints = []
                 for i, goal in enumerate(goals):
@@ -127,10 +126,11 @@ def _reach(table: CellTable, signs, goals):
     a full tuple this is the interval prefilter of a plain scan.  For a cut
     of sign + the low end's bound only grows with c, for one of sign - the
     high end's only falls, so failing there ends the loop over c.  A full
-    tuple whose null space leaves a right-hand side (``_consistent``) has
-    value equations that contradict each other, and the caller skips it
-    without an LP call."""
+    tuple dies too, so it costs no LP call, when its value equations
+    contradict each other or pin the last cut outside its cell
+    (``_pinned_in_box``); it keeps only its ranges."""
     later = [(signs[d + 1:].count(1), signs[d + 1:].count(-1)) for d in range(len(signs))]
+    last = len(signs) - 1
 
     def extend(state, lo, c, depth):
         s, (plus, minus) = signs[depth], later[depth]
@@ -146,7 +146,9 @@ def _reach(table: CellTable, signs, goals):
             reach.append((low, high))
             column.append(s * (right - left))
             const.append(s * left)
-        return [(reach, _restrict(null, column, const))], state  # one partial system per prefix
+        if depth < last:  # one partial system per prefix
+            return [(reach, _restrict(null, column, const))], state
+        return _pinned_in_box(null, column, const) and [reach], state
 
     return [([(0, 0)] * len(goals), _null_space([-g for g in goals]))], extend
 
@@ -198,7 +200,32 @@ def _restrict(null, column, const):
     return out
 
 
-def _consistent(null) -> bool:
-    """Whether the value equations with left null space ``null`` (from
-    ``_restrict``) have a solution, bounds aside."""
-    return not any(_RHS in y for y in null)
+def _pinned_in_box(null, column, const) -> bool:
+    """Whether the value equations, with left null space ``null`` before the
+    last cut and that cut's ``column`` and ``const``, have a solution whose
+    last coordinate lies in [0, 1].  Each vector y of ``null`` is orthogonal
+    to every earlier column, so every solution has  alpha * t = -beta  with
+    alpha = y . column  and  beta = y . offset.  The equations are
+    consistent exactly when these agree (``_restrict`` with the first y of
+    non-zero alpha as pivot, then Rouche-Capelli); that pivot then pins t."""
+    pivot = None
+    for y in null:
+        alpha = beta = 0
+        for i, v in y.items():
+            if i == _RHS:
+                beta += v
+            else:
+                alpha += v * column[i]
+                beta += v * const[i]
+        if pivot is None:
+            if alpha:
+                pivot, pivot_beta = alpha, beta
+            elif beta:
+                return False
+        elif pivot * beta != alpha * pivot_beta:
+            return False
+    if pivot is None:  # the last cut is free
+        return True
+    if pivot < 0:
+        pivot, pivot_beta = -pivot, -pivot_beta
+    return 0 <= -pivot_beta <= pivot  # t = -pivot_beta / pivot

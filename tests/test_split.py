@@ -10,6 +10,7 @@ from entitled_cuts import split
 from entitled_cuts.cells import CellTable, tuple_count, walk
 from entitled_cuts.errors import BudgetExceeded, EmptySubcake
 from entitled_cuts.feasibility import (
+    _RHS,
     EQ,
     GE,
     LE,
@@ -135,17 +136,19 @@ class TestExactSplit:
         assert res == unbudgeted
         assert reached == sorted(reached) and set(reached) == {1, 2}
         # the exact work: a walk that prunes less, or an LP call for a tuple
-        # whose value equations contradict each other, runs out of this budget
-        assert budget == 15
+        # whose value equations contradict each other or pin the last cut
+        # outside its cell, runs out of this budget
+        assert budget == 10
         with pytest.raises(BudgetExceeded, match=f"at m=2: {budget} units of work done"):
             exact_split(vals, FULL_CAKE, F(1, 2), budget=budget - 1)
 
     def test_six_agent_top_split_work(self, monkeypatch):
         # the top split of a six-agent instance on 18 refinement cells: a
         # plain scan of every tuple would project 19,249,926 systems, while
-        # the walk reaches 1,457 tuples and does exactly this work, 98 units
-        # of it LP calls: the other tuples' value equations contradict each
-        # other.  A walk that prunes less runs out of the budget
+        # the walk reaches 24 tuples, each an LP call, and does exactly this
+        # work: every other tuple dies in the walk, its value equations
+        # contradicting each other or pinning the last cut outside its
+        # cell.  A walk that prunes less runs out of the budget
         inst = random_instance(6, 2, max_cells=6, denom_bound=64)
         # the first three agents' share, as recursive_divide asks for it
         ratio = sum(inst.entitlements[:3], F(0))
@@ -157,10 +160,10 @@ class TestExactSplit:
         monkeypatch.setattr(
             split, "walk", lambda *args: (leaves.append(leaf) or leaf for leaf in walk(*args))
         )
-        exact_split(inst.valuations, FULL_CAKE, ratio, budget=2404)
-        assert len(leaves) == 1457 and len(checks) == 98
-        with pytest.raises(BudgetExceeded, match=r"at m=\d: 2404 units of work done"):
-            exact_split(inst.valuations, FULL_CAKE, ratio, budget=2403)
+        exact_split(inst.valuations, FULL_CAKE, ratio, budget=897)
+        assert len(leaves) == 24 and len(checks) == 24
+        with pytest.raises(BudgetExceeded, match=r"at m=\d: 897 units of work done"):
+            exact_split(inst.valuations, FULL_CAKE, ratio, budget=896)
 
     def test_subcake_split_is_exact_for_everyone(self, uniform):
         skewed = pw("0 1/2 1", "2 0")
@@ -288,8 +291,9 @@ def _reference_split(valuations, subcake, ratio):
     agents' totals as constants, not the complement of a part that misses
     it.  It shares with the library only the LP.  Returns the part and
     complement of the first feasible system in canonical order, how many
-    systems passed the prefilter and had consistent value equations, up to
-    and including it, and whether the part holds the origin."""
+    systems passed the prefilter and had consistent value equations that
+    leave the last endpoint free or pin it inside its cell, up to and
+    including it, and whether the part holds the origin."""
     n = len(valuations)
     length, offsets, flat = _flatten(subcake, valuations)
     edges = sorted({b for bps, _ in flat for b in bps})
@@ -325,7 +329,7 @@ def _reference_split(valuations, subcake, ratio):
                 constraints = _reference_system(
                     cells, signs, base, edges, prefix, cell_density, targets
                 )
-                if not _equations_consistent(constraints[:n]):
+                if not _last_within(constraints[:n], edges[cells[-1]], edges[cells[-1] + 1]):
                     continue
                 checked += 1
                 if check_feasible(k, constraints):
@@ -336,12 +340,15 @@ def _reference_split(valuations, subcake, ratio):
     raise AssertionError("reference scan found no split")
 
 
-def _equations_consistent(rows) -> bool:
-    """Whether the equations (coeffs, EQ, rhs) have a solution: Gauss-Jordan
-    elimination over Fractions, and no row left as 0 = non-zero."""
+def _gauss_jordan(rows):
+    """Gauss-Jordan elimination over Fractions of the equations (coeffs, EQ,
+    rhs): whether they have a solution, no row being left as 0 = non-zero,
+    and the value they pin the last variable to, or None if they leave it
+    free.  In reduced row echelon form the last column holds a pivot
+    exactly when its row reads  1 * x = value."""
     rows = [[F(q) for q in (*coeffs, rhs)] for coeffs, _, rhs in rows]
     width = len(rows[0]) - 1 if rows else 0
-    rank = 0
+    rank, pinned = 0, None
     for col in range(width):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
@@ -354,7 +361,16 @@ def _equations_consistent(rows) -> bool:
                 f = row[col]
                 row[:] = [q - f * p for q, p in zip(row, lead)]
         rank += 1
-    return not any(row[-1] for row in rows[rank:])
+        if col == width - 1:
+            pinned = lead[-1]
+    return not any(row[-1] for row in rows[rank:]), pinned
+
+
+def _last_within(rows, lo, hi) -> bool:
+    """Whether the equations have a solution and, if they pin the last
+    variable, pin it inside [lo, hi]."""
+    consistent, pinned = _gauss_jordan(rows)
+    return consistent and (pinned is None or lo <= pinned <= hi)
 
 
 def _reference_system(cells, signs, base, edges, prefix, cell_density, targets):
@@ -468,14 +484,28 @@ def _within_reach(table, cells, signs, base) -> bool:
     return True
 
 
+def _cell_equations(table, cells, signs, base):
+    """The value equations of a cut-cell tuple in cell coordinates, read
+    straight off the integer running values: a cut of sign s in cell c adds
+    s * (P[c] + (P[c+1] - P[c]) * t)."""
+    rows = []
+    for row, target, const in zip(table.int_prefix, table.int_thresholds, base):
+        coeffs = [s * (row[c + 1] - row[c]) for s, c in zip(signs, cells)]
+        const += sum(s * row[c] for s, c in zip(signs, cells))
+        rows.append((coeffs, EQ, target - const))
+    return rows
+
+
 class TestWalkMatchesPrefilterScan:
     """The splitter's prefix walk yields exactly the tuples that the plain
-    scan's full-tuple prefilter passes, in the same order."""
+    scan's full-tuple prefilter passes and whose value equations are
+    consistent and leave the last cut free or pin it inside its cell, in
+    the same order."""
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_leaves_are_the_tuples_the_prefilter_passes(self, k):
         rng = random.Random(7400 + k)
-        cases, shapes, passing, kept, prefixes = 0, set(), 0, [], 0
+        cases, shapes, passing, boxed_out, kept, prefixes = 0, set(), 0, 0, [], 0
         while cases < 12:
             n = rng.randint(2, 4)
             vals = tuple(random_valuation(rng, 3 if n <= 3 else 2, 8) for _ in range(n))
@@ -493,23 +523,26 @@ class TestWalkMatchesPrefilterScan:
                 leaves = [cells for cells, _ in walk(
                     table.cells, k, root, extend, lambda units, tup, placed: kept.append(units)
                 )]
-                scan = [cells for cells in combinations_with_replacement(range(table.cells), k)
-                        if _within_reach(table, cells, signs, base)]
+                reached = [cells for cells in combinations_with_replacement(range(table.cells), k)
+                           if _within_reach(table, cells, signs, base)]
+                scan = [cells for cells in reached
+                        if _last_within(_cell_equations(table, cells, signs, base), 0, 1)]
                 assert leaves == scan, (k, cases, inside)
                 passing += len(scan)
+                boxed_out += len(reached) - len(scan)
                 prefixes += sum(tuple_count(table.cells, j) for j in range(1, k + 1))
             shapes.add(len(subcake.intervals))
             cases += 1
-        assert passing > 0 and max(shapes) >= 2
+        assert passing > 0 and boxed_out > 0 and max(shapes) >= 2
         # one unit per prefix kept, and prefixes do get pruned
         assert set(kept) == {1} and len(kept) < prefixes
 
 
 class TestNullSpaceMatchesElimination:
-    """The walk's consistency test of the value equations, the left null
-    space carried cut by cut, decides exactly as the LP's equality
-    elimination and as a Fraction rank test, on integer systems shaped like
-    the splitter's."""
+    """The walk's tests of the value equations, the left null space carried
+    cut by cut and the leaf test on it before the last cut, decide exactly
+    as the LP's equality elimination and as a Fraction Gauss-Jordan
+    elimination, on integer systems shaped like the splitter's."""
 
     def test_seeded_systems(self):
         rng = random.Random(1857)
@@ -517,14 +550,16 @@ class TestNullSpaceMatchesElimination:
         for trial in range(600):
             n, k = rng.randint(1, 6), rng.randint(2, 10)
             cells = rng.randint(1, 5)
-            # a cell no agent values gives a zero column
+            # a cell no agent values gives a zero column; the scale q lets a
+            # point drawn in steps of 1/q give an integer system
             dead = {c for c in range(cells) if rng.random() < 0.2}
+            q = rng.randint(1, 4)
             prefix = []
             for _ in range(n):
                 row = [0]
                 for c in range(cells):
                     zero = c in dead or rng.random() < 0.3
-                    row.append(row[-1] + (0 if zero else rng.randint(1, 9)))
+                    row.append(row[-1] + (0 if zero else q * rng.randint(1, 9)))
                 prefix.append(row)
             # few cells, so cuts share a cell and repeat a column
             tup = sorted(rng.randrange(cells) for _ in range(k))
@@ -532,33 +567,85 @@ class TestNullSpaceMatchesElimination:
             base = [rng.randint(-20, 20) for _ in range(n)]
             columns = [[s * (row[c + 1] - row[c]) for row in prefix] for s, c in zip(signs, tup)]
             consts = [[s * row[c] for row in prefix] for s, c in zip(signs, tup)]
-            const = [b + sum(q[i] for q in consts) for i, b in enumerate(base)]
+            const = [b + sum(step[i] for step in consts) for i, b in enumerate(base)]
             if trial % 2:
-                # consistent by construction: the value at an integer point
-                t = [rng.randint(-3, 3) for _ in range(k)]
-                targets = [const[i] + sum(a[i] * tj for a, tj in zip(columns, t))
+                # consistent by construction: the value at a point t = u / q
+                # around the unit box, so a pinned last cut may fall inside
+                # it, on its ends or outside
+                u = [rng.randint(-q, 2 * q) for _ in range(k)]
+                targets = [const[i] + sum(a[i] * uj for a, uj in zip(columns, u)) // q
                            for i in range(n)]
             else:
                 targets = [rng.randint(-20, 20) for _ in range(n)]
             rows = [([a[i] for a in columns], EQ, targets[i] - const[i]) for i in range(n)]
+            consistent, pinned = _gauss_jordan(rows)
 
             null = split._null_space([b - t for b, t in zip(base, targets)])
-            for column, step in zip(columns, consts):
+            for column, step in zip(columns[:-1], consts[:-1]):
                 before = [dict(y) for y in null]
                 restricted = split._restrict(null, column, step)
                 assert null == before  # the parent's state is kept for its siblings
                 assert len(before) - 1 <= len(restricted) <= len(before)
                 null = restricted
-            decision = split._consistent(null)
-            assert decision == (_eliminate_equalities(k, rows) is not None), trial
-            assert decision == _equations_consistent(rows), trial
-            seen.add((decision, k < n, any(not any(a) for a in columns)))
-        # both outcomes, with fewer cuts than agents and with more, and with
+            before = [dict(y) for y in null]
+            decision = split._pinned_in_box(null, columns[-1], consts[-1])
+            assert null == before  # the leaf test changes nothing it reads
+            assert decision == (consistent and (pinned is None or 0 <= pinned <= 1)), trial
+            # restricted by the last cut too, the null space decides
+            # consistency as the LP's equality elimination does
+            null = split._restrict(null, columns[-1], consts[-1])
+            assert (not any(_RHS in y for y in null)) == consistent, trial
+            assert consistent == (_eliminate_equalities(k, rows) is not None), trial
+            if not consistent:
+                kind = "contradicting"
+            elif pinned is None:
+                kind = "free"
+            else:
+                kind = "edge" if pinned in (0, 1) else "inside" if 0 < pinned < 1 else "outside"
+            seen.add((kind, decision, k < n, any(not any(a) for a in columns)))
+        # every outcome, with fewer cuts than agents and with more, and with
         # a zero column
+        assert {kind for kind, *_ in seen} == {"contradicting", "free", "edge", "inside", "outside"}
         assert {(True, True), (False, True), (True, False), (False, False)} <= {
-            (d, few) for d, few, _ in seen
+            (d, few) for _, d, few, _ in seen
         }
-        assert {(True, True), (False, True)} <= {(d, zero) for d, _, zero in seen}
+        assert {(True, True), (False, True)} <= {(d, zero) for _, d, _, zero in seen}
+
+    @pytest.mark.parametrize("alpha", [10**12, -10**12])
+    def test_the_box_is_closed(self, alpha):
+        # one agent's equation  alpha * t = -beta  pins t = -beta / alpha:
+        # kept on the box's ends, dropped a 10^-12 step outside them
+        for t, kept in ((0, True), (1, True), (F(-1, 10**12), False), (1 + F(1, 10**12), False)):
+            beta = -t * alpha
+            assert beta.denominator == 1
+            null = split._null_space([int(beta) - 5])
+            assert split._pinned_in_box(null, [alpha], [5]) is kept, t
+        assert split._pinned_in_box(split._null_space([0]), [0], [0])  # a free last cut
+        assert not split._pinned_in_box(split._null_space([1]), [0], [0])
+
+    def test_the_lp_sees_no_last_cut_pinned_outside_its_cell(self, monkeypatch):
+        # every system the splitter hands the LP leaves its last cut free or
+        # pins it inside the unit box; systems pinned on the box's ends,
+        # which the LP's closed box allows, still reach it
+        pins = []
+
+        def check(k, rows):
+            consistent, pinned = _gauss_jordan([row for row in rows if row[1] == EQ])
+            assert consistent and (pinned is None or 0 <= pinned <= 1), (rows, pinned)
+            pins.append(pinned)
+            return check_feasible(k, rows)
+
+        monkeypatch.setattr(split, "check_feasible", check)
+        for seed in range(400, 600):
+            rng = random.Random(seed)
+            n = rng.randint(2, 3)
+            vals = tuple(random_valuation(rng, 3, 4) for _ in range(n))
+            subcake = FULL_CAKE if rng.random() < 0.5 else _random_subcake(rng, 3)
+            try:
+                exact_split(vals, subcake, F(rng.randint(1, 3), 4))
+            except ValueError:  # an empty sub-cake, or one some agent values at 0
+                continue
+        assert 0 in pins and 1 in pins and len(pins) > 100
 
 
 class TestPostConditions:
